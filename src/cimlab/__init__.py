@@ -47,7 +47,6 @@ from .mapiso import (
 )
 from .perms import (
     BlockSystem,
-    Permutation,
     PermutationGroup,
     are_conjugate_subgroups,
     check_cyclic_stabilizer_conjugacy,

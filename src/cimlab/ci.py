@@ -20,12 +20,19 @@ enough to run both.
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
+import os
 import time
-from typing import Optional, Sequence
+from contextlib import closing
+from itertools import chain, islice
+from math import factorial
+from typing import Iterable, Optional, Sequence
 
 from .enumeration import (
     cayley_class_key,
+    connection_sets,
+    rotations_of,
     total_map_count,
 )
 from .errors import CapacityError, UnsupportedReductionError
@@ -51,17 +58,20 @@ from .mapiso import (
     are_cayley_isomorphic,
     map_automorphism_group,
     map_iso_exists,
-    stabilizer_automorphisms,
 )
 from .perms import (
     PermutationGroup,
+    _perm_group_isomorphic,
     are_conjugate_subgroups,
+    closure,
+    conjugate_subgroup,
     cycles_of,
     identity_perm,
     is_regular,
     left_regular_representation,
     perm_group_as_finite_group,
     perm_order,
+    point_stabilizer,
     regular_subgroups_isomorphic_to,
 )
 from .reports import CiReport
@@ -80,15 +90,6 @@ def _map_subject(m: CayleyMap) -> dict:
 
 def _group_subject(h: FiniteGroup) -> dict:
     return {"kind": "group", "group": h.name, "order": h.order}
-
-
-def _pmap(fn, items: Sequence, workers: int) -> list:
-    """Order-preserving map, optionally over a process pool."""
-    if workers <= 1 or len(items) < 4:
-        return [fn(x) for x in items]
-    with multiprocessing.Pool(workers) as pool:
-        chunk = max(1, len(items) // (workers * 8))
-        return pool.map(fn, items, chunksize=chunk)
 
 
 def regular_witness_map(m: CayleyMap, rival: PermutationGroup) -> CayleyMap:
@@ -179,8 +180,9 @@ class _ValencyBatch:
         self.force_brute = force_brute
         self.maps = [
             make_map(h, rot)
-            for s in _connection_sets_of_size(h, valency)
-            for rot in _rotations(s)
+            for s in connection_sets(h, valency)
+            if len(s) == valency
+            for rot in rotations_of(s)
         ]
         self.class_key = {m: cayley_class_key(m) for m in self.maps}
         reps: dict[tuple, CayleyMap] = {}
@@ -231,18 +233,6 @@ class _ValencyBatch:
             if other != my_key and self._find(other) == my_root:
                 return False, self.reps[other]
         return True, None
-
-
-def _connection_sets_of_size(h: FiniteGroup, size: int) -> list[tuple[int, ...]]:
-    from .enumeration import connection_sets
-
-    return [s for s in connection_sets(h, size) if len(s) == size]
-
-
-def _rotations(s: Sequence[int]):
-    from .enumeration import rotations_of
-
-    return rotations_of(s)
 
 
 # batches keep their group alive, so the id key cannot be recycled
@@ -378,8 +368,32 @@ def _full_cycle_roots(orbits: Sequence[tuple[int, ...]], d: int):
             yield tuple(cycles[j][i] for i in range(d) for j in range(c))
 
 
-def _verdict_task(m: CayleyMap) -> CiReport:
-    return babai_is_ci_map(m)
+def _babai_task(h: FiniteGroup, rotation: tuple[int, ...]) -> tuple[CiReport, PermutationGroup]:
+    """One map's verdict and identity-vertex stabilizer, from a single Aut(M)."""
+    m = make_map(h, rotation)
+    aut = map_automorphism_group(m)
+    return babai_is_ci_map(m, aut=aut), point_stabilizer(aut, 0)
+
+
+def _sweep(h: FiniteGroup, rotations: Iterable[tuple[int, ...]], workers: int):
+    """``_babai_task`` over the rotations, in order.
+
+    Worker counts are clamped to [1, cpu_count]. One pool serves the whole
+    sweep; rotations go to it in bounded batches so memory stays flat, and
+    a sweep that fits in one batch of fewer than four maps runs inline.
+    Close the generator to stop early: that also closes the pool.
+    """
+    workers = max(1, min(workers, os.cpu_count() or 1))
+    task = functools.partial(_babai_task, h)
+    rotations = iter(rotations)
+    batch = list(islice(rotations, 512 * workers))
+    if workers == 1 or len(batch) < 4:
+        yield from map(task, chain(batch, rotations))
+        return
+    with multiprocessing.Pool(workers) as pool:
+        while batch:
+            yield from pool.map(task, batch, chunksize=max(1, len(batch) // (workers * 8)))
+            batch = list(islice(rotations, 512 * workers))
 
 
 def verify_connected_cim(
@@ -417,57 +431,26 @@ def verify_connected_cim(
     return report
 
 
-def _connected_maps(h: FiniteGroup, max_valency: int):
-    """Connected maps in canonical order, testing connectivity once per set."""
-    from .enumeration import connection_sets, rotations_of
-
-    n = h.order
+def _connected_rotations(h: FiniteGroup, max_valency: int):
+    """Rotations of the connected maps in canonical order, testing
+    connectivity once per set."""
     for s in connection_sets(h, max_valency):
-        if len(closure_of(h, s)) != n:
-            continue
-        for rot in rotations_of(s):
-            yield make_map(h, rot)
+        if len(closure_of(h, s)) == h.order:
+            yield from rotations_of(s)
 
 
 def _verify_connected_exhaustive(h: FiniteGroup, max_valency: int, workers: int) -> CiReport:
-    checked = 0
-    connected = 0
-    batch: list[CayleyMap] = []
-    batch_size = 512 if workers <= 1 else 512 * workers
-
-    def flush() -> Optional[CiReport]:
-        nonlocal checked
-        reports = _pmap(_verdict_task, batch, workers)
-        batch.clear()
-        for rpt in reports:
-            checked += 1
-            if not rpt.verdict:
-                return rpt
-        return None
-
     # on failure only the canonical index of the first bad map is reported;
     # enumeration read-ahead depends on batching, so it must stay out
-    for m in _connected_maps(h, max_valency):
-        connected += 1
-        batch.append(m)
-        if len(batch) >= batch_size:
-            bad = flush()
-            if bad is not None:
-                return _group_report(h, False, "exhaustive-babai", bad,
+    checked = 0
+    with closing(_sweep(h, _connected_rotations(h, max_valency), workers)) as results:
+        for checked, (rpt, _) in enumerate(results, 1):
+            if not rpt.verdict:
+                return _group_report(h, False, "exhaustive-babai", rpt,
                                      {"maps_checked": checked})
-    if batch:
-        bad = flush()
-        if bad is not None:
-            return _group_report(h, False, "exhaustive-babai", bad,
-                                 {"maps_checked": checked})
+    # every connected map was checked
     return _group_report(h, True, "exhaustive-babai", None,
-                         {"maps_connected": connected, "maps_checked": checked})
-
-
-def _stab_task(m: CayleyMap) -> tuple[CiReport, list]:
-    aut = map_automorphism_group(m)
-    stab = [p for p in stabilizer_automorphisms(m)]
-    return babai_is_ci_map(m, aut=aut), stab
+                         {"maps_connected": checked, "maps_checked": checked})
 
 
 def _verify_connected_stabilizer(h: FiniteGroup, max_valency: int, workers: int) -> CiReport:
@@ -475,33 +458,23 @@ def _verify_connected_stabilizer(h: FiniteGroup, max_valency: int, workers: int)
     # one representative per orbit under Aut(h) and mirror reversal; both
     # preserve CI verdicts
     reps: dict[tuple, CayleyMap] = {}
-    rich_class_sizes: dict[tuple, int] = {}
     for m in rich:
         key = min(cayley_class_key(m), cayley_class_key(m.mirror()))
-        rich_class_sizes[key] = rich_class_sizes.get(key, 0) + 1
         if key not in reps or m.rotation < reps[key].rotation:
             reps[key] = m
-    rep_maps = [reps[k] for k in sorted(reps)]
-    results = _pmap(_stab_task, rep_maps, workers)
+    stats = {"maps_rich": len(rich), "rich_classes": len(reps)}
     checked = 0
-    for rpt, stab in results:
-        checked += 1
-        for p in stab:
-            if p not in skew_set:
+    with closing(_sweep(h, [reps[k].rotation for k in sorted(reps)], workers)) as results:
+        for checked, (rpt, stab) in enumerate(results, 1):
+            if not skew_set.issuperset(stab.elements):
                 raise RuntimeError(
                     "map stabilizer element missing from the skew-morphism list; "
                     "stabilizer enumeration is incomplete"
                 )
-        if not rpt.verdict:
-            return _group_report(
-                h, False, "stabilizer-babai", rpt,
-                {"maps_rich": len(rich), "maps_checked": checked,
-                 "rich_classes": len(reps)},
-            )
-    return _group_report(
-        h, True, "stabilizer-babai", None,
-        {"maps_rich": len(rich), "maps_checked": checked, "rich_classes": len(reps)},
-    )
+            if not rpt.verdict:
+                return _group_report(h, False, "stabilizer-babai", rpt,
+                                     dict(stats, maps_checked=checked))
+    return _group_report(h, True, "stabilizer-babai", None, dict(stats, maps_checked=checked))
 
 
 def _group_report(
@@ -572,10 +545,6 @@ def verify_cim_group(
         report.elapsed = time.perf_counter() - t0
         return report
 
-    from math import factorial
-
-    from .enumeration import connection_sets, rotations_of
-
     disconnected_sets = [
         s for s in connection_sets(h, max_valency)
         if len(closure_of(h, s)) != h.order
@@ -633,8 +602,6 @@ def revalidate_map_report(report_dict: dict, h: FiniteGroup) -> None:
     ``h`` is the group the report's subject refers to; raises ValueError
     on the first witness that fails to check out.
     """
-    from .perms import closure as perm_closure
-
     rotation = report_dict["subject"].get("rotation")
     m = make_map(h, rotation) if rotation is not None else None
     aut = None
@@ -643,19 +610,23 @@ def revalidate_map_report(report_dict: dict, h: FiniteGroup) -> None:
     hhat = left_regular_representation(h)
     for w in report_dict["witnesses"]:
         kind = w.get("kind")
+        if kind in ("non-conjugate-regular-subgroup", "conjugator") and aut is None:
+            raise ValueError(f"{kind} witness on a map that is not connected")
         if kind == "non-conjugate-regular-subgroup":
-            sub = perm_closure([tuple(p) for p in w["generators"]])
+            sub = closure([tuple(p) for p in w["generators"]])
             if sub.order != w["order"] or not is_regular(sub):
                 raise ValueError("stored rival subgroup is not regular")
-            if aut is not None and are_conjugate_subgroups(aut, sub, hhat) is not None:
+            if not sub.is_subgroup_of(aut):
+                raise ValueError("stored rival subgroup is not inside Aut(M)")
+            if not _perm_group_isomorphic(sub, h):
+                raise ValueError("stored rival subgroup is not isomorphic to the group")
+            if are_conjugate_subgroups(aut, sub, hhat) is not None:
                 raise ValueError("stored rival subgroup is conjugate after all")
         elif kind == "conjugator":
-            if aut is None:
-                continue
-            sub = perm_closure([tuple(p) for p in w["subgroup"]])
+            sub = closure([tuple(p) for p in w["subgroup"]])
             conj = tuple(w["element"])
-            from .perms import conjugate_subgroup
-
+            if conj not in aut or not sub.is_subgroup_of(aut):
+                raise ValueError("stored conjugator or its subgroup is not inside Aut(M)")
             if conjugate_subgroup(sub, conj).elements != hhat.elements:
                 raise ValueError("stored conjugator does not map the subgroup onto the translations")
         elif kind == "isomorphic-non-cayley-isomorphic-map":
@@ -670,45 +641,34 @@ def revalidate_map_report(report_dict: dict, h: FiniteGroup) -> None:
                 raise ValueError("stored witness pair is Cayley isomorphic")
 
 
-def _cross_task(m: CayleyMap) -> bool:
-    return babai_is_ci_map(m).verdict
-
-
 def cross_validate(h: FiniteGroup, workers: int = 1) -> CiReport:
     """Definitional verdict == regular-subgroup verdict on every connected map."""
     t0 = time.perf_counter()
     if h.order > 8:
         raise CapacityError("cross validation is limited to groups of order <= 8")
+    batches = [_valency_batch(h, valency) for valency in range(1, h.order)]
+    connected = [(b, m) for b in batches for m in b.maps if is_connected(m)]
+    verdicts = [rpt.verdict for rpt, _ in _sweep(h, [m.rotation for _, m in connected], workers)]
     discrepancies = []
-    maps_checked = 0
-    connected_checked = 0
-    for valency in range(1, h.order):
-        batch = _valency_batch(h, valency)
-        if not batch.maps:
-            continue
-        connected = [m for m in batch.maps if is_connected(m)]
-        babai_verdicts = _pmap(_cross_task, connected, workers)
-        maps_checked += len(batch.maps)
-        connected_checked += len(connected)
-        for m, babai_verdict in zip(connected, babai_verdicts):
-            def_verdict, _ = batch.definitional_verdict(m)
-            if def_verdict != babai_verdict:
-                discrepancies.append(
-                    {
-                        "kind": "oracle-discrepancy",
-                        "rotation": list(m.rotation),
-                        "babai": babai_verdict,
-                        "definitional": def_verdict,
-                    }
-                )
+    for (batch, m), babai_verdict in zip(connected, verdicts):
+        def_verdict, _ = batch.definitional_verdict(m)
+        if def_verdict != babai_verdict:
+            discrepancies.append(
+                {
+                    "kind": "oracle-discrepancy",
+                    "rotation": list(m.rotation),
+                    "babai": babai_verdict,
+                    "definitional": def_verdict,
+                }
+            )
     return CiReport(
         subject=_group_subject(h),
         verdict=not discrepancies,
         method="cross-validate",
         witnesses=discrepancies,
         stats={
-            "maps_enumerated": maps_checked,
-            "connected_checked": connected_checked,
+            "maps_enumerated": sum(len(b.maps) for b in batches),
+            "connected_checked": len(connected),
             "discrepancies": len(discrepancies),
         },
         elapsed=time.perf_counter() - t0,

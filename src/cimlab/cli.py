@@ -161,26 +161,21 @@ def parse_map_spec(spec: str) -> CayleyMap:
     return make_map(group, rotation)
 
 
-def _emit(bundle: ReportBundle, args) -> None:
-    payload = bundle.to_json_dict(include_timings=getattr(args, "timings", False))
+def _emit(args, command: str, config: dict, reports: list[CiReport], t0: float) -> None:
+    bundle = ReportBundle(
+        command=command,
+        config=config,
+        reports=[r.to_json_dict(include_timings=args.timings) for r in reports],
+        elapsed=time.perf_counter() - t0,
+    )
+    payload = bundle.to_json_dict(include_timings=args.timings)
     validate_bundle_dict(payload)
     text = dumps_canonical(payload)
     sys.stdout.write(text)
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    if bundle.elapsed is not None:
-        print(f"[{bundle.command}] {bundle.elapsed:.2f}s", file=sys.stderr)
-
-
-def _bundle(command: str, config: dict, reports: list[CiReport], t0: float) -> ReportBundle:
-    return ReportBundle(
-        command=command,
-        config=config,
-        reports=[r.to_json_dict() for r in reports],
-        elapsed=time.perf_counter() - t0,
-    )
+    print(f"[{command}] {bundle.elapsed:.2f}s", file=sys.stderr)
 
 
 def _cmd_aut_map(args) -> int:
@@ -204,7 +199,7 @@ def _cmd_aut_map(args) -> int:
             "generators": [list(p) for p in group.generators],
         },
     )
-    _emit(_bundle("aut-map", {"map": args.map}, [report], t0), args)
+    _emit(args, "aut-map", {"map": args.map}, [report], t0)
     return 0
 
 
@@ -228,7 +223,7 @@ def _cmd_iso_maps(args) -> int:
             "cayley_witness": list(cayley.images) if cayley else None,
         },
     )
-    _emit(_bundle("iso-maps", {"map1": args.map1, "map2": args.map2}, [report], t0), args)
+    _emit(args, "iso-maps", {"map1": args.map1, "map2": args.map2}, [report], t0)
     return 0 if isos else 1
 
 
@@ -239,7 +234,7 @@ def _cmd_is_ci_map(args) -> int:
         report = babai_is_ci_map(m)
     else:
         report = definitional_is_ci_map(m)
-    _emit(_bundle("is-ci-map", {"map": args.map, "method": args.method}, [report], t0), args)
+    _emit(args, "is-ci-map", {"map": args.map, "method": args.method}, [report], t0)
     return 0 if report.verdict else 1
 
 
@@ -251,7 +246,7 @@ def _cmd_verify_cim(args, connected_only: bool) -> int:
     name = "verify-connected-cim" if connected_only else "verify-cim"
     config = {"group": args.group, "max_valency": args.max_valency,
               "strategy": args.strategy}
-    _emit(_bundle(name, config, [report], t0), args)
+    _emit(args, name, config, [report], t0)
     return 0 if report.verdict else 1
 
 
@@ -259,7 +254,7 @@ def _cmd_cross_validate(args) -> int:
     t0 = time.perf_counter()
     h = parse_group_spec(args.group)
     report = cross_validate(h, workers=args.workers)
-    _emit(_bundle("cross-validate", {"group": args.group}, [report], t0), args)
+    _emit(args, "cross-validate", {"group": args.group}, [report], t0)
     return 0 if report.verdict else 1
 
 
@@ -340,7 +335,7 @@ def _cmd_counterexample(args) -> int:
         config = {"family": key}
     else:
         raise ValueError(f"unknown family {key!r}")
-    _emit(_bundle("counterexample", config, [report], t0), args)
+    _emit(args, "counterexample", config, [report], t0)
     return 0 if report.verdict else 1
 
 
@@ -420,7 +415,7 @@ def _cmd_reproduce_paper(args) -> int:
         notes={"results": {r.notes["battery_key"]: r.verdict for r in reports}},
     )
     reports.append(summary)
-    _emit(_bundle("reproduce-paper", {"scan": "odd-orders-3-15"}, reports, t0), args)
+    _emit(args, "reproduce-paper", {"scan": "odd-orders-3-15"}, reports, t0)
     return 0 if all_match else 1
 
 
@@ -434,7 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--out", help="also write the JSON report to this file")
-        p.add_argument("--format", choices=["json"], default="json")
         p.add_argument("--timings", action="store_true",
                        help="include wall-clock stats in the JSON output")
         p.add_argument("--workers", type=int, default=1)

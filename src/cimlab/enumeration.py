@@ -57,13 +57,6 @@ def total_map_count(h: FiniteGroup, max_valency: int) -> int:
     return sum(math.factorial(len(s) - 1) for s in connection_sets(h, max_valency))
 
 
-def counts_per_valency(h: FiniteGroup, max_valency: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for s in connection_sets(h, max_valency):
-        out[len(s)] = out.get(len(s), 0) + math.factorial(len(s) - 1)
-    return out
-
-
 def cayley_class_key(m: CayleyMap) -> tuple[int, ...]:
     """Lexicographically least canonical rotation in the Aut(H)-orbit of m."""
     best = m.rotation
@@ -97,12 +90,6 @@ class MapEnumeration:
                 if self.mode == "up-to-cayley-iso" and cayley_class_key(m) != m.rotation:
                     continue
                 yield m
-
-    def total_count(self) -> int:
-        return total_map_count(self.group, self.max_valency)
-
-    def counts(self) -> dict[int, int]:
-        return counts_per_valency(self.group, self.max_valency)
 
 
 def enumerate_cayley_maps(h: FiniteGroup, max_valency: int, mode: str = "all") -> MapEnumeration:

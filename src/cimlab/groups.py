@@ -100,10 +100,6 @@ class GroupIsomorphism:
         return GroupIsomorphism(self.target, self.source, tuple(inv))
 
 
-def identity_isomorphism(g: FiniteGroup) -> GroupIsomorphism:
-    return GroupIsomorphism(g, g, tuple(range(g.order)))
-
-
 @dataclass(frozen=True, eq=False)
 class Subgroup:
     """A subgroup of ``parent`` recorded as its sorted member list."""
@@ -337,10 +333,6 @@ def closure_of(g: FiniteGroup, seed: Iterable[int]) -> tuple[int, ...]:
                     nxt.append(b)
         frontier = nxt
     return tuple(sorted(members))
-
-
-def subgroup_from(g: FiniteGroup, seed: Iterable[int]) -> Subgroup:
-    return Subgroup(g, closure_of(g, seed))
 
 
 def all_subgroups(g: FiniteGroup, cap: int = DEFAULT_ORDER_CAP) -> list[Subgroup]:

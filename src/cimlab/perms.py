@@ -15,7 +15,6 @@ from .errors import CapacityError, PreconditionError
 from .groups import FiniteGroup, is_cyclic_group, is_in_class_m, is_isomorphic
 
 Perm = tuple[int, ...]
-Permutation = Perm
 
 DEFAULT_GROUP_CAP = 20000
 

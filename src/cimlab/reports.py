@@ -90,10 +90,6 @@ BUNDLE_SCHEMA = {
 }
 
 
-def validate_report_dict(data: dict) -> None:
-    jsonschema.validate(data, CI_REPORT_SCHEMA)
-
-
 def validate_bundle_dict(data: dict) -> None:
     jsonschema.validate(data, BUNDLE_SCHEMA)
 

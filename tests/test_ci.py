@@ -216,6 +216,21 @@ def test_stabilizer_strategy_finds_all_rich_maps():
         assert {m.rotation for m in rich} == expected
 
 
+def test_stabilizer_strategy_detects_a_missing_skew_morphism(monkeypatch):
+    # the completeness check reads each stabilizer off Aut(M); it must notice
+    # any one non-identity skew-morphism missing from the list
+    from cimlab import ci
+
+    skews = ci.cyclic_skew_morphisms(7)
+    dropped = [psi for psi in skews if psi != tuple(range(7))]
+    assert dropped
+    for psi in dropped:
+        monkeypatch.setattr(ci, "cyclic_skew_morphisms",
+                            lambda n, psi=psi: [p for p in skews if p != psi])
+        with pytest.raises(RuntimeError, match="stabilizer enumeration is incomplete"):
+            verify_connected_cim(make_cyclic(7), 6, strategy="stabilizer")
+
+
 def test_stabilizer_strategy_rejects_noncyclic(k4):
     with pytest.raises(CapacityError):
         verify_connected_cim(k4, 3, strategy="stabilizer")
@@ -270,6 +285,52 @@ def test_worker_counts_do_not_change_reports(z9):
     r2 = verify_cim_group(z9, 8, workers=2)
     assert r1.verdict == r2.verdict
     assert r1.to_json_dict() == r2.to_json_dict()
+
+
+class CountingMultiprocessing:
+    """Stands in for ``multiprocessing`` inside ``ci``: records each pool's
+    size and runs ``map`` serially, so no process is ever started."""
+
+    def __init__(self):
+        self.pool_sizes = []
+
+    def Pool(self, processes):  # noqa: N802
+        self.pool_sizes.append(processes)
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return None
+
+    def map(self, fn, items, chunksize=1):
+        return [fn(x) for x in items]
+
+
+@pytest.fixture
+def counting_pool(monkeypatch):
+    from cimlab import ci
+
+    fake = CountingMultiprocessing()
+    monkeypatch.setattr(ci, "multiprocessing", fake)
+    monkeypatch.setattr(ci.os, "cpu_count", lambda: 4)
+    return fake
+
+
+def test_exhaustive_sweep_opens_one_pool(counting_pool):
+    report = verify_connected_cim(make_cyclic(11), 6, strategy="exhaustive", workers=2)
+    assert report.verdict is True
+    assert report.stats["maps_checked"] == 1265
+    assert counting_pool.pool_sizes == [2]
+
+
+@pytest.mark.parametrize("workers, pool_sizes", [(64, [4]), (3, [3]), (1, []), (0, []), (-3, [])])
+def test_worker_count_is_clamped(counting_pool, workers, pool_sizes):
+    h = make_cyclic(7)
+    report = verify_connected_cim(h, 6, strategy="exhaustive", workers=workers)
+    assert counting_pool.pool_sizes == pool_sizes
+    assert report.to_json_dict() == verify_connected_cim(h, 6, strategy="exhaustive").to_json_dict()
 
 
 @pytest.mark.slow

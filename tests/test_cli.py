@@ -160,7 +160,11 @@ def test_timings_flag_only_changes_timing_fields(capsys):
     data_plain = json.loads(plain)
     data_timed = json.loads(timed)
     data_timed.pop("elapsed_seconds", None)
+    for r in data_timed["reports"]:
+        r.pop("elapsed_seconds", None)
     assert data_plain == data_timed
+    _, data = run_json(capsys, ["is-ci-map", "--map", "z8:1,3,5,7", "--timings"])
+    assert "elapsed_seconds" in data["reports"][0]
 
 
 def test_parser_covers_all_subcommands():
@@ -198,6 +202,53 @@ def test_report_witnesses_reverify_on_reload(tmp_path, capsys):
             w["other"] = w["map"]
     with pytest.raises(ValueError):
         revalidate_map_report(bad, make_cyclic(9))
+
+
+def test_revalidation_rejects_a_rival_outside_aut(capsys):
+    # the left-regular Q8 is regular, but neither inside Aut(M) nor a copy of Z8
+    from cimlab.ci import revalidate_map_report
+    from cimlab.perms import left_regular_representation
+
+    rc, data = run_json(capsys, ["is-ci-map", "--map", "z8:1,3,5,7"])
+    assert rc == 0
+    report = data["reports"][0]
+    q8 = left_regular_representation(make_generalized_quaternion(8))
+    report["witnesses"].append({"kind": "non-conjugate-regular-subgroup",
+                                "generators": [list(p) for p in q8.generators],
+                                "order": q8.order})
+    with pytest.raises(ValueError, match="Aut\\(M\\)"):
+        revalidate_map_report(report, make_cyclic(8))
+
+
+def test_revalidation_rejects_a_conjugator_outside_aut(capsys):
+    # x conjugates x^-1 Hhat x onto Hhat, but neither lies in Aut(M)
+    from cimlab.ci import revalidate_map_report
+    from cimlab.perms import conjugate_subgroup, inverse_perm, left_regular_representation
+
+    rc, data = run_json(capsys, ["is-ci-map", "--map", "z8:1,3,5,7"])
+    assert rc == 0
+    report = data["reports"][0]
+    x = (0, 2, 1, 3, 4, 5, 6, 7)
+    sub = conjugate_subgroup(left_regular_representation(make_cyclic(8)), inverse_perm(x))
+    report["witnesses"].append({"kind": "conjugator", "element": list(x),
+                                "subgroup": [list(p) for p in sub.generators]})
+    with pytest.raises(ValueError, match="Aut\\(M\\)"):
+        revalidate_map_report(report, make_cyclic(8))
+
+
+def test_revalidation_rejects_a_conjugator_on_a_disconnected_map():
+    from cimlab.ci import revalidate_map_report
+    from cimlab.perms import left_regular_representation
+
+    z8 = make_cyclic(8)
+    hhat = left_regular_representation(z8)
+    report = {
+        "subject": {"kind": "map", "group": "Z8", "order": 8, "rotation": [2, 6]},
+        "witnesses": [{"kind": "conjugator", "element": list(range(8)),
+                       "subgroup": [list(p) for p in hhat.generators]}],
+    }
+    with pytest.raises(ValueError, match="not connected"):
+        revalidate_map_report(report, z8)
 
 
 def test_parse_map_inline_table(tmp_path):
