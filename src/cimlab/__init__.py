@@ -66,7 +66,6 @@ from .ci import (
     verify_cim_group,
     verify_connected_cim,
 )
-from .enumeration import enumerate_cayley_maps
 from .constructions import (
     WitnessedMap,
     cyclic_2power_map,

@@ -25,7 +25,7 @@ import multiprocessing
 import os
 import time
 from contextlib import closing
-from itertools import chain, islice
+from itertools import chain, combinations, islice, permutations, product
 from math import factorial
 from typing import Iterable, Optional, Sequence
 
@@ -185,13 +185,10 @@ class _ValencyBatch:
             for rot in rotations_of(s)
         ]
         self.class_key = {m: cayley_class_key(m) for m in self.maps}
-        reps: dict[tuple, CayleyMap] = {}
-        for m in self.maps:
-            key = self.class_key[m]
-            if key not in reps or m.rotation < reps[key].rotation:
-                reps[key] = m
-        self.reps = reps  # class key -> lexicographically least member
-        self._iso_root: dict[tuple, tuple] = {k: k for k in reps}
+        # the batch is closed under Aut(H), so each class key is the rotation
+        # of exactly one member: the class representative
+        self.reps = {key: m for m, key in self.class_key.items() if key == m.rotation}
+        self._iso_root: dict[tuple, tuple] = {k: k for k in self.reps}
         self._compute_iso_classes()
 
     def _invariant(self, m: CayleyMap) -> tuple:
@@ -235,17 +232,12 @@ class _ValencyBatch:
         return True, None
 
 
-# batches keep their group alive, so the id key cannot be recycled
-_BATCH_CACHE: dict[tuple[int, int], _ValencyBatch] = {}
+BATCH_CACHE_SIZE = 32
 
 
+@functools.lru_cache(maxsize=BATCH_CACHE_SIZE)
 def _valency_batch(h: FiniteGroup, valency: int) -> _ValencyBatch:
-    key = (id(h), valency)
-    cached = _BATCH_CACHE.get(key)
-    if cached is None or cached.group is not h:
-        cached = _ValencyBatch(h, valency)
-        _BATCH_CACHE[key] = cached
-    return cached
+    return _ValencyBatch(h, valency)
 
 
 def definitional_is_ci_map(m: CayleyMap, backend: str = "auto") -> CiReport:
@@ -316,7 +308,9 @@ def _rich_maps_cyclic(h: FiniteGroup, max_valency: int) -> tuple[list[CayleyMap]
         if not orbits:
             continue
         max_orbits = min(len(orbits), max_valency // d)
-        for subset in _subsets(orbits, max_orbits):
+        subsets = chain.from_iterable(
+            combinations(orbits, k) for k in range(1, max_orbits + 1))
+        for subset in subsets:
             s = [x for orb in subset for x in orb]
             s_set = set(s)
             if any(h.inverse[x] not in s_set for x in s):
@@ -329,21 +323,6 @@ def _rich_maps_cyclic(h: FiniteGroup, max_valency: int) -> tuple[list[CayleyMap]
     return [rich[k] for k in sorted(rich)], skew_set
 
 
-def _subsets(items: list, max_size: int):
-    out: list[tuple] = []
-
-    def grow(idx: int, acc: tuple):
-        if acc:
-            out.append(acc)
-        if len(acc) == max_size:
-            return
-        for j in range(idx, len(items)):
-            grow(j + 1, acc + (items[j],))
-
-    grow(0, ())
-    return out
-
-
 def _full_cycle_roots(orbits: Sequence[tuple[int, ...]], d: int):
     """All full cycles rho on the union with rho^c equal to the orbit permutation.
 
@@ -351,17 +330,15 @@ def _full_cycle_roots(orbits: Sequence[tuple[int, ...]], d: int):
     containing the smallest element is rotated to lead with it, which
     makes each output already canonically phased.
     """
-    from itertools import permutations as _perms, product as _product
-
     c = len(orbits)
     lead = min(range(c), key=lambda i: min(orbits[i]))
     lead_cycle = orbits[lead]
     shift = lead_cycle.index(min(lead_cycle))
     lead_cycle = lead_cycle[shift:] + lead_cycle[:shift]
     others = [orbits[i] for i in range(c) if i != lead]
-    for perm in _perms(range(c - 1)):
+    for perm in permutations(range(c - 1)):
         ordered = [others[i] for i in perm]
-        for offs in _product(range(d), repeat=c - 1):
+        for offs in product(range(d), repeat=c - 1):
             cycles = [lead_cycle] + [
                 cyc[o:] + cyc[:o] for cyc, o in zip(ordered, offs)
             ]
@@ -455,16 +432,14 @@ def _verify_connected_exhaustive(h: FiniteGroup, max_valency: int, workers: int)
 
 def _verify_connected_stabilizer(h: FiniteGroup, max_valency: int, workers: int) -> CiReport:
     rich, skew_set = _rich_maps_cyclic(h, max_valency)
-    # one representative per orbit under Aut(h) and mirror reversal; both
-    # preserve CI verdicts
-    reps: dict[tuple, CayleyMap] = {}
-    for m in rich:
-        key = min(cayley_class_key(m), cayley_class_key(m.mirror()))
-        if key not in reps or m.rotation < reps[key].rotation:
-            reps[key] = m
+    # one representative per orbit under Aut(h) and mirror reversal, both of
+    # which preserve CI verdicts and the rich set: the map whose rotation is
+    # min(key(m), key(m.mirror())); a key never exceeds its map's rotation
+    reps = [m.rotation for m in rich
+            if cayley_class_key(m) == m.rotation <= cayley_class_key(m.mirror())]
     stats = {"maps_rich": len(rich), "rich_classes": len(reps)}
     checked = 0
-    with closing(_sweep(h, [reps[k].rotation for k in sorted(reps)], workers)) as results:
+    with closing(_sweep(h, reps, workers)) as results:
         for checked, (rpt, stab) in enumerate(results, 1):
             if not skew_set.issuperset(stab.elements):
                 raise RuntimeError(

@@ -24,6 +24,7 @@ from .groups import (
     GroupIsomorphism,
     direct_product,
     group_from_json,
+    is_isomorphic,
     make_abelian,
     make_cyclic,
     make_generalized_quaternion,
@@ -54,17 +55,21 @@ def order_cap() -> int:
     return int(os.environ.get("CIMLAB_CAP_ORDER", DEFAULT_ORDER_CAP))
 
 
+def _check_order_cap(order: int) -> None:
+    if order > order_cap():
+        raise CimlabError(
+            f"group order {order} exceeds cap {order_cap()} "
+            "(override with CIMLAB_CAP_ORDER)"
+        )
+
+
 def parse_group_spec(spec: str) -> FiniteGroup:
     """Parse shorthand specs: cyclic:8, abelian:2,2,2, quaternion:16,
     product:<spec>,<spec>, semidirect:<spec>,<order>,mult:<u>."""
     group, rest = _parse_group(spec.strip())
     if rest:
         raise ValueError(f"trailing tokens {rest!r} in group spec {spec!r}")
-    if group.order > order_cap():
-        raise CimlabError(
-            f"group order {group.order} exceeds cap {order_cap()} "
-            "(override with CIMLAB_CAP_ORDER)"
-        )
+    _check_order_cap(group.order)
     return group
 
 
@@ -143,6 +148,8 @@ def parse_map_spec(spec: str) -> CayleyMap:
         with open(spec[1:], "r", encoding="utf-8") as fh:
             data = json.load(fh)
         if isinstance(data["group"], dict):
+            # before from_table's O(n^3) axiom check
+            _check_order_cap(max(int(data["group"]["order"]), len(data["group"]["table"])))
             group = group_from_json(data["group"])
         else:
             group = parse_group_spec(str(data["group"]))
@@ -283,8 +290,6 @@ def _witnessed_report(w, key: str) -> CiReport:
 
 
 def _q16_report() -> CiReport:
-    from .groups import is_isomorphic
-
     q = quaternion16_witness()
     isos = map_isomorphisms(q.map_quaternion, q.map_cyclic)
     cayley = are_cayley_isomorphic(q.map_quaternion, q.map_cyclic)

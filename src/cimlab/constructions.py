@@ -15,6 +15,7 @@ from .groups import (
     FiniteGroup,
     GroupIsomorphism,
     Subgroup,
+    _hom_on_generated,
     closure_of,
     make_abelian,
     make_cyclic,
@@ -32,7 +33,7 @@ from .perms import (
     inverse_perm,
     is_regular,
     left_regular_representation,
-    perm_group_as_finite_group,
+    _perm_group_isomorphic,
     perm_order,
 )
 
@@ -55,10 +56,7 @@ class WitnessedMap:
             raise ValueError("rival is not contained in the ambient group")
         if not is_regular(self.rival):
             raise ValueError("rival is not regular")
-        from .groups import is_isomorphic
-
-        abstract, _ = perm_group_as_finite_group(self.rival)
-        if is_isomorphic(abstract, self.map.group) is None:
+        if not _perm_group_isomorphic(self.rival, self.map.group):
             raise ValueError("rival is not isomorphic to the map's group")
         hhat = left_regular_representation(self.map.group)
         if self.rival.element_set() == hhat.element_set():
@@ -274,8 +272,6 @@ def quaternion16_witness() -> QuaternionCyclicWitness:
 def _automorphism_from_generators(
     h: FiniteGroup, gen_images: dict[int, int]
 ) -> Optional[Perm]:
-    from .groups import _hom_on_generated
-
     gens = sorted(gen_images)
     imgs = [gen_images[g] for g in gens]
     phi = _hom_on_generated(h, h, gens, imgs)
@@ -363,15 +359,13 @@ def frobenius_map(
 
 
 def _small_generating_set(elems: list[Perm], degree: int) -> tuple[Perm, ...]:
-    from .perms import closure as _closure
-
     elems_sorted = sorted(elems)
     gens: list[Perm] = []
     have = {identity_perm(degree)}
     for p in elems_sorted:
         if p not in have:
             gens.append(p)
-            have = set(_closure(gens, cap=len(elems) + 1).elements)
+            have = set(closure(gens, cap=len(elems) + 1).elements)
             if len(have) == len(elems):
                 break
     return tuple(gens) if gens else (identity_perm(degree),)

@@ -2,21 +2,17 @@
 
 A connection set is a union of inversion cells {x, x^-1}; every set is
 paired with all (|S|-1)! rotations in canonical phase (the smallest
-element leads). ``up-to-cayley-iso`` mode keeps one representative per
-orbit of the automorphism group, the lexicographically least canonical
-rotation.
+element leads).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from itertools import permutations
 from typing import Iterator, Sequence
 
-from itertools import permutations
-
 from .groups import FiniteGroup, automorphisms
-from .maps import CayleyMap, make_map
+from .maps import CayleyMap
 
 
 def inversion_cells(h: FiniteGroup) -> list[tuple[int, ...]]:
@@ -67,30 +63,3 @@ def cayley_class_key(m: CayleyMap) -> tuple[int, ...]:
         if rot < best:
             best = rot
     return best
-
-
-@dataclass
-class MapEnumeration:
-    """A lazily generated stream of the canonical maps over one group."""
-
-    group: FiniteGroup
-    max_valency: int
-    mode: str = "all"  # "all" | "up-to-cayley-iso"
-
-    def __post_init__(self):
-        if self.mode not in ("all", "up-to-cayley-iso"):
-            raise ValueError(f"unknown enumeration mode {self.mode!r}")
-        if self.max_valency > self.group.order - 1:
-            raise ValueError("max_valency exceeds |H| - 1")
-
-    def __iter__(self) -> Iterator[CayleyMap]:
-        for s in connection_sets(self.group, self.max_valency):
-            for rot in rotations_of(s):
-                m = make_map(self.group, rot)
-                if self.mode == "up-to-cayley-iso" and cayley_class_key(m) != m.rotation:
-                    continue
-                yield m
-
-
-def enumerate_cayley_maps(h: FiniteGroup, max_valency: int, mode: str = "all") -> MapEnumeration:
-    return MapEnumeration(h, max_valency, mode)

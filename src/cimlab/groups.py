@@ -7,12 +7,14 @@ immutable after construction.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .errors import CapacityError, InvalidActionError, InvalidOrderError
 
 DEFAULT_ORDER_CAP = 64
+AUT_CACHE_SIZE = 128
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,9 +83,6 @@ class GroupIsomorphism:
             for b in g.elements():
                 if f[row[b]] != h.table[fa][f[b]]:
                     raise ValueError(f"not multiplicative at ({a}, {b})")
-
-    def is_automorphism(self) -> bool:
-        return self.source is self.target
 
     def compose(self, other: "GroupIsomorphism") -> "GroupIsomorphism":
         """self after other (other.source -> self.target)."""
@@ -451,21 +450,16 @@ def is_isomorphic(
     return None
 
 
-# the cached group is kept alive by the entry itself, so an id can never
-# be recycled while its cache line exists
-_AUT_CACHE: dict[int, tuple[FiniteGroup, list[GroupIsomorphism]]] = {}
+@functools.lru_cache(maxsize=AUT_CACHE_SIZE)
+def _automorphisms_of(g: FiniteGroup) -> tuple[GroupIsomorphism, ...]:
+    return tuple(GroupIsomorphism(g, g, f) for f in sorted(_isomorphisms_iter(g, g)))
 
 
 def automorphisms(g: FiniteGroup, cap: int = DEFAULT_ORDER_CAP) -> list[GroupIsomorphism]:
     """All automorphisms of g, sorted by image tuple. Cached per group object."""
     if g.order > cap:
         raise CapacityError(f"automorphism enumeration capped at order {cap}")
-    entry = _AUT_CACHE.get(id(g))
-    if entry is None or entry[0] is not g:
-        images = sorted(_isomorphisms_iter(g, g))
-        entry = (g, [GroupIsomorphism(g, g, f) for f in images])
-        _AUT_CACHE[id(g)] = entry
-    return list(entry[1])
+    return list(_automorphisms_of(g))
 
 
 def is_in_class_m(h: FiniteGroup) -> Optional[str]:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import CapacityError, DisconnectedMapError
+from .groups import GroupIsomorphism, automorphisms, is_isomorphic
 from .maps import CayleyMap, is_connected
 from .perms import Perm, PermutationGroup, from_elements, point_stabilizer
 
@@ -231,8 +232,6 @@ def are_cayley_isomorphic(m1: CayleyMap, m2: CayleyMap):
     Works for disconnected maps too: candidates are one isomorphism of
     the underlying groups composed with every automorphism of the target.
     """
-    from .groups import GroupIsomorphism, automorphisms, is_isomorphic
-
     if m1.valency != m2.valency:
         return None
     if m1.group is m2.group:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import MapValidationError
-from .groups import FiniteGroup, GroupIsomorphism, closure_of
+from .groups import FiniteGroup, GroupIsomorphism, closure_of, group_to_json
 from .perms import Perm, perm_order
 
 
@@ -32,10 +32,6 @@ class CayleyMap:
     def rho(self, s: int) -> int:
         i = self.rotation.index(s)
         return self.rotation[(i + 1) % len(self.rotation)]
-
-    def rho_inv(self, s: int) -> int:
-        i = self.rotation.index(s)
-        return self.rotation[(i - 1) % len(self.rotation)]
 
     def mirror(self) -> "CayleyMap":
         return make_map(self.group, (self.rotation[0],) + tuple(reversed(self.rotation[1:])))
@@ -211,8 +207,6 @@ def face_profile(m: CayleyMap) -> tuple[int, ...]:
 
 
 def map_to_json(m: CayleyMap, inline_group: bool = False) -> dict:
-    from .groups import group_to_json
-
     group: object
     if inline_group:
         group = group_to_json(m.group)

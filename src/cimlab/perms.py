@@ -13,6 +13,7 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import CapacityError, PreconditionError
 from .groups import FiniteGroup, is_cyclic_group, is_in_class_m, is_isomorphic
+from .reports import CiReport
 
 Perm = tuple[int, ...]
 
@@ -457,8 +458,6 @@ def check_cyclic_stabilizer_conjugacy(g: PermutationGroup, h: FiniteGroup):
     report but deliberately not enforced, so the bare conjugacy check
     can be run on any instance.
     """
-    from .reports import CiReport
-
     if not is_transitive(g):
         raise PreconditionError("not-transitive", "group is not transitive")
     stab = point_stabilizer(g, 0)

@@ -27,6 +27,7 @@ enumerated list.
 
 from __future__ import annotations
 
+import functools
 from itertools import permutations
 from math import gcd
 
@@ -37,6 +38,7 @@ from .perms import Perm
 
 BRUTE_FORCE_CAP = 9
 DEFAULT_LEAF_BUDGET = 5_000_000
+SKEW_CACHE_SIZE = 32
 
 
 def brute_force_skew_morphisms(h: FiniteGroup, cap: int = BRUTE_FORCE_CAP) -> list[Perm]:
@@ -95,14 +97,13 @@ def _leaf_count_estimate(n: int, q: int) -> int:
     return out
 
 
-_CYCLIC_SKEW_CACHE: dict[int, list[Perm]] = {}
-
-
 def cyclic_skew_morphisms(n: int, leaf_budget: int = DEFAULT_LEAF_BUDGET) -> list[Perm]:
     """All skew-morphisms of Z_n (identity included), sorted."""
-    cached = _CYCLIC_SKEW_CACHE.get(n)
-    if cached is not None:
-        return list(cached)
+    return list(_cyclic_skews(n, leaf_budget))
+
+
+@functools.lru_cache(maxsize=SKEW_CACHE_SIZE)
+def _cyclic_skews(n: int, leaf_budget: int) -> tuple[Perm, ...]:
     h = make_cyclic(n)
     results: set[Perm] = {tuple(range(n))}
     for q in _proper_divisors(n):
@@ -125,6 +126,4 @@ def cyclic_skew_morphisms(n: int, leaf_budget: int = DEFAULT_LEAF_BUDGET) -> lis
             phi = tuple(psi)
             if phi not in results and is_skew_morphism(h, phi):
                 results.add(phi)
-    out = sorted(results)
-    _CYCLIC_SKEW_CACHE[n] = out
-    return list(out)
+    return tuple(sorted(results))

@@ -1,6 +1,7 @@
 import pytest
 
 from cimlab.ci import (
+    _rich_maps_cyclic,
     babai_is_ci_map,
     cross_validate,
     definitional_is_ci_map,
@@ -10,7 +11,7 @@ from cimlab.ci import (
 from cimlab.enumeration import (
     cayley_class_key,
     connection_sets,
-    enumerate_cayley_maps,
+    rotations_of,
     total_map_count,
 )
 from cimlab.errors import CapacityError, UnsupportedReductionError
@@ -22,6 +23,11 @@ from cimlab.groups import (
 )
 from cimlab.maps import apply_group_automorphism, is_connected, make_map
 from cimlab.mapiso import are_cayley_isomorphic, map_iso_exists
+
+
+def all_maps(h, max_valency):
+    return [make_map(h, rot) for s in connection_sets(h, max_valency)
+            for rot in rotations_of(s)]
 
 
 def lemma_orbit_map():
@@ -50,7 +56,7 @@ def test_total_map_count_z8_golden(z8):
 
 
 def test_valency_two_has_single_rotation(z8):
-    maps = [m for m in enumerate_cayley_maps(z8, 2) if m.valency == 2]
+    maps = [m for m in all_maps(z8, 2) if m.valency == 2]
     by_set = {}
     for m in maps:
         by_set.setdefault(m.connection_set, []).append(m)
@@ -60,18 +66,33 @@ def test_valency_two_has_single_rotation(z8):
 
 def test_enumeration_no_duplicates(z8):
     seen = set()
-    for m in enumerate_cayley_maps(z8, 7):
+    for m in all_maps(z8, 7):
         assert m.rotation not in seen
         seen.add(m.rotation)
     assert len(seen) == 940
 
 
-def test_up_to_cayley_iso_mode(z8):
-    all_maps = list(enumerate_cayley_maps(z8, 7))
-    reps = list(enumerate_cayley_maps(z8, 7, "up-to-cayley-iso"))
-    keys = {cayley_class_key(m) for m in all_maps}
-    assert len(reps) == len(keys)
-    assert {m.rotation for m in reps} == keys
+def assert_one_member_per_class_is_its_key(maps, key):
+    # the class paths keep exactly the maps whose key is their own rotation
+    members = {}
+    for m in maps:
+        members.setdefault(key(m), []).append(m.rotation)
+    for k, rotations in members.items():
+        assert rotations.count(k) == 1, k
+
+
+@pytest.mark.parametrize("spec", ["z8", "z2z4", "z2z2z2", "q8", "d4"])
+def test_class_key_is_the_rotation_of_one_member(spec, z8, q8, d4):
+    h = {"z8": z8, "q8": q8, "d4": d4,
+         "z2z4": make_abelian([2, 4]), "z2z2z2": make_abelian([2, 2, 2])}[spec]
+    assert_one_member_per_class_is_its_key(all_maps(h, 7), cayley_class_key)
+
+
+@pytest.mark.parametrize("n", [7, 9, 11])
+def test_class_key_up_to_mirror_is_the_rotation_of_one_rich_map(n):
+    rich, _ = _rich_maps_cyclic(make_cyclic(n), n - 1)
+    assert_one_member_per_class_is_its_key(
+        rich, lambda m: min(cayley_class_key(m), cayley_class_key(m.mirror())))
 
 
 # ---------------------------------------------------------------- verdicts
@@ -203,14 +224,13 @@ def test_strategies_agree_on_small_cyclic():
 
 def test_stabilizer_strategy_finds_all_rich_maps():
     # against exhaustive stabilizer detection
-    from cimlab.ci import _rich_maps_cyclic
     from cimlab.mapiso import stabilizer_automorphisms
 
     for n, maxval in ((5, 4), (6, 5), (8, 7), (9, 8)):
         h = make_cyclic(n)
         rich, _ = _rich_maps_cyclic(h, maxval)
         expected = set()
-        for m in enumerate_cayley_maps(h, maxval):
+        for m in all_maps(h, maxval):
             if is_connected(m) and len(stabilizer_automorphisms(m)) > 1:
                 expected.add(m.rotation)
         assert {m.rotation for m in rich} == expected

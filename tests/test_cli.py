@@ -263,3 +263,20 @@ def test_parse_map_inline_table(tmp_path):
     back = parse_map_spec(f"@{path}")
     assert back.rotation == m.rotation
     assert back.group.table == m.group.table
+
+
+_Z65 = [[(a + b) % 65 for b in range(65)] for a in range(65)]
+
+
+@pytest.mark.parametrize("order, table", [
+    (65, _Z65),  # a valid group
+    (65, [[0] * 65 for _ in range(65)]),  # not a group; the cap must fire first
+    (65, [[0]]),  # the declared order alone
+    (1, _Z65),  # the number of rows alone
+], ids=["valid-group", "not-a-group", "declared-order", "row-count"])
+def test_inline_table_respects_order_cap(tmp_path, capsys, order, table):
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps({"group": {"name": "Z65", "order": order, "table": table},
+                                "rotation": [1, 64]}))
+    assert run(["aut-map", "--map", f"@{path}"]) == 2
+    assert "exceeds cap 64" in capsys.readouterr().err

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from cimlab import groups
 from cimlab.errors import InvalidActionError, InvalidOrderError
 from cimlab.groups import (
     GroupIsomorphism,
@@ -249,6 +250,22 @@ def test_automorphism_group_closure(s3, q8):
 def test_automorphisms_validate(z9):
     for a in automorphisms(z9):
         a.validate()
+
+
+def test_automorphism_cache_is_bounded():
+    for _ in range(200):
+        automorphisms(make_cyclic(5))
+    info = groups._automorphisms_of.cache_info()
+    assert info.maxsize == groups.AUT_CACHE_SIZE
+    assert info.currsize <= groups.AUT_CACHE_SIZE
+
+
+def test_automorphisms_returns_a_fresh_list(z9):
+    first = automorphisms(z9)
+    expected = [a.images for a in first]
+    first.pop()
+    first.reverse()
+    assert [a.images for a in automorphisms(z9)] == expected
 
 
 # ----------------------------------------------------------- isomorphism

@@ -48,6 +48,18 @@ def test_known_counts():
     assert len(cyclic_skew_morphisms(8)) == 6
 
 
+def test_leaf_budget_is_honoured_after_a_cached_call():
+    assert len(cyclic_skew_morphisms(12)) == 8
+    with pytest.raises(CapacityError, match="more than 1 leaves"):
+        cyclic_skew_morphisms(12, leaf_budget=1)
+
+
+def test_skew_list_is_a_fresh_list():
+    first = cyclic_skew_morphisms(9)
+    first.clear()
+    assert len(cyclic_skew_morphisms(9)) == 10
+
+
 def test_bruteforce_cap():
     with pytest.raises(CapacityError):
         brute_force_skew_morphisms(make_cyclic(12))
