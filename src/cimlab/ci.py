@@ -13,9 +13,12 @@ criterion on every connected map. ``stabilizer`` (cyclic groups)
 enumerates only the maps with a nontrivial vertex stabilizer, seeded by
 the skew-morphisms of the group: a map whose stabilizer is trivial has
 the left translations as its whole automorphism group, hence exactly
-one regular subgroup, and is a CI-map for free. Both strategies are
-cross-checked against each other by the test suite on every group small
-enough to run both.
+one regular subgroup, and is a CI-map for free. The exhaustive strategy
+gets that shortcut from ``regular_subgroups_isomorphic_to``, which
+returns a group of order |H| without an isomorphism test exactly when
+its elements equal those of the left-regular copy of H. Both strategies
+are cross-checked against each other by the test suite on every group
+small enough to run both.
 """
 
 from __future__ import annotations

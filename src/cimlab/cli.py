@@ -141,18 +141,50 @@ def _parse_action(k_group: FiniteGroup, s: str) -> tuple[GroupIsomorphism, str]:
     raise ValueError(f"unknown action kind {kind!r}")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_int_list(value) -> bool:
+    return isinstance(value, list) and all(_is_int(x) for x in value)
+
+
+def _check_map_file(data) -> None:
+    """Raise ValueError unless data has the shape of a map file."""
+    if not isinstance(data, dict):
+        raise ValueError(f"map file must hold a JSON object, not {type(data).__name__}")
+    for key in ("group", "rotation"):
+        if key not in data:
+            raise ValueError(f"map file has no {key!r} key")
+    if not _is_int_list(data["rotation"]):
+        raise ValueError("map file 'rotation' must be a list of integers")
+    group = data["group"]
+    if isinstance(group, str):
+        return
+    if not isinstance(group, dict):
+        raise ValueError("map file 'group' must be a group spec string or an object")
+    for key in ("order", "table"):
+        if key not in group:
+            raise ValueError(f"map file 'group' object has no {key!r} key")
+    if not _is_int(group["order"]):
+        raise ValueError("map file 'group' order must be an integer")
+    if not isinstance(group["table"], list) or not all(_is_int_list(r) for r in group["table"]):
+        raise ValueError("map file 'group' table must be a list of integer lists")
+
+
 def parse_map_spec(spec: str) -> CayleyMap:
     """Map specs: z8:1,3,5,7 | <group-spec>/1,3,5,7 | @file.json."""
     spec = spec.strip()
     if spec.startswith("@"):
         with open(spec[1:], "r", encoding="utf-8") as fh:
             data = json.load(fh)
+        _check_map_file(data)
         if isinstance(data["group"], dict):
             # before from_table's O(n^3) axiom check
-            _check_order_cap(max(int(data["group"]["order"]), len(data["group"]["table"])))
+            _check_order_cap(max(data["group"]["order"], len(data["group"]["table"])))
             group = group_from_json(data["group"])
         else:
-            group = parse_group_spec(str(data["group"]))
+            group = parse_group_spec(data["group"])
         return make_map(group, data["rotation"])
     if "/" in spec:
         group_part, _, rot_part = spec.rpartition("/")

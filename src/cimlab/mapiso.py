@@ -16,7 +16,13 @@ from typing import Optional
 from .errors import CapacityError, DisconnectedMapError
 from .groups import GroupIsomorphism, automorphisms, is_isomorphic
 from .maps import CayleyMap, is_connected
-from .perms import Perm, PermutationGroup, from_elements, point_stabilizer
+from .perms import (
+    Perm,
+    PermutationGroup,
+    from_elements,
+    left_regular_representation,
+    point_stabilizer,
+)
 
 BRUTE_FORCE_CAP = 10
 
@@ -105,11 +111,16 @@ def _propagate(m1: CayleyMap, m2: CayleyMap, v0: int, a0: int) -> Optional[tuple
 
 
 def stabilizer_automorphisms(m: CayleyMap) -> list[Perm]:
-    """All automorphisms fixing the identity vertex, for a connected map."""
+    """All automorphisms fixing the identity vertex, for a connected map.
+
+    Alignment 0 extends to the identity, so only the other alignments are
+    propagated and verified; distinct alignments give distinct
+    automorphisms, so the list has no repeats.
+    """
     if not is_connected(m):
         raise DisconnectedMapError("map automorphisms need a connected map")
-    out = []
-    for j in range(m.valency):
+    out = [tuple(range(m.group.order))]
+    for j in range(1, m.valency):
         images = _propagate(m, m, 0, j)
         if images is not None:
             out.append(images)
@@ -117,14 +128,17 @@ def stabilizer_automorphisms(m: CayleyMap) -> list[Perm]:
 
 
 def map_automorphism_group(m: CayleyMap) -> PermutationGroup:
-    """The full automorphism group: left translations times the vertex stabilizer."""
+    """The full automorphism group: left translations times the vertex stabilizer.
+
+    With a trivial stabilizer that is the left-regular copy of the group.
+    """
     stab = stabilizer_automorphisms(m)
+    if len(stab) == 1:
+        return left_regular_representation(m.group)
     table = m.group.table
     n = m.group.order
     elems = [tuple(table[h][x] for x in phi) for h in range(n) for phi in stab]
     gens = [tuple(table[h]) for h in range(1, n)] + [p for p in stab if p != tuple(range(n))]
-    if not gens:
-        gens = [tuple(range(n))]
     return from_elements(elems, gens)
 
 

@@ -8,6 +8,7 @@ Groups are stored as full, sorted element lists; the sizes in play here
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -18,6 +19,7 @@ from .reports import CiReport
 Perm = tuple[int, ...]
 
 DEFAULT_GROUP_CAP = 20000
+REGULAR_REP_CACHE_SIZE = 32
 
 
 def identity_perm(degree: int) -> Perm:
@@ -88,8 +90,13 @@ class PermutationGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def element_set(self) -> frozenset[Perm]:
+    @functools.cached_property
+    def _element_set(self) -> frozenset[Perm]:
         return frozenset(self.elements)
+
+    def element_set(self) -> frozenset[Perm]:
+        """The elements as a frozenset, built on first use and kept."""
+        return self._element_set
 
     def __contains__(self, p: Perm) -> bool:
         return p in self.element_set()
@@ -152,8 +159,13 @@ def validate_group(g: PermutationGroup) -> None:
         raise ValueError("elements do not equal closure(generators)")
 
 
+@functools.lru_cache(maxsize=REGULAR_REP_CACHE_SIZE)
 def left_regular_representation(h: FiniteGroup) -> PermutationGroup:
-    """All left translations x -> g*x of a finite group, acting on its elements."""
+    """All left translations x -> g*x of a finite group, acting on its elements.
+
+    Cached per group; the result is shared, which is safe because
+    ``PermutationGroup`` is frozen.
+    """
     elems = tuple(sorted(tuple(h.table[a]) for a in h.elements()))
     gens = tuple(tuple(h.table[a]) for a in range(h.order) if a != 0) or (identity_perm(h.order),)
     return PermutationGroup(h.order, elems, gens)
@@ -318,7 +330,11 @@ def regular_subgroups_isomorphic_to(
     ident = identity_perm(n)
 
     if g.order == n:
-        # g itself is the only candidate
+        # g itself is the only candidate; the left-regular copy of h is
+        # regular and isomorphic to h by Cayley's theorem, so element
+        # equality with it settles both checks
+        if g.elements == left_regular_representation(h).elements:
+            return [g]
         if is_regular(g) and _perm_group_isomorphic(g, h):
             return [g]
         return []

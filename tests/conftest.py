@@ -13,6 +13,13 @@ def negation_action(g):
     return GroupIsomorphism(g, g, tuple(g.inverse))
 
 
+def order8_groups():
+    """Z8, Z2xZ4, Z2^3, Q8 and D4: the five groups of order 8."""
+    z4 = make_cyclic(4)
+    return [make_cyclic(8), make_abelian([2, 4]), make_abelian([2, 2, 2]),
+            make_generalized_quaternion(8), make_semidirect(z4, 2, negation_action(z4))]
+
+
 def two_step_formula(n):
     """{2, -2, 2 + 2^(n-1), -2 + 2^(n-1)} mod 2^n: the six-overlap set of
     the valency-8 witness over Z_(2^n), for n >= 5."""

@@ -226,7 +226,7 @@ def test_stabilizer_strategy_finds_all_rich_maps():
     # against exhaustive stabilizer detection
     from cimlab.mapiso import stabilizer_automorphisms
 
-    for n, maxval in ((5, 4), (6, 5), (8, 7), (9, 8)):
+    for n, maxval in ((5, 4), (6, 5), (8, 7), (9, 8), (10, 9), (11, 8), (12, 8)):
         h = make_cyclic(n)
         rich, _ = _rich_maps_cyclic(h, maxval)
         expected = set()

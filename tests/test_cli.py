@@ -75,6 +75,21 @@ def test_parse_map_json_file(tmp_path):
     assert m.rotation == (1, 3, 5, 7)
 
 
+@pytest.mark.parametrize("payload, message", [
+    ({"group": "cyclic:8"}, "no 'rotation' key"),
+    ({"group": {"table": [[0]]}, "rotation": []}, "no 'order' key"),
+    ([1, 2], "must hold a JSON object, not list"),
+], ids=["no-rotation", "no-order", "not-an-object"])
+def test_malformed_map_file_is_a_usage_error(tmp_path, capsys, payload, message):
+    # exit 1 means a false verdict, so a bad file must exit 2 with an error line
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(payload))
+    assert run(["aut-map", "--map", f"@{path}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
 # ------------------------------------------------------------- subcommands
 
 def test_aut_map_unit(capsys):

@@ -2,27 +2,33 @@ import itertools
 
 import pytest
 
+from cimlab.enumeration import connection_sets, rotations_of
 from cimlab.errors import DisconnectedMapError
 from cimlab.groups import (
     GroupIsomorphism,
+    closure_of,
     make_cyclic,
 )
 from cimlab.maps import make_map, preserves_relation, ternary_relation
 from cimlab.mapiso import (
     MapMorphism,
+    _propagate,
     are_cayley_isomorphic,
     bruteforce_map_isomorphism,
     map_automorphism_group,
     map_iso_exists,
     map_isomorphisms,
+    stabilizer_automorphisms,
     stabilizer_of_identity,
 )
 from cimlab.perms import (
     fixed_points,
+    from_elements,
     is_cyclic_permgroup,
     left_regular_representation,
     point_stabilizer,
 )
+from conftest import order8_groups
 
 
 def unit_map(z8):
@@ -75,6 +81,32 @@ def test_aut_order_32_for_unit_map(z8):
 def test_aut_requires_connected(z8):
     with pytest.raises(DisconnectedMapError):
         map_automorphism_group(make_map(z8, (2, 6)))
+
+
+def explicit_automorphism_group(m, stab):
+    # Aut(M) = translations times the stabilizer, built element by element
+    table, n = m.group.table, m.group.order
+    elems = [tuple(table[h][x] for x in phi) for h in range(n) for phi in stab]
+    gens = [tuple(table[h]) for h in range(1, n)] + [p for p in stab if p != tuple(range(n))]
+    return from_elements(elems, gens)
+
+
+@pytest.mark.parametrize("h", order8_groups() + [make_cyclic(9), make_cyclic(10)],
+                         ids=["z8", "z2z4", "z2z2z2", "q8", "d4", "z9", "z10"])
+def test_automorphisms_match_every_alignment_propagated(h):
+    # the identity alignment is seeded, not propagated; a trivial stabilizer
+    # gives the cached left-regular copy instead of a fresh group
+    for s in connection_sets(h, h.order - 1):
+        if len(closure_of(h, s)) != h.order:
+            continue
+        for rot in rotations_of(s):
+            m = make_map(h, rot)
+            k = m.valency
+            stab = sorted(p for j in range(k) if (p := _propagate(m, m, 0, j)) is not None)
+            assert stabilizer_automorphisms(m) == stab
+            aut, expected = map_automorphism_group(m), explicit_automorphism_group(m, stab)
+            assert aut.elements == expected.elements
+            assert aut.generators == expected.generators
 
 
 def test_translations_always_automorphisms(z8, k4):

@@ -1,5 +1,6 @@
 import pytest
 
+from cimlab import perms
 from cimlab.errors import CapacityError, PreconditionError
 from cimlab.groups import make_abelian, make_cyclic, make_generalized_quaternion
 from cimlab.perms import (
@@ -28,6 +29,7 @@ from cimlab.perms import (
     regular_subgroups_isomorphic_to,
     validate_group,
 )
+from conftest import order8_groups
 
 
 def eight_cycle():
@@ -272,6 +274,59 @@ def test_regular_subgroups_wrong_type_absent():
     k4sq = make_abelian([2, 4])
     hhat = left_regular_representation(q8)
     assert regular_subgroups_isomorphic_to(hhat, k4sq) == []
+
+
+def right_regular_representation(h):
+    return closure([tuple(h.table[x][a] for x in h.elements()) for a in h.elements()])
+
+
+def test_left_regular_copy_skips_the_isomorphism_test(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("isomorphism test run on the left-regular copy")
+
+    monkeypatch.setattr(perms, "perm_group_as_finite_group", refuse)
+    monkeypatch.setattr(perms, "is_isomorphic", refuse)
+    for h in order8_groups() + [make_cyclic(9), make_abelian([3, 3])]:
+        g = left_regular_representation(h)
+        assert regular_subgroups_isomorphic_to(g, h) == [g]
+
+
+def test_right_regular_q8_takes_the_isomorphism_test(monkeypatch):
+    q8 = make_generalized_quaternion(8)
+    g = right_regular_representation(q8)
+    assert is_regular(g) and g.elements != left_regular_representation(q8).elements
+    calls = []
+    as_table = perms.perm_group_as_finite_group
+    monkeypatch.setattr(perms, "perm_group_as_finite_group",
+                        lambda sub: calls.append(sub) or as_table(sub))
+    assert regular_subgroups_isomorphic_to(g, q8) == [g]
+    assert calls == [g]
+
+
+def test_left_regular_copy_of_another_group_is_not_taken():
+    # the shortcut compares with the copy of h itself, not with any left-regular group
+    z8 = make_cyclic(8)
+    for other in order8_groups()[1:]:
+        assert regular_subgroups_isomorphic_to(left_regular_representation(other), z8) == []
+    assert regular_subgroups_isomorphic_to(
+        left_regular_representation(z8), make_abelian([2, 2, 2])) == []
+
+
+def test_left_regular_cache_is_bounded():
+    for _ in range(200):
+        left_regular_representation(make_cyclic(5))
+    info = left_regular_representation.cache_info()
+    assert info.maxsize == perms.REGULAR_REP_CACHE_SIZE
+    assert info.currsize <= perms.REGULAR_REP_CACHE_SIZE
+
+
+def test_element_set_is_built_once_and_lazily():
+    g = closure([eight_cycle()])
+    assert "_element_set" not in vars(g)
+    first = g.element_set()
+    assert first == frozenset(g.elements)
+    assert g.element_set() is first
+    assert eight_cycle() in g
 
 
 # ---------------------------------------------------------------- conjugacy
