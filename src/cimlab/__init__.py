@@ -46,16 +46,13 @@ from .mapiso import (
     map_isomorphisms,
 )
 from .perms import (
-    BlockSystem,
     PermutationGroup,
     are_conjugate_subgroups,
-    check_cyclic_stabilizer_conjugacy,
     closure,
     fixed_points,
     is_block,
     is_regular,
     left_regular_representation,
-    minimal_block_systems,
     point_stabilizer,
     regular_subgroups_isomorphic_to,
 )

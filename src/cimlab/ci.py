@@ -355,24 +355,38 @@ def _babai_task(h: FiniteGroup, rotation: tuple[int, ...]) -> tuple[CiReport, Pe
     return babai_is_ci_map(m, aut=aut), point_stabilizer(aut, 0)
 
 
+_POOL_GROUP: Optional[FiniteGroup] = None
+
+
+def _set_pool_group(h: FiniteGroup) -> None:
+    """Pool initializer: each worker receives the group once, not per chunk."""
+    global _POOL_GROUP
+    _POOL_GROUP = h
+
+
+def _pool_task(rotation: tuple[int, ...]) -> tuple[CiReport, PermutationGroup]:
+    return _babai_task(_POOL_GROUP, rotation)
+
+
 def _sweep(h: FiniteGroup, rotations: Iterable[tuple[int, ...]], workers: int):
     """``_babai_task`` over the rotations, in order.
 
     Worker counts are clamped to [1, cpu_count]. One pool serves the whole
-    sweep; rotations go to it in bounded batches so memory stays flat, and
-    a sweep that fits in one batch of fewer than four maps runs inline.
-    Close the generator to stop early: that also closes the pool.
+    sweep and gets the group once per worker, so the group's caches stay
+    warm in each worker; rotations go to it in bounded batches so memory
+    stays flat, and a sweep that fits in one batch of fewer than four maps
+    runs inline. Close the generator to stop early: that also closes the
+    pool.
     """
     workers = max(1, min(workers, os.cpu_count() or 1))
-    task = functools.partial(_babai_task, h)
     rotations = iter(rotations)
     batch = list(islice(rotations, 512 * workers))
     if workers == 1 or len(batch) < 4:
-        yield from map(task, chain(batch, rotations))
+        yield from (_babai_task(h, rotation) for rotation in chain(batch, rotations))
         return
-    with multiprocessing.Pool(workers) as pool:
+    with multiprocessing.Pool(workers, initializer=_set_pool_group, initargs=(h,)) as pool:
         while batch:
-            yield from pool.map(task, batch, chunksize=max(1, len(batch) // (workers * 8)))
+            yield from pool.map(_pool_task, batch, chunksize=max(1, len(batch) // (workers * 8)))
             batch = list(islice(rotations, 512 * workers))
 
 

@@ -36,8 +36,8 @@ class DisconnectedMapError(CimlabError):
 class PreconditionError(CimlabError):
     """A documented precondition was violated.
 
-    ``kind`` is a stable machine-readable tag, e.g. ``not-transitive``,
-    ``stabilizer-not-cyclic``, ``no-regular-copy``.
+    ``kind`` is a stable machine-readable tag: ``orbit-not-faithful`` or
+    ``generation-fails``.
     """
 
     def __init__(self, kind: str, message: str):

@@ -92,12 +92,6 @@ class GroupIsomorphism:
             other.source, self.target, tuple(self.images[x] for x in other.images)
         )
 
-    def inverse_iso(self) -> "GroupIsomorphism":
-        inv = [0] * len(self.images)
-        for a, fa in enumerate(self.images):
-            inv[fa] = a
-        return GroupIsomorphism(self.target, self.source, tuple(inv))
-
 
 @dataclass(frozen=True, eq=False)
 class Subgroup:
@@ -304,12 +298,6 @@ def element_order(g: FiniteGroup, x: int) -> int:
 
 def element_order_profile(g: FiniteGroup) -> tuple[int, ...]:
     return tuple(sorted(element_order(g, x) for x in g.elements()))
-
-
-def is_abelian(g: FiniteGroup) -> bool:
-    return all(
-        g.table[a][b] == g.table[b][a] for a in g.elements() for b in g.elements()
-    )
 
 
 def is_cyclic_group(g: FiniteGroup) -> bool:

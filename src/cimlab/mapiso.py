@@ -21,7 +21,6 @@ from .perms import (
     PermutationGroup,
     from_elements,
     left_regular_representation,
-    point_stabilizer,
 )
 
 BRUTE_FORCE_CAP = 10
@@ -267,8 +266,3 @@ def are_cayley_isomorphic(m1: CayleyMap, m2: CayleyMap):
         if all(phi[rot1[(i + 1) % k]] == nxt2[phi[rot1[i]]] for i in range(k)):
             return GroupIsomorphism(m1.group, m2.group, phi)
     return None
-
-
-def stabilizer_of_identity(m: CayleyMap) -> PermutationGroup:
-    """Point stabilizer of Aut(M) at the identity vertex."""
-    return point_stabilizer(map_automorphism_group(m), 0)

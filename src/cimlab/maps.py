@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import MapValidationError
-from .groups import FiniteGroup, GroupIsomorphism, closure_of, group_to_json
+from .groups import FiniteGroup, GroupIsomorphism, closure_of
 from .perms import Perm, perm_order
 
 
@@ -112,12 +112,6 @@ def ternary_relation(m: CayleyMap) -> TernaryRelation:
     return TernaryRelation(g.order, frozenset(triples))
 
 
-def transport_relation(r: TernaryRelation, sigma: Perm) -> TernaryRelation:
-    return TernaryRelation(
-        r.degree, frozenset((sigma[x], sigma[y], sigma[z]) for x, y, z in r.triples)
-    )
-
-
 def preserves_relation(r: TernaryRelation, p: Perm) -> bool:
     return all((p[x], p[y], p[z]) in r.triples for x, y, z in r.triples)
 
@@ -130,32 +124,16 @@ def apply_group_automorphism(m: CayleyMap, sigma: GroupIsomorphism) -> CayleyMap
 
 
 def is_skew_morphism(h: FiniteGroup, phi: Perm) -> bool:
-    """Does phi(g*x) = phi(g) * phi^p(g)(x) hold for some power function p?
+    """Does phi(g*x) = phi(g) * phi^p(g)(x) hold for some power function p?"""
+    return skew_power_function(h, phi) is not None
+
+
+def skew_power_function(h: FiniteGroup, phi: Perm) -> Optional[tuple[int, ...]]:
+    """The power function of a skew-morphism (values in 0..order-1), or None.
 
     phi must fix the identity; the power p(g) is searched over
     0..order(phi)-1 for each g independently.
     """
-    n = h.order
-    if len(phi) != n or phi[0] != 0:
-        return False
-    d = perm_order(phi)
-    powers = [tuple(range(n))]
-    for _ in range(d - 1):
-        powers.append(tuple(phi[x] for x in powers[-1]))
-    tbl = h.table
-    for g in range(n):
-        phig_row = tbl[phi[g]]
-        g_row = tbl[g]
-        if not any(
-            all(phi[g_row[x]] == phig_row[power[x]] for x in range(n))
-            for power in powers
-        ):
-            return False
-    return True
-
-
-def skew_power_function(h: FiniteGroup, phi: Perm) -> Optional[tuple[int, ...]]:
-    """The power function of a skew-morphism (values in 0..order-1), or None."""
     n = h.order
     if len(phi) != n or phi[0] != 0:
         return None
@@ -204,12 +182,3 @@ def face_profile(m: CayleyMap) -> tuple[int, ...]:
                 length += 1
             lengths.append(length)
     return tuple(sorted(lengths))
-
-
-def map_to_json(m: CayleyMap, inline_group: bool = False) -> dict:
-    group: object
-    if inline_group:
-        group = group_to_json(m.group)
-    else:
-        group = m.group.name
-    return {"group": group, "rotation": list(m.rotation)}

@@ -12,9 +12,8 @@ import functools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .errors import CapacityError, PreconditionError
-from .groups import FiniteGroup, is_cyclic_group, is_in_class_m, is_isomorphic
-from .reports import CiReport
+from .errors import CapacityError
+from .groups import FiniteGroup, is_cyclic_group, is_isomorphic
 
 Perm = tuple[int, ...]
 
@@ -144,21 +143,6 @@ def from_elements(elements: Iterable[Perm], generators: Sequence[Perm] = ()) -> 
     return PermutationGroup(degree, elems, gens)
 
 
-def validate_group(g: PermutationGroup) -> None:
-    """Check closure under composition and inverse; for tests and loaded data."""
-    elems = g.element_set()
-    if identity_perm(g.degree) not in elems:
-        raise ValueError("identity missing")
-    for p in g.elements:
-        if inverse_perm(p) not in elems:
-            raise ValueError("not closed under inverse")
-        for q in g.generators:
-            if compose(p, q) not in elems:
-                raise ValueError("not closed under composition")
-    if closure(g.generators, cap=len(elems) + 1).order != len(elems):
-        raise ValueError("elements do not equal closure(generators)")
-
-
 @functools.lru_cache(maxsize=REGULAR_REP_CACHE_SIZE)
 def left_regular_representation(h: FiniteGroup) -> PermutationGroup:
     """All left translations x -> g*x of a finite group, acting on its elements.
@@ -223,93 +207,6 @@ def is_block(g: PermutationGroup, delta: Iterable[int]) -> bool:
         if image != block and image & block:
             return False
     return True
-
-
-@dataclass(frozen=True, eq=False)
-class BlockSystem:
-    degree: int
-    blocks: tuple[tuple[int, ...], ...]
-
-    @property
-    def block_size(self) -> int:
-        return len(self.blocks[0])
-
-    def block_of(self, point: int) -> tuple[int, ...]:
-        for b in self.blocks:
-            if point in b:
-                return b
-        raise KeyError(point)
-
-    def refines(self, other: "BlockSystem") -> bool:
-        cell_of = {}
-        for b in other.blocks:
-            cell = frozenset(b)
-            for x in b:
-                cell_of[x] = cell
-        return all(set(b) <= cell_of[b[0]] for b in self.blocks)
-
-
-def _system_from_partition(classes: dict[int, int], degree: int) -> BlockSystem:
-    cells: dict[int, list[int]] = {}
-    for x in range(degree):
-        cells.setdefault(classes[x], []).append(x)
-    blocks = tuple(sorted(tuple(sorted(c)) for c in cells.values()))
-    return BlockSystem(degree, blocks)
-
-
-def block_system_from_pair(g: PermutationGroup, a: int, b: int) -> BlockSystem:
-    """The finest G-invariant partition in which a and b share a cell."""
-    parent = list(range(g.degree))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int) -> bool:
-        rx, ry = find(x), find(y)
-        if rx == ry:
-            return False
-        parent[max(rx, ry)] = min(rx, ry)
-        return True
-
-    queue = [(a, b)]
-    union(a, b)
-    while queue:
-        x, y = queue.pop()
-        for p in g.generators:
-            if union(p[x], p[y]):
-                queue.append((p[x], p[y]))
-    classes = {x: find(x) for x in range(g.degree)}
-    return _system_from_partition(classes, g.degree)
-
-
-def pair_block_systems(g: PermutationGroup) -> list[BlockSystem]:
-    """All distinct nontrivial systems generated by a pair {0, delta}."""
-    if not is_transitive(g):
-        raise PreconditionError("not-transitive", "block systems need a transitive group")
-    out = {}
-    for delta in range(1, g.degree):
-        system = block_system_from_pair(g, 0, delta)
-        if 1 < len(system.blocks) < g.degree:
-            out[system.blocks] = system
-    return [out[k] for k in sorted(out)]
-
-
-def minimal_block_systems(g: PermutationGroup) -> list[BlockSystem]:
-    """Nontrivial systems minimal in the refinement order (finest ones).
-
-    Every minimal system is generated by one point pair, so filtering the
-    pair-generated systems is exhaustive. An empty result means g is
-    primitive.
-    """
-    systems = pair_block_systems(g)
-    out = []
-    for s in systems:
-        if not any(t is not s and t.refines(s) and t.blocks != s.blocks for t in systems):
-            out.append(s)
-    return out
 
 
 def regular_subgroups_isomorphic_to(
@@ -463,77 +360,3 @@ def conjugate_subgroup(sub: PermutationGroup, x: Perm) -> PermutationGroup:
     elems = tuple(sorted(tuple(x[p[y]] for y in x_inv) for p in sub.elements))
     gens = tuple(tuple(x[p[y]] for y in x_inv) for p in sub.generators)
     return PermutationGroup(sub.degree, elems, gens)
-
-
-def check_cyclic_stabilizer_conjugacy(g: PermutationGroup, h: FiniteGroup):
-    """Are all regular copies of h inside g conjugate? Returns a CiReport.
-
-    Preconditions (g transitive, cyclic point stabilizer, at least one
-    regular copy of h) are reported as distinct errors. Membership of h
-    in the Z_n x Z_2^r / Z_n x Z_4 / Z_n x Q_8 family is recorded in the
-    report but deliberately not enforced, so the bare conjugacy check
-    can be run on any instance.
-    """
-    if not is_transitive(g):
-        raise PreconditionError("not-transitive", "group is not transitive")
-    stab = point_stabilizer(g, 0)
-    if not is_cyclic_permgroup(stab):
-        raise PreconditionError("stabilizer-not-cyclic", "point stabilizer is not cyclic")
-    regs = regular_subgroups_isomorphic_to(g, h)
-    if not regs:
-        raise PreconditionError("no-regular-copy", "no regular subgroup isomorphic to h")
-    witnesses = []
-    verdict = True
-    base = regs[0]
-    for other in regs[1:]:
-        x = are_conjugate_subgroups(g, other, base)
-        if x is None:
-            verdict = False
-            witnesses.append(
-                {
-                    "kind": "non-conjugate-regular-pair",
-                    "subgroup_a": [list(p) for p in base.generators],
-                    "subgroup_b": [list(p) for p in other.generators],
-                }
-            )
-            break
-        witnesses.append(
-            {
-                "kind": "conjugator",
-                "element": list(x),
-                "subgroup": [list(p) for p in other.generators],
-            }
-        )
-    return CiReport(
-        subject={"kind": "permutation-group", "degree": g.degree, "order": g.order,
-                 "regular_group": h.name},
-        verdict=verdict,
-        method="cyclic-stabilizer-conjugacy",
-        witnesses=witnesses,
-        stats={"regular_subgroup_count": len(regs), "stabilizer_order": stab.order},
-        notes={"h_in_class_m": is_in_class_m(h)},
-    )
-
-
-def permutation_to_json(p: Perm) -> dict:
-    return {"degree": len(p), "images": list(p)}
-
-
-def permutation_from_json(data: dict) -> Perm:
-    images = tuple(int(x) for x in data["images"])
-    if not is_permutation(images, int(data["degree"])):
-        raise ValueError("not a permutation")
-    return images
-
-
-def permgroup_to_json(g: PermutationGroup) -> dict:
-    return {"degree": g.degree, "generators": [list(p) for p in g.generators],
-            "order": g.order}
-
-
-def permgroup_from_json(data: dict, cap: int = DEFAULT_GROUP_CAP) -> PermutationGroup:
-    gens = [tuple(int(x) for x in p) for p in data["generators"]]
-    g = closure(gens, cap=cap)
-    if "order" in data and g.order != int(data["order"]):
-        raise ValueError("stored order does not match closure")
-    return g

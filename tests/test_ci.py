@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 
 from cimlab.ci import (
@@ -309,13 +311,17 @@ def test_worker_counts_do_not_change_reports(z9):
 
 class CountingMultiprocessing:
     """Stands in for ``multiprocessing`` inside ``ci``: records each pool's
-    size and runs ``map`` serially, so no process is ever started."""
+    size, runs its initializer and runs ``map`` serially, so no process is
+    ever started."""
 
     def __init__(self):
         self.pool_sizes = []
+        self.mapped = []
 
-    def Pool(self, processes):  # noqa: N802
+    def Pool(self, processes, initializer=None, initargs=()):  # noqa: N802
         self.pool_sizes.append(processes)
+        if initializer is not None:
+            initializer(*initargs)
         return self
 
     def __enter__(self):
@@ -325,6 +331,7 @@ class CountingMultiprocessing:
         return None
 
     def map(self, fn, items, chunksize=1):
+        self.mapped.append(fn)
         return [fn(x) for x in items]
 
 
@@ -334,6 +341,7 @@ def counting_pool(monkeypatch):
 
     fake = CountingMultiprocessing()
     monkeypatch.setattr(ci, "multiprocessing", fake)
+    monkeypatch.setattr(ci, "_POOL_GROUP", None)  # the initializer sets it in this process
     monkeypatch.setattr(ci.os, "cpu_count", lambda: 4)
     return fake
 
@@ -343,6 +351,15 @@ def test_exhaustive_sweep_opens_one_pool(counting_pool):
     assert report.verdict is True
     assert report.stats["maps_checked"] == 1265
     assert counting_pool.pool_sizes == [2]
+
+
+def test_pool_tasks_do_not_carry_the_group(counting_pool):
+    # the group reaches each worker once, through the pool initializer
+    h = make_cyclic(11)
+    verify_connected_cim(h, 6, strategy="exhaustive", workers=2)
+    assert counting_pool.mapped
+    for fn in counting_pool.mapped:
+        assert len(pickle.dumps(fn)) < len(pickle.dumps(h))
 
 
 @pytest.mark.parametrize("workers, pool_sizes", [(64, [4]), (3, [3]), (1, []), (0, []), (-3, [])])

@@ -267,12 +267,10 @@ def test_revalidation_rejects_a_conjugator_on_a_disconnected_map():
 
 
 def test_parse_map_inline_table(tmp_path):
-    from cimlab.groups import group_to_json, make_generalized_quaternion
-    from cimlab.maps import map_to_json
+    from cimlab.groups import group_to_json
 
-    q8 = make_generalized_quaternion(8)
     m = parse_map_spec("quaternion:8/1,4,3,6")
-    payload = map_to_json(m, inline_group=True)
+    payload = {"group": group_to_json(m.group), "rotation": list(m.rotation)}
     path = tmp_path / "map.json"
     path.write_text(json.dumps(payload))
     back = parse_map_spec(f"@{path}")

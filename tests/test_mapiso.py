@@ -19,7 +19,6 @@ from cimlab.mapiso import (
     map_iso_exists,
     map_isomorphisms,
     stabilizer_automorphisms,
-    stabilizer_of_identity,
 )
 from cimlab.perms import (
     fixed_points,
@@ -146,7 +145,7 @@ def test_aut_matches_relation_stabilizer_oracle(z8, k4, q8):
 def test_stabilizer_properties(z8):
     # cyclic, faithful on S, restriction lies in the rotation's cycle group
     for m in (unit_map(z8), lemma_orbit_map(), antibalanced_16_map()):
-        stab = stabilizer_of_identity(m)
+        stab = point_stabilizer(map_automorphism_group(m), 0)
         assert is_cyclic_permgroup(stab)
         s = list(m.rotation)
         seen = set()

@@ -1,13 +1,12 @@
+import itertools
+
 import pytest
 
 from cimlab import perms
-from cimlab.errors import CapacityError, PreconditionError
+from cimlab.errors import CapacityError
 from cimlab.groups import make_abelian, make_cyclic, make_generalized_quaternion
 from cimlab.perms import (
-    BlockSystem,
     are_conjugate_subgroups,
-    block_system_from_pair,
-    check_cyclic_stabilizer_conjugacy,
     closure,
     conjugate_subgroup,
     fixed_points,
@@ -17,17 +16,10 @@ from cimlab.perms import (
     is_regular,
     is_transitive,
     left_regular_representation,
-    minimal_block_systems,
     orbit_of,
-    pair_block_systems,
     perm_order,
-    permgroup_from_json,
-    permgroup_to_json,
-    permutation_from_json,
-    permutation_to_json,
     point_stabilizer,
     regular_subgroups_isomorphic_to,
-    validate_group,
 )
 from conftest import order8_groups
 
@@ -80,7 +72,7 @@ def test_closure_identity():
 def test_closure_eight_cycle():
     g = closure([eight_cycle()])
     assert g.order == 8
-    validate_group(g)
+    assert closure(g.generators).elements == g.elements
 
 
 def test_closure_idempotent():
@@ -101,6 +93,11 @@ def test_closure_cap():
         closure([eight_cycle(), mult_perm(8, 3)], cap=10)
 
 
+def test_closure_rejects_a_non_permutation():
+    with pytest.raises(ValueError, match="not a permutation"):
+        closure([(0, 0, 1)])
+
+
 # ------------------------------------------------------ regularity, orbits
 
 def test_left_regular_is_regular(q8=make_generalized_quaternion(8)):
@@ -108,7 +105,7 @@ def test_left_regular_is_regular(q8=make_generalized_quaternion(8)):
     assert hhat.order == 8
     assert is_regular(hhat)
     assert point_stabilizer(hhat, 0).order == 1
-    validate_group(hhat)
+    assert closure(hhat.generators).elements == hhat.elements
 
 
 def test_left_regular_z8_contains_eight_cycle():
@@ -181,13 +178,13 @@ def test_translation_coset_is_block():
     assert not is_block(g, [0, 1])
 
 
-def test_pair_block_systems_z8_regular():
-    g = closure([eight_cycle()])
-    systems = pair_block_systems(g)
-    assert sorted(s.block_size for s in systems) == [2, 4]
-    minimal = minimal_block_systems(g)
-    assert len(minimal) == 1
-    assert minimal[0].blocks == ((0, 4), (1, 5), (2, 6), (3, 7))
+def blocks_containing(g, point):
+    """Every block of g through ``point``, by testing all subsets with ``is_block``."""
+    others = [x for x in range(g.degree) if x != point]
+    return [frozenset((point,) + extra)
+            for r in range(len(others) + 1)
+            for extra in itertools.combinations(others, r)
+            if is_block(g, (point,) + extra)]
 
 
 def test_block_systems_match_partition_scan():
@@ -196,36 +193,26 @@ def test_block_systems_match_partition_scan():
         g = closure(gens)
         if not is_transitive(g):
             continue
-        expected = block_systems_by_partition_scan(g)
-        got = sorted(s.blocks for s in pair_block_systems(g))
-        # every pair-generated system is a genuine invariant partition, and
-        # the closure of a pair taken inside any invariant partition is a
-        # pair-generated system refining it
-        assert set(got) <= set(expected)
-        for blocks in expected:
-            sys_from_pair = block_system_from_pair(g, blocks[0][0], blocks[0][1])
-            assert sys_from_pair.refines(BlockSystem(g.degree, blocks))
-            assert sys_from_pair.blocks in got
+        # a block through 0 is exactly a cell through 0 of an invariant partition
+        cells = {frozenset(c) for blocks in block_systems_by_partition_scan(g)
+                 for c in blocks if 0 in c}
+        nontrivial = {b for b in blocks_containing(g, 0) if 1 < len(b) < g.degree}
+        assert nontrivial == cells
 
 
 def test_primitive_group_has_no_blocks():
     five_cycle = tuple((i + 1) % 5 for i in range(5))
     g = closure([five_cycle, mult_perm(5, 2)])  # order 20, primitive
-    assert pair_block_systems(g) == []
-    assert minimal_block_systems(g) == []
+    assert block_systems_by_partition_scan(g) == []
+    assert sorted(map(len, blocks_containing(g, 0))) == [1, 5]
 
 
 def test_block_sizes_divide_degree():
+    # in a regular group the blocks through the identity are the subgroups
     z12 = make_cyclic(12)
     g = left_regular_representation(z12)
-    for s in pair_block_systems(g):
-        assert g.degree % s.block_size == 0
-
-
-def test_blocks_need_transitive():
-    g = closure([mult_perm(8, 5)])
-    with pytest.raises(PreconditionError):
-        minimal_block_systems(g)
+    sizes = sorted(len(b) for b in blocks_containing(g, 0))
+    assert sizes == [1, 2, 3, 4, 6, 12]
 
 
 # ----------------------------------------------- regular subgroup search
@@ -357,7 +344,16 @@ def test_conjugation_witness_revalidates():
             assert conjugate_subgroup(sub, x).elements == other.elements
 
 
-# ------------------------------------- cyclic stabilizer conjugacy checker
+# ------------------------------- regular copies under a cyclic stabilizer
+
+def regular_copies_conjugate(g, h):
+    """Every regular subgroup of g isomorphic to h is conjugate in g to the
+    left-regular copy of h."""
+    hhat = left_regular_representation(h)
+    regs = regular_subgroups_isomorphic_to(g, h)
+    assert hhat.elements in {r.elements for r in regs}
+    return all(are_conjugate_subgroups(g, r, hhat) is not None for r in regs)
+
 
 def test_cyclic_stabilizer_check_z8_order32():
     z8 = make_cyclic(8)
@@ -366,10 +362,10 @@ def test_cyclic_stabilizer_check_z8_order32():
     skew = (0, 3, 2, 5, 4, 7, 6, 1)
     g = closure(list(hhat.generators) + [skew])
     assert g.order == 32
+    assert is_cyclic_permgroup(point_stabilizer(g, 0))
     assert point_stabilizer(g, 0).order == 4
-    report = check_cyclic_stabilizer_conjugacy(g, z8)
-    assert report.verdict is True
-    assert report.notes["h_in_class_m"] is None
+    assert len(regular_subgroups_isomorphic_to(g, z8)) == 2
+    assert regular_copies_conjugate(g, z8)
 
 
 def test_cyclic_stabilizer_check_z8_semidirect_16_false():
@@ -379,47 +375,20 @@ def test_cyclic_stabilizer_check_z8_semidirect_16_false():
     hhat = left_regular_representation(z8)
     g = closure(list(hhat.generators) + [mult_perm(8, 5)])
     assert g.order == 16
-    report = check_cyclic_stabilizer_conjugacy(g, z8)
-    assert report.verdict is False
+    assert len(regular_subgroups_isomorphic_to(g, z8)) == 2
+    assert not regular_copies_conjugate(g, z8)
 
 
 def test_cyclic_stabilizer_check_regular_trivial():
     q8 = make_generalized_quaternion(8)
-    hhat = left_regular_representation(q8)
-    report = check_cyclic_stabilizer_conjugacy(hhat, q8)
-    assert report.verdict is True
+    assert regular_copies_conjugate(left_regular_representation(q8), q8)
 
 
 def test_cyclic_stabilizer_check_lemma_witness_false():
     z9 = make_cyclic(9)
     hhat = left_regular_representation(z9)
     g = closure(list(hhat.generators) + [mult_perm(9, 5)])
-    report = check_cyclic_stabilizer_conjugacy(g, z9)
-    assert report.verdict is False
-    assert report.notes["h_in_class_m"] is None
-    assert report.witnesses
-
-
-def test_cyclic_stabilizer_check_errors():
-    z8 = make_cyclic(8)
-    intransitive = closure([mult_perm(8, 5)])
-    with pytest.raises(PreconditionError) as err:
-        check_cyclic_stabilizer_conjugacy(intransitive, z8)
-    assert err.value.kind == "not-transitive"
-
-    q8 = make_generalized_quaternion(8)
-    hhat8 = left_regular_representation(make_cyclic(8))
-    g = closure(list(hhat8.generators) + [mult_perm(8, 3), mult_perm(8, 5)])
-    stab = point_stabilizer(g, 0)
-    if not is_cyclic_permgroup(stab):
-        with pytest.raises(PreconditionError) as err:
-            check_cyclic_stabilizer_conjugacy(g, make_cyclic(8))
-        assert err.value.kind == "stabilizer-not-cyclic"
-
-    hhat = left_regular_representation(z8)
-    with pytest.raises(PreconditionError) as err:
-        check_cyclic_stabilizer_conjugacy(hhat, q8)
-    assert err.value.kind == "no-regular-copy"
+    assert not regular_copies_conjugate(g, z9)
 
 
 # -------------------------------------------------- fix(S) blocks property
@@ -440,21 +409,3 @@ def test_fixed_point_sets_are_blocks_for_cyclic_stabilizers():
             seen.add(key)
             fix = fixed_points(list(sub.elements))
             assert is_block(g, fix)
-
-
-# ------------------------------------------------------------------- json
-
-def test_permutation_json_roundtrip():
-    p = mult_perm(8, 3)
-    assert permutation_from_json(permutation_to_json(p)) == p
-
-
-def test_permgroup_json_roundtrip():
-    g = closure([eight_cycle(), mult_perm(8, 3)])
-    back = permgroup_from_json(permgroup_to_json(g))
-    assert back.elements == g.elements
-
-
-def test_permutation_json_rejects_garbage():
-    with pytest.raises(ValueError):
-        permutation_from_json({"degree": 3, "images": [0, 0, 1]})
