@@ -398,6 +398,8 @@ def verify_connected_cim(
 ) -> CiReport:
     """Is every connected Cayley map over h (up to the valency bound) a CI-map?"""
     t0 = time.perf_counter()
+    if max_valency < 1:
+        raise ValueError("max_valency must be at least 1")
     if max_valency > h.order - 1:
         raise ValueError("max_valency exceeds |H| - 1")
     total = total_map_count(h, max_valency)

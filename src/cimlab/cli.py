@@ -4,7 +4,8 @@ Subcommands: aut-map, iso-maps, is-ci-map, verify-cim,
 verify-connected-cim, cross-validate, counterexample, reproduce-paper.
 All output is canonical JSON (pretty, sorted keys) on stdout; timing
 goes to stderr so repeated runs are byte-identical. Exit codes: 0 for a
-true verdict, 1 for false, 2 for any error.
+true verdict, 1 for false, 2 for a usage or input error, 3 for an
+internal error (a failed internal check).
 """
 
 from __future__ import annotations
@@ -541,6 +542,9 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except (CimlabError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 def main() -> None:

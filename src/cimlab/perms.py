@@ -215,9 +215,22 @@ def regular_subgroups_isomorphic_to(
     """All regular subgroups of g isomorphic to h, sorted canonically.
 
     A regular subgroup has order equal to the degree and consists of the
-    identity plus fixed-point-free elements, so the search grows
-    subgroups from fixed-point-free elements only, pruning whenever the
-    partial closure stops dividing |h|.
+    identity plus fixed-point-free elements.
+
+    For cyclic h, a cyclic group of degree n is regular exactly when a
+    generator is an n-cycle, that is, when the orbit of point 0 under it
+    has length n. The search walks g's elements in sorted order, skips
+    those that lie in a subgroup already found, and builds <p> once for
+    each n-cycle p left; p is then the least n-cycle of <p> and its
+    generator.
+
+    Otherwise subgroups are grown breadth first, adjoining one candidate
+    at a time: an element whose own cyclic subgroup is semiregular with
+    order dividing n, which every non-identity element of a regular
+    subgroup of order n is. Each closure is grown coset by coset from the
+    generators adjoined so far, and is abandoned at its first
+    non-identity element that is not a candidate, or once it exceeds n
+    elements.
     """
     n = h.order
     if g.degree != n:
@@ -236,20 +249,32 @@ def regular_subgroups_isomorphic_to(
             return [g]
         return []
 
-    fpf = [p for p in g.elements if p != ident and all(p[i] != i for i in range(n))]
-
     if is_cyclic_group(h):
-        found = {}
-        for p in fpf:
-            if perm_order(p) != n:
+        covered: set[Perm] = set()
+        found = []
+        for p in g.elements:
+            if p in covered:
+                continue
+            j, length = p[0], 1
+            while j:
+                j = p[j]
+                length += 1
+            if length != n:
                 continue
             sub = _cyclic_subgroup(p)
-            found.setdefault(tuple(sorted(sub)), p)
-        return [
-            PermutationGroup(n, key, (found[key],)) for key in sorted(found)
-        ]
+            covered.update(sub)
+            found.append(PermutationGroup(n, tuple(sorted(sub)), (p,)))
+        found.sort(key=lambda sub: sub.elements)
+        return found
 
-    fpf_set = set(fpf)
+    # p can lie in a regular subgroup only if <p> is semiregular, that
+    # is, if all cycles of p have one length, and that length divides n
+    candidates = []
+    for p in g.elements:
+        lengths = {len(c) for c in cycles_of(p)}
+        if len(lengths) == 1 and n % lengths.pop() == 0 and p != ident:
+            candidates.append(p)
+    allowed = set(candidates)
     seen: set[frozenset[Perm]] = set()
     results: dict[tuple[Perm, ...], PermutationGroup] = {}
     start = frozenset({ident})
@@ -258,14 +283,12 @@ def regular_subgroups_isomorphic_to(
     while frontier:
         nxt = []
         for members, gens in frontier:
-            for p in fpf:
+            for p in candidates:
                 if p in members:
                     continue
                 new_gens = gens + (p,)
-                grown = _grow_closure(members, p, n)
-                if grown is None or len(grown) > n or n % len(grown):
-                    continue
-                if any(q != ident and q not in fpf_set for q in grown):
+                grown = _grow_closure(members, new_gens, allowed, n)
+                if grown is None or n % len(grown):
                     continue
                 key = frozenset(grown)
                 if key in seen:
@@ -290,29 +313,30 @@ def _cyclic_subgroup(p: Perm) -> list[Perm]:
     return out
 
 
-def _grow_closure(members: frozenset[Perm], p: Perm, limit: int) -> Optional[set[Perm]]:
-    """Closure of members + {p}, or None once it exceeds limit."""
+def _grow_closure(
+    members: frozenset[Perm], gens: tuple[Perm, ...], allowed: set[Perm], limit: int
+) -> Optional[set[Perm]]:
+    """<gens> as a set, where members is the group generated by gens[:-1].
+
+    The closure is grown one right coset of members at a time from the
+    generators (Dimino's algorithm). Returns None at the first element
+    outside members that is not in allowed, or once the closure would
+    exceed limit elements.
+    """
     elems = set(members)
-    frontier = [p]
-    elems.add(p)
-    gens = list(members) + [p]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for b in gens:
-                c = compose(a, b)
-                if c not in elems:
-                    if len(elems) >= limit:
-                        return None
-                    elems.add(c)
-                    nxt.append(c)
-                d = compose(b, a)
-                if d not in elems:
-                    if len(elems) >= limit:
-                        return None
-                    elems.add(d)
-                    nxt.append(d)
-        frontier = nxt
+    pending = [gens[-1]]
+    while pending:
+        r = pending.pop()
+        if r in elems:
+            continue
+        if len(elems) + len(members) > limit:
+            return None
+        for m in members:
+            c = tuple(map(m.__getitem__, r))
+            if c not in allowed:
+                return None
+            elems.add(c)
+        pending.extend(tuple(map(r.__getitem__, s)) for s in gens)
     return elems
 
 

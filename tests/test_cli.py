@@ -293,3 +293,27 @@ def test_inline_table_respects_order_cap(tmp_path, capsys, order, table):
                                 "rotation": [1, 64]}))
     assert run(["aut-map", "--map", f"@{path}"]) == 2
     assert "exceeds cap 64" in capsys.readouterr().err
+
+
+def test_internal_error_exit_code(monkeypatch, capsys):
+    import cimlab.cli
+
+    def fail(*args, **kwargs):
+        raise RuntimeError("left-regular copy missing from regular subgroup search")
+
+    monkeypatch.setattr(cimlab.cli, "verify_connected_cim", fail)
+    rc = run(["verify-connected-cim", "--group", "cyclic:5", "--max-valency", "4"])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert captured.err == (
+        "internal error: left-regular copy missing from regular subgroup search\n")
+
+
+@pytest.mark.parametrize("command, bound", [("verify-connected-cim", "-3"), ("verify-cim", "0")])
+def test_valency_bound_below_one_is_a_usage_error(capsys, command, bound):
+    rc = run([command, "--group", "cyclic:5", "--max-valency", bound])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "max_valency must be at least 1" in captured.err

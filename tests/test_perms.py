@@ -4,7 +4,7 @@ import pytest
 
 from cimlab import perms
 from cimlab.errors import CapacityError
-from cimlab.groups import make_abelian, make_cyclic, make_generalized_quaternion
+from cimlab.groups import is_cyclic_group, make_abelian, make_cyclic, make_generalized_quaternion
 from cimlab.perms import (
     are_conjugate_subgroups,
     closure,
@@ -21,6 +21,9 @@ from cimlab.perms import (
     point_stabilizer,
     regular_subgroups_isomorphic_to,
 )
+from cimlab.enumeration import connection_sets, rotations_of
+from cimlab.mapiso import map_automorphism_group
+from cimlab.maps import is_connected, make_map
 from conftest import order8_groups
 
 
@@ -60,6 +63,73 @@ def block_systems_by_partition_scan(g):
         if all(frozenset(p[x] for x in c) in cells for c in cells for p in g.elements):
             out.append(tuple(sorted(tuple(sorted(c)) for c in cells)))
     return sorted(out)
+
+
+def regular_subgroups_by_fpf_growth(g, h):
+    """The regular-subgroup search as it stood before the cyclic branch
+    built each subgroup once; oracle for ``regular_subgroups_isomorphic_to``.
+
+    Its cyclic branch keeps every fixed-point-free element of order |h|,
+    n-cycle or not, so it agrees with the current search only on groups
+    without such elements; the automorphism groups of maps tested below
+    have none. Its non-cyclic branch closes each candidate under products
+    with every member before testing it.
+    """
+    n = h.order
+    ident = identity_perm(n)
+    if g.order == n:
+        if g.elements == left_regular_representation(h).elements:
+            return [g]
+        return [g] if is_regular(g) and perms._perm_group_isomorphic(g, h) else []
+    fpf = [p for p in g.elements if p != ident and all(p[i] != i for i in range(n))]
+    if is_cyclic_group(h):
+        found = {}
+        for p in fpf:
+            if perm_order(p) == n:
+                found.setdefault(closure([p]).elements, p)
+        return [perms.PermutationGroup(n, key, (found[key],)) for key in sorted(found)]
+
+    def grow(members, p):
+        elems, frontier, gens = set(members) | {p}, [p], list(members) + [p]
+        while frontier:
+            nxt = []
+            for a in frontier:
+                for b in gens:
+                    for c in (perms.compose(a, b), perms.compose(b, a)):
+                        if c not in elems:
+                            if len(elems) >= n:
+                                return None
+                            elems.add(c)
+                            nxt.append(c)
+            frontier = nxt
+        return elems
+
+    fpf_set = set(fpf)
+    start = frozenset({ident})
+    seen, results, frontier = {start}, {}, [(start, ())]
+    while frontier:
+        nxt = []
+        for members, gens in frontier:
+            for p in fpf:
+                if p in members:
+                    continue
+                grown = grow(members, p)
+                if grown is None or len(grown) > n or n % len(grown):
+                    continue
+                if any(q != ident and q not in fpf_set for q in grown):
+                    continue
+                key = frozenset(grown)
+                if key in seen:
+                    continue
+                seen.add(key)
+                if len(grown) == n:
+                    sub = perms.PermutationGroup(n, tuple(sorted(grown)), gens + (p,))
+                    if perms._perm_group_isomorphic(sub, h):
+                        results[sub.elements] = sub
+                else:
+                    nxt.append((key, gens + (p,)))
+        frontier = nxt
+    return [results[k] for k in sorted(results)]
 
 
 # ----------------------------------------------------------------- closure
@@ -261,6 +331,51 @@ def test_regular_subgroups_wrong_type_absent():
     k4sq = make_abelian([2, 4])
     hhat = left_regular_representation(q8)
     assert regular_subgroups_isomorphic_to(hhat, k4sq) == []
+
+
+def test_cyclic_search_needs_an_n_cycle():
+    # (0 1 2 3)(4 5 6)(7 8 9)(10 11) is fixed-point-free of order 12 but not
+    # a 12-cycle, so no cyclic subgroup of this intransitive group is regular
+    a = (1, 2, 3, 0, 5, 6, 4, 8, 9, 7, 11, 10)
+    b = (0, 1, 2, 3, 5, 6, 4, 7, 8, 9, 10, 11)
+    g = closure([a, b])
+    assert g.order == 36
+    assert regular_subgroups_isomorphic_to(g, make_cyclic(12)) == []
+
+
+def connected_map_automorphism_groups(h, max_valency):
+    for s in connection_sets(h, max_valency):
+        for rotation in rotations_of(s):
+            m = make_map(h, rotation)
+            if is_connected(m):
+                yield map_automorphism_group(m)
+
+
+@pytest.mark.parametrize(
+    "h, max_valency",
+    [(h, 7) for h in order8_groups()] + [(make_cyclic(9), 8), (make_cyclic(12), 5)],
+    ids=["z8", "z2z4", "z2z2z2", "q8", "d4", "z9", "z12"],
+)
+def test_search_matches_the_fpf_growth_oracle(h, max_valency):
+    nontrivial = 0
+    for g in connected_map_automorphism_groups(h, max_valency):
+        nontrivial += g.order > h.order
+        found = [(r.elements, r.generators) for r in regular_subgroups_isomorphic_to(g, h)]
+        expected = [(r.elements, r.generators) for r in regular_subgroups_by_fpf_growth(g, h)]
+        assert found == expected
+    assert nontrivial > 0
+
+
+def test_cyclic_search_builds_each_subgroup_once(monkeypatch):
+    built = []
+    cyclic_subgroup = perms._cyclic_subgroup
+    monkeypatch.setattr(perms, "_cyclic_subgroup",
+                        lambda p: built.append(p) or cyclic_subgroup(p))
+    z8 = make_cyclic(8)
+    g = map_automorphism_group(make_map(z8, (1, 3, 5, 7)))
+    regs = regular_subgroups_isomorphic_to(g, z8)
+    assert len(regs) >= 2
+    assert sorted(built) == sorted(r.generators[0] for r in regs)
 
 
 def right_regular_representation(h):
