@@ -27,13 +27,14 @@ import functools
 import multiprocessing
 import os
 import time
+from bisect import bisect_left
 from contextlib import closing
 from itertools import chain, combinations, islice, permutations, product
 from math import factorial
 from typing import Iterable, Optional, Sequence
 
 from .enumeration import (
-    cayley_class_key,
+    cayley_orbit,
     connection_sets,
     rotations_of,
     total_map_count,
@@ -187,10 +188,23 @@ class _ValencyBatch:
             if len(s) == valency
             for rot in rotations_of(s)
         ]
-        self.class_key = {m: cayley_class_key(m) for m in self.maps}
-        # the batch is closed under Aut(H), so each class key is the rotation
-        # of exactly one member: the class representative
-        self.reps = {key: m for m, key in self.class_key.items() if key == m.rotation}
+        # walked in sorted order, so the first member met of each Cayley class
+        # has the least rotation in it: the class key and its representative
+        members = {m.rotation for m in self.maps}
+        key_of: dict[tuple, tuple] = {}
+        self.reps: dict[tuple, CayleyMap] = {}
+        for m in sorted(self.maps, key=lambda m: m.rotation):
+            if m.rotation in key_of:
+                continue
+            orbit = cayley_orbit(h, m.rotation)
+            if not orbit <= members:
+                raise RuntimeError(
+                    "a Cayley class leaves its valency batch; the batch must be "
+                    "closed under Aut(H)"
+                )
+            key_of.update(dict.fromkeys(orbit, m.rotation))
+            self.reps[m.rotation] = m
+        self.class_key = {m: key_of[m.rotation] for m in self.maps}
         self._iso_root: dict[tuple, tuple] = {k: k for k in self.reps}
         self._compute_iso_classes()
 
@@ -209,7 +223,7 @@ class _ValencyBatch:
             self._iso_root[max(ra, rb)] = min(ra, rb)
 
     def _compute_iso_classes(self) -> None:
-        keys = sorted(self.reps)
+        keys = list(self.reps)
         invariants = {k: self._invariant(self.reps[k]) for k in keys}
         for i, a in enumerate(keys):
             ma = self.reps[a]
@@ -229,7 +243,7 @@ class _ValencyBatch:
         """CI verdict and, when false, a witness from another Cayley class."""
         my_key = self.class_key[m]
         my_root = self._find(my_key)
-        for other in sorted(self.reps):
+        for other in self.reps:
             if other != my_key and self._find(other) == my_root:
                 return False, self.reps[other]
         return True, None
@@ -324,6 +338,32 @@ def _rich_maps_cyclic(h: FiniteGroup, max_valency: int) -> tuple[list[CayleyMap]
                 m = make_map(h, rot)
                 rich.setdefault(m.rotation, m)
     return [rich[k] for k in sorted(rich)], skew_set
+
+
+def _rich_class_representatives(h: FiniteGroup, rich: Sequence[CayleyMap]) -> list[tuple[int, ...]]:
+    """One rotation per orbit under Aut(h) and mirror reversal, both of which
+    preserve CI verdicts: the least in its orbit, in the order of ``rich``.
+
+    ``rich`` is sorted by rotation. Each orbit is walked once, from its first
+    member met, and the members it covers are skipped; they are marked by
+    position, so the walk allocates no rotation that outlives its orbit. An
+    orbit whose least member is not in ``rich`` has no representative.
+    """
+    rotations = [m.rotation for m in rich]
+    covered = bytearray(len(rotations))
+    reps = []
+    for i, rot in enumerate(rotations):
+        if covered[i]:
+            continue
+        orbit = cayley_orbit(h, rot)
+        orbit |= {r[:1] + r[:0:-1] for r in orbit}  # the mirrors
+        for member in orbit:
+            j = bisect_left(rotations, member)
+            if j < len(rotations) and rotations[j] == member:
+                covered[j] = 1
+        if min(orbit) == rot:
+            reps.append(rot)
+    return reps
 
 
 def _full_cycle_roots(orbits: Sequence[tuple[int, ...]], d: int):
@@ -451,12 +491,10 @@ def _verify_connected_exhaustive(h: FiniteGroup, max_valency: int, workers: int)
 
 def _verify_connected_stabilizer(h: FiniteGroup, max_valency: int, workers: int) -> CiReport:
     rich, skew_set = _rich_maps_cyclic(h, max_valency)
-    # one representative per orbit under Aut(h) and mirror reversal, both of
-    # which preserve CI verdicts and the rich set: the map whose rotation is
-    # min(key(m), key(m.mirror())); a key never exceeds its map's rotation
-    reps = [m.rotation for m in rich
-            if cayley_class_key(m) == m.rotation <= cayley_class_key(m.mirror())]
-    stats = {"maps_rich": len(rich), "rich_classes": len(reps)}
+    maps_rich = len(rich)
+    reps = _rich_class_representatives(h, rich)
+    del rich  # the sweep needs only the representatives
+    stats = {"maps_rich": maps_rich, "rich_classes": len(reps)}
     checked = 0
     with closing(_sweep(h, reps, workers)) as results:
         for checked, (rpt, stab) in enumerate(results, 1):

@@ -53,13 +53,16 @@ def total_map_count(h: FiniteGroup, max_valency: int) -> int:
     return sum(math.factorial(len(s) - 1) for s in connection_sets(h, max_valency))
 
 
+def cayley_orbit(h: FiniteGroup, rotation: Sequence[int]) -> set[tuple[int, ...]]:
+    """The canonical-phase rotations of the Aut(H)-orbit of one rotation."""
+    orbit = set()
+    for sigma in automorphisms(h):
+        rot = tuple(sigma.images[s] for s in rotation)
+        i = rot.index(min(rot))
+        orbit.add(rot[i:] + rot[:i])
+    return orbit
+
+
 def cayley_class_key(m: CayleyMap) -> tuple[int, ...]:
     """Lexicographically least canonical rotation in the Aut(H)-orbit of m."""
-    best = m.rotation
-    for sigma in automorphisms(m.group):
-        rot = tuple(sigma.images[s] for s in m.rotation)
-        i = rot.index(min(rot))
-        rot = rot[i:] + rot[:i]
-        if rot < best:
-            best = rot
-    return best
+    return min(cayley_orbit(m.group, m.rotation))

@@ -1,9 +1,15 @@
+import importlib.util
 import pickle
+import sys
+from pathlib import Path
 
 import pytest
 
+from cimlab import ci
 from cimlab.ci import (
+    _rich_class_representatives,
     _rich_maps_cyclic,
+    _ValencyBatch,
     babai_is_ci_map,
     cross_validate,
     definitional_is_ci_map,
@@ -12,6 +18,7 @@ from cimlab.ci import (
 )
 from cimlab.enumeration import (
     cayley_class_key,
+    cayley_orbit,
     connection_sets,
     rotations_of,
     total_map_count,
@@ -25,11 +32,29 @@ from cimlab.groups import (
 )
 from cimlab.maps import apply_group_automorphism, is_connected, make_map
 from cimlab.mapiso import are_cayley_isomorphic, map_iso_exists
+from conftest import order8_groups
+
+WORKLOADS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 
 def all_maps(h, max_valency):
     return [make_map(h, rot) for s in connection_sets(h, max_valency)
             for rot in rotations_of(s)]
+
+
+def benchmark_relabel(h, seed):
+    """h relabelled exactly as the benchmark's workloads relabel it."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS_PY)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclasses look their module up
+    spec.loader.exec_module(workloads)
+    return workloads.relabel(h, seed)
+
+
+def dihedral_orbit(h, rotation):
+    """The orbit of a rotation under Aut(h) and mirror reversal."""
+    orbit = cayley_orbit(h, rotation)
+    return orbit | {make_map(h, rot).mirror().rotation for rot in orbit}
 
 
 def lemma_orbit_map():
@@ -95,6 +120,58 @@ def test_class_key_up_to_mirror_is_the_rotation_of_one_rich_map(n):
     rich, _ = _rich_maps_cyclic(make_cyclic(n), n - 1)
     assert_one_member_per_class_is_its_key(
         rich, lambda m: min(cayley_class_key(m), cayley_class_key(m.mirror())))
+
+
+@pytest.mark.parametrize("n, seed, counts", [
+    (7, 0, (21, 5)), (9, 0, (99, 18)), (11, 0, (745, 79)), (13, 0, (7380, 640)),
+    # relabelled Z11 is the known label-dependence defect of the stabilizer
+    # strategy; the orbit walk must select what the per-map keys select anyway
+    (11, 1, (449, 48)), (11, 2, (400, 24)), (11, 3, (400, 24)),
+])
+def test_orbit_walk_selects_the_per_map_key_representatives(n, seed, counts):
+    h = benchmark_relabel(make_cyclic(n), seed)
+    rich, _ = _rich_maps_cyclic(h, n - 1)
+    per_map = [m.rotation for m in rich
+               if cayley_class_key(m) == m.rotation <= cayley_class_key(m.mirror())]
+    reps = _rich_class_representatives(h, rich)
+    assert reps == per_map
+    assert (len(rich), len(reps)) == counts
+
+
+@pytest.mark.parametrize("n", range(7, 14))
+def test_rich_maps_are_closed_and_orbit_sizes_sum_to_maps_rich(n):
+    h = make_cyclic(n)
+    rich, _ = _rich_maps_cyclic(h, n - 1)
+    rotations = {m.rotation for m in rich}
+    orbits = [dihedral_orbit(h, rep) for rep in _rich_class_representatives(h, rich)]
+    # distinct orbits are disjoint, so orbits inside the rich set whose sizes
+    # sum to its size cover it: every Aut(H) x mirror image of a rich map is rich
+    assert all(orbit <= rotations for orbit in orbits)
+    assert sum(len(orbit) for orbit in orbits) == len(rich)
+
+
+@pytest.mark.parametrize("h", order8_groups(), ids=lambda h: h.name)
+def test_valency_batch_keys_are_the_per_map_keys(h):
+    for valency in range(1, h.order):
+        batch = _ValencyBatch(h, valency)
+        assert batch.class_key == {m: cayley_class_key(m) for m in batch.maps}
+        assert list(batch.reps) == sorted(
+            m.rotation for m in batch.maps if cayley_class_key(m) == m.rotation)
+        assert all(m.rotation == key for key, m in batch.reps.items())
+
+
+def test_valency_batch_detects_a_class_leaving_it(monkeypatch):
+    # a batch holds every map of its valency, so each Cayley class lies inside
+    # it; dropping one member of a class of two or more must be noticed
+    h = make_cyclic(7)
+    rotations = [rot for s in connection_sets(h, 4) if len(s) == 4 for rot in rotations_of(s)]
+    dropped = [rot for rot in rotations if len(cayley_orbit(h, rot)) > 1]
+    assert dropped
+    for gone in dropped:
+        monkeypatch.setattr(ci, "rotations_of",
+                            lambda s, gone=gone: (r for r in rotations_of(s) if r != gone))
+        with pytest.raises(RuntimeError, match="leaves its valency batch"):
+            _ValencyBatch(h, 4)
 
 
 # ---------------------------------------------------------------- verdicts

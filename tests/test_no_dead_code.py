@@ -19,6 +19,7 @@ ALLOWED = {
     "revalidate_map_report": "re-checks a report's witnesses; the tests and the benchmark gate call it",
     "group_to_json": "writer of the @file.json group format that the CLI reads",
     "is_cyclic_permgroup": "acceptance criterion 9 checks that vertex stabilizers are cyclic with it",
+    "cayley_class_key": "per-map class key the orbit walk is tested against; `perfbench/spans.py` wraps it",
 }
 
 
