@@ -27,14 +27,13 @@ import functools
 import multiprocessing
 import os
 import time
-from bisect import bisect_left
 from contextlib import closing
 from itertools import chain, combinations, islice, permutations, product
 from math import factorial
 from typing import Iterable, Optional, Sequence
 
 from .enumeration import (
-    cayley_orbit,
+    cayley_classes,
     connection_sets,
     rotations_of,
     total_map_count,
@@ -174,95 +173,54 @@ def _component_map(m: CayleyMap) -> tuple[Subgroup, CayleyMap]:
     return sub, make_map(k_group, tuple(rank[s] for s in m.rotation))
 
 
-class _ValencyBatch:
-    """All maps over one group with one valency, with their Cayley classes
-    and map-isomorphism classes; the substrate of the definitional oracle."""
-
-    def __init__(self, h: FiniteGroup, valency: int, force_brute: bool = False):
-        self.group = h
-        self.valency = valency
-        self.force_brute = force_brute
-        self.maps = [
-            make_map(h, rot)
-            for s in connection_sets(h, valency)
-            if len(s) == valency
-            for rot in rotations_of(s)
-        ]
-        # walked in sorted order, so the first member met of each Cayley class
-        # has the least rotation in it: the class key and its representative
-        members = {m.rotation for m in self.maps}
-        key_of: dict[tuple, tuple] = {}
-        self.reps: dict[tuple, CayleyMap] = {}
-        for m in sorted(self.maps, key=lambda m: m.rotation):
-            if m.rotation in key_of:
-                continue
-            orbit = cayley_orbit(h, m.rotation)
-            if not orbit <= members:
-                raise RuntimeError(
-                    "a Cayley class leaves its valency batch; the batch must be "
-                    "closed under Aut(H)"
-                )
-            key_of.update(dict.fromkeys(orbit, m.rotation))
-            self.reps[m.rotation] = m
-        self.class_key = {m: key_of[m.rotation] for m in self.maps}
-        self._iso_root: dict[tuple, tuple] = {k: k for k in self.reps}
-        self._compute_iso_classes()
-
-    def _invariant(self, m: CayleyMap) -> tuple:
-        return (len(connection_subgroup(m)), face_profile(m))
-
-    def _find(self, k: tuple) -> tuple:
-        while self._iso_root[k] != k:
-            self._iso_root[k] = self._iso_root[self._iso_root[k]]
-            k = self._iso_root[k]
-        return k
-
-    def _union(self, a: tuple, b: tuple) -> None:
-        ra, rb = self._find(a), self._find(b)
-        if ra != rb:
-            self._iso_root[max(ra, rb)] = min(ra, rb)
-
-    def _compute_iso_classes(self) -> None:
-        keys = list(self.reps)
-        invariants = {k: self._invariant(self.reps[k]) for k in keys}
-        for i, a in enumerate(keys):
-            ma = self.reps[a]
-            conn_a = invariants[a][0] == self.group.order
-            for b in keys[i + 1:]:
-                if invariants[a] != invariants[b] or self._find(a) == self._find(b):
-                    continue
-                mb = self.reps[b]
-                if conn_a and not self.force_brute:
-                    iso = map_iso_exists(ma, mb)
-                else:
-                    iso = bruteforce_map_isomorphism(ma, mb)
-                if iso is not None:
-                    self._union(a, b)
-
-    def definitional_verdict(self, m: CayleyMap) -> tuple[bool, Optional[CayleyMap]]:
-        """CI verdict and, when false, a witness from another Cayley class."""
-        my_key = self.class_key[m]
-        my_root = self._find(my_key)
-        for other in self.reps:
-            if other != my_key and self._find(other) == my_root:
-                return False, self.reps[other]
-        return True, None
-
-
 BATCH_CACHE_SIZE = 32
 
 
 @functools.lru_cache(maxsize=BATCH_CACHE_SIZE)
-def _valency_batch(h: FiniteGroup, valency: int) -> _ValencyBatch:
-    return _ValencyBatch(h, valency)
+def _valency_classes(h: FiniteGroup, valency: int) -> tuple[dict, dict]:
+    """The Cayley classes and map-isomorphism classes of all maps over h with
+    one valency; the substrate of the definitional oracle.
+
+    Returns each rotation's class key, the least rotation of its Cayley
+    class, and each key's mates: the sorted keys of the Cayley classes in
+    its isomorphism class, the key itself included. The map is a CI-map
+    exactly when its key has no other mate.
+    """
+    rotations = sorted(
+        rot for s in connection_sets(h, valency) if len(s) == valency
+        for rot in rotations_of(s)
+    )
+    key: dict[tuple, tuple] = {}
+    for rot, orbit in cayley_classes(h, rotations):
+        key.update(dict.fromkeys(orbit, rot))
+    if len(key) != len(rotations):
+        raise RuntimeError(
+            "a Cayley class leaves its valency batch; the batch must be "
+            "closed under Aut(H)"
+        )
+    # isomorphism is an equivalence, so one leader per class found suffices;
+    # the invariant (connection subgroup order, face lengths) prefilters them
+    leaders: dict[tuple, list[tuple[CayleyMap, list]]] = {}
+    mates: dict[tuple, list] = {}
+    for k in dict.fromkeys(key.values()):
+        m = make_map(h, k)
+        invariant = (len(connection_subgroup(m)), face_profile(m))
+        iso = map_iso_exists if invariant[0] == h.order else bruteforce_map_isomorphism
+        classes = leaders.setdefault(invariant, [])
+        keys = next((keys for leader, keys in classes if iso(leader, m) is not None), None)
+        if keys is None:
+            keys = []
+            classes.append((m, keys))
+        keys.append(k)
+        mates[k] = keys
+    return key, mates
 
 
-def definitional_is_ci_map(m: CayleyMap, backend: str = "auto") -> CiReport:
+def definitional_is_ci_map(m: CayleyMap) -> CiReport:
     """CI verdict straight from the definition, by exhausting same-valency maps.
 
-    ``backend`` selects the isomorphism test used between class
-    representatives: "extension" (connected maps only), "bruteforce", or
-    "auto". The map itself may be disconnected.
+    The map itself may be disconnected: representatives of disconnected
+    classes are compared by brute force, connected ones by extension.
     """
     t0 = time.perf_counter()
     h = m.group
@@ -270,53 +228,46 @@ def definitional_is_ci_map(m: CayleyMap, backend: str = "auto") -> CiReport:
         raise CapacityError(
             f"definitional oracle capped at |H|*|S| <= {DEFINITIONAL_CAP}"
         )
-    if backend not in ("auto", "extension", "bruteforce"):
-        raise ValueError(f"unknown backend {backend!r}")
-    if backend == "extension" and not is_connected(m):
-        raise CapacityError("extension backend requires a connected map")
-    if backend == "bruteforce":
-        batch = _ValencyBatch(h, m.valency, force_brute=True)
-    else:
-        batch = _valency_batch(h, m.valency)
-    verdict, witness = batch.definitional_verdict(m)
+    key, mates = _valency_classes(h, m.valency)
+    my_key = key[m.rotation]
+    other = next((k for k in mates[my_key] if k != my_key), None)
     witnesses = []
-    if not verdict:
-        assert witness is not None
-        if are_cayley_isomorphic(m, witness) is not None:
+    if other is not None:
+        if are_cayley_isomorphic(m, make_map(h, other)) is not None:
             raise RuntimeError("definitional witness is Cayley isomorphic after all")
         witnesses.append(
             {
                 "kind": "isomorphic-non-cayley-isomorphic-map",
                 "map": list(m.rotation),
-                "other": list(witness.rotation),
+                "other": list(other),
             }
         )
     return CiReport(
         subject=_map_subject(m),
-        verdict=verdict,
+        verdict=other is None,
         method="definitional",
         witnesses=witnesses,
         stats={
-            "maps_same_valency": len(batch.maps),
-            "cayley_classes": len(batch.reps),
+            "maps_same_valency": len(key),
+            "cayley_classes": len(mates),
         },
         elapsed=time.perf_counter() - t0,
     )
 
 
-def _rich_maps_cyclic(h: FiniteGroup, max_valency: int) -> tuple[list[CayleyMap], set]:
+def _rich_maps_cyclic(h: FiniteGroup, max_valency: int) -> tuple[list[tuple[int, ...]], set]:
     """All connected maps over a cyclic group with a nontrivial stabilizer.
 
     Every stabilizer is generated by a skew-morphism psi with S a union
     of psi-orbits of length o(psi) and the rotation a full-cycle root of
-    psi restricted to S. Returns the maps plus the skew set for the
-    runtime completeness check.
+    psi restricted to S. Returns the sorted rotations, each in canonical
+    phase, plus the skew set for the runtime completeness check.
     """
     n = h.order
     skews = cyclic_skew_morphisms(n)
     skew_set = set(skews)
     ident = identity_perm(n)
-    rich: dict[tuple[int, ...], CayleyMap] = {}
+    rich: set[tuple[int, ...]] = set()
     for psi in skews:
         if psi == ident:
             continue
@@ -334,36 +285,8 @@ def _rich_maps_cyclic(h: FiniteGroup, max_valency: int) -> tuple[list[CayleyMap]
                 continue
             if len(closure_of(h, s)) != n:
                 continue
-            for rot in _full_cycle_roots(subset, d):
-                m = make_map(h, rot)
-                rich.setdefault(m.rotation, m)
-    return [rich[k] for k in sorted(rich)], skew_set
-
-
-def _rich_class_representatives(h: FiniteGroup, rich: Sequence[CayleyMap]) -> list[tuple[int, ...]]:
-    """One rotation per orbit under Aut(h) and mirror reversal, both of which
-    preserve CI verdicts: the least in its orbit, in the order of ``rich``.
-
-    ``rich`` is sorted by rotation. Each orbit is walked once, from its first
-    member met, and the members it covers are skipped; they are marked by
-    position, so the walk allocates no rotation that outlives its orbit. An
-    orbit whose least member is not in ``rich`` has no representative.
-    """
-    rotations = [m.rotation for m in rich]
-    covered = bytearray(len(rotations))
-    reps = []
-    for i, rot in enumerate(rotations):
-        if covered[i]:
-            continue
-        orbit = cayley_orbit(h, rot)
-        orbit |= {r[:1] + r[:0:-1] for r in orbit}  # the mirrors
-        for member in orbit:
-            j = bisect_left(rotations, member)
-            if j < len(rotations) and rotations[j] == member:
-                covered[j] = 1
-        if min(orbit) == rot:
-            reps.append(rot)
-    return reps
+            rich.update(_full_cycle_roots(subset, d))
+    return sorted(rich), skew_set
 
 
 def _full_cycle_roots(orbits: Sequence[tuple[int, ...]], d: int):
@@ -492,7 +415,9 @@ def _verify_connected_exhaustive(h: FiniteGroup, max_valency: int, workers: int)
 def _verify_connected_stabilizer(h: FiniteGroup, max_valency: int, workers: int) -> CiReport:
     rich, skew_set = _rich_maps_cyclic(h, max_valency)
     maps_rich = len(rich)
-    reps = _rich_class_representatives(h, rich)
+    # Aut(H) and mirror reversal both preserve CI verdicts; an orbit whose
+    # least member is not rich has no representative
+    reps = [rot for rot, orbit in cayley_classes(h, rich, mirror=True) if min(orbit) == rot]
     del rich  # the sweep needs only the representatives
     stats = {"maps_rich": maps_rich, "rich_classes": len(reps)}
     checked = 0
@@ -678,17 +603,17 @@ def cross_validate(h: FiniteGroup, workers: int = 1) -> CiReport:
     t0 = time.perf_counter()
     if h.order > 8:
         raise CapacityError("cross validation is limited to groups of order <= 8")
-    batches = [_valency_batch(h, valency) for valency in range(1, h.order)]
-    connected = [(b, m) for b in batches for m in b.maps if is_connected(m)]
-    verdicts = [rpt.verdict for rpt, _ in _sweep(h, [m.rotation for _, m in connected], workers)]
+    connected = list(_connected_rotations(h, h.order - 1))
+    verdicts = [rpt.verdict for rpt, _ in _sweep(h, connected, workers)]
     discrepancies = []
-    for (batch, m), babai_verdict in zip(connected, verdicts):
-        def_verdict, _ = batch.definitional_verdict(m)
+    for rot, babai_verdict in zip(connected, verdicts):
+        key, mates = _valency_classes(h, len(rot))
+        def_verdict = len(mates[key[rot]]) == 1
         if def_verdict != babai_verdict:
             discrepancies.append(
                 {
                     "kind": "oracle-discrepancy",
-                    "rotation": list(m.rotation),
+                    "rotation": list(rot),
                     "babai": babai_verdict,
                     "definitional": def_verdict,
                 }
@@ -699,7 +624,7 @@ def cross_validate(h: FiniteGroup, workers: int = 1) -> CiReport:
         method="cross-validate",
         witnesses=discrepancies,
         stats={
-            "maps_enumerated": sum(len(b.maps) for b in batches),
+            "maps_enumerated": total_map_count(h, h.order - 1),
             "connected_checked": len(connected),
             "discrepancies": len(discrepancies),
         },

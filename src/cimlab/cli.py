@@ -469,7 +469,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="also write the JSON report to this file")
         p.add_argument("--timings", action="store_true",
                        help="include wall-clock stats in the JSON output")
-        p.add_argument("--workers", type=int, default=1)
+
+    def workers(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--workers", type=int, default=1,
+                       help="processes for the map checks, clamped to [1, CPU count]")
 
     p = sub.add_parser("aut-map", help="automorphism group of a map")
     p.add_argument("--map", required=True)
@@ -494,6 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", choices=["auto", "exhaustive", "stabilizer"],
                    default="auto")
     common(p)
+    workers(p)
     p.set_defaults(fn=lambda a: _cmd_verify_cim(a, connected_only=False))
 
     p = sub.add_parser("verify-connected-cim",
@@ -503,12 +507,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", choices=["auto", "exhaustive", "stabilizer"],
                    default="auto")
     common(p)
+    workers(p)
     p.set_defaults(fn=lambda a: _cmd_verify_cim(a, connected_only=True))
 
     p = sub.add_parser("cross-validate",
                        help="definitional vs regular-subgroup verdicts, order <= 8")
     p.add_argument("--group", required=True)
     common(p)
+    workers(p)
     p.set_defaults(fn=_cmd_cross_validate)
 
     p = sub.add_parser("counterexample", help="construct a witnessed non-CI map")
@@ -526,6 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reproduce-paper", help="run the full reproduction battery")
     common(p)
+    workers(p)
     p.set_defaults(fn=_cmd_reproduce_paper)
 
     return parser

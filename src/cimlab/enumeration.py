@@ -8,6 +8,7 @@ element leads).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from itertools import permutations
 from typing import Iterator, Sequence
 
@@ -61,6 +62,32 @@ def cayley_orbit(h: FiniteGroup, rotation: Sequence[int]) -> set[tuple[int, ...]
         i = rot.index(min(rot))
         orbit.add(rot[i:] + rot[:i])
     return orbit
+
+
+def cayley_classes(
+    h: FiniteGroup, rotations: Sequence[tuple[int, ...]], mirror: bool = False
+) -> Iterator[tuple[tuple[int, ...], set[tuple[int, ...]]]]:
+    """One ``(rotation, orbit)`` per Aut(H)-orbit met in sorted ``rotations``.
+
+    The orbit is walked from its first member met, so ``rotation`` is its
+    least member inside ``rotations``; with ``mirror`` it is the orbit under
+    Aut(H) x mirror reversal. Members already covered are skipped. They are
+    marked by position, so the walk keeps no rotation that outlives its
+    orbit. An orbit may leave ``rotations``; the caller decides whether
+    that is an error.
+    """
+    covered = bytearray(len(rotations))
+    for i, rot in enumerate(rotations):
+        if covered[i]:
+            continue
+        orbit = cayley_orbit(h, rot)
+        if mirror:
+            orbit |= {r[:1] + r[:0:-1] for r in orbit}
+        for member in orbit:
+            j = bisect_left(rotations, member)
+            if j < len(rotations) and rotations[j] == member:
+                covered[j] = 1
+        yield rot, orbit
 
 
 def cayley_class_key(m: CayleyMap) -> tuple[int, ...]:

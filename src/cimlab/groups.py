@@ -32,26 +32,12 @@ class FiniteGroup:
     inverse: tuple[int, ...]
     name: str = "group"
 
-    def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
-    def inv(self, a: int) -> int:
-        return self.inverse[a]
-
     def elements(self) -> range:
         return range(self.order)
 
     def conjugate(self, a: int, x: int) -> int:
         """x * a * x^-1."""
         return self.table[self.table[x][a]][self.inverse[x]]
-
-    def power(self, a: int, k: int) -> int:
-        if k < 0:
-            a, k = self.inverse[a], -k
-        out = 0
-        for _ in range(k):
-            out = self.table[out][a]
-        return out
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name!r}, order={self.order})"

@@ -29,10 +29,6 @@ class CayleyMap:
     def connection_set(self) -> frozenset[int]:
         return frozenset(self.rotation)
 
-    def rho(self, s: int) -> int:
-        i = self.rotation.index(s)
-        return self.rotation[(i + 1) % len(self.rotation)]
-
     def mirror(self) -> "CayleyMap":
         return make_map(self.group, (self.rotation[0],) + tuple(reversed(self.rotation[1:])))
 

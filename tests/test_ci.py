@@ -7,9 +7,9 @@ import pytest
 
 from cimlab import ci
 from cimlab.ci import (
-    _rich_class_representatives,
+    DEFINITIONAL_CAP,
     _rich_maps_cyclic,
-    _ValencyBatch,
+    _valency_classes,
     babai_is_ci_map,
     cross_validate,
     definitional_is_ci_map,
@@ -30,8 +30,14 @@ from cimlab.groups import (
     make_abelian,
     make_cyclic,
 )
-from cimlab.maps import apply_group_automorphism, is_connected, make_map
-from cimlab.mapiso import are_cayley_isomorphic, map_iso_exists
+from cimlab.maps import (
+    apply_group_automorphism,
+    connection_subgroup,
+    face_profile,
+    is_connected,
+    make_map,
+)
+from cimlab.mapiso import are_cayley_isomorphic, bruteforce_map_isomorphism, map_iso_exists
 from conftest import order8_groups
 
 WORKLOADS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -49,6 +55,19 @@ def benchmark_relabel(h, seed):
     sys.modules[spec.name] = workloads  # dataclasses look their module up
     spec.loader.exec_module(workloads)
     return workloads.relabel(h, seed)
+
+
+def swept_representatives(h, max_valency, monkeypatch):
+    """The rotations the stabilizer strategy hands to its sweep."""
+    swept = []
+
+    def record(h, rotations, workers):
+        swept.extend(rotations)
+        yield from ()
+
+    monkeypatch.setattr(ci, "_sweep", record)
+    verify_connected_cim(h, max_valency, strategy="stabilizer")
+    return swept
 
 
 def dihedral_orbit(h, rotation):
@@ -117,9 +136,11 @@ def test_class_key_is_the_rotation_of_one_member(spec, z8, q8, d4):
 
 @pytest.mark.parametrize("n", [7, 9, 11])
 def test_class_key_up_to_mirror_is_the_rotation_of_one_rich_map(n):
-    rich, _ = _rich_maps_cyclic(make_cyclic(n), n - 1)
+    h = make_cyclic(n)
+    rich, _ = _rich_maps_cyclic(h, n - 1)
     assert_one_member_per_class_is_its_key(
-        rich, lambda m: min(cayley_class_key(m), cayley_class_key(m.mirror())))
+        [make_map(h, rot) for rot in rich],
+        lambda m: min(cayley_class_key(m), cayley_class_key(m.mirror())))
 
 
 @pytest.mark.parametrize("n, seed, counts", [
@@ -128,22 +149,22 @@ def test_class_key_up_to_mirror_is_the_rotation_of_one_rich_map(n):
     # strategy; the orbit walk must select what the per-map keys select anyway
     (11, 1, (449, 48)), (11, 2, (400, 24)), (11, 3, (400, 24)),
 ])
-def test_orbit_walk_selects_the_per_map_key_representatives(n, seed, counts):
+def test_orbit_walk_selects_the_per_map_key_representatives(n, seed, counts, monkeypatch):
     h = benchmark_relabel(make_cyclic(n), seed)
     rich, _ = _rich_maps_cyclic(h, n - 1)
-    per_map = [m.rotation for m in rich
+    per_map = [m.rotation for m in (make_map(h, rot) for rot in rich)
                if cayley_class_key(m) == m.rotation <= cayley_class_key(m.mirror())]
-    reps = _rich_class_representatives(h, rich)
+    reps = swept_representatives(h, n - 1, monkeypatch)
     assert reps == per_map
     assert (len(rich), len(reps)) == counts
 
 
 @pytest.mark.parametrize("n", range(7, 14))
-def test_rich_maps_are_closed_and_orbit_sizes_sum_to_maps_rich(n):
+def test_rich_maps_are_closed_and_orbit_sizes_sum_to_maps_rich(n, monkeypatch):
     h = make_cyclic(n)
     rich, _ = _rich_maps_cyclic(h, n - 1)
-    rotations = {m.rotation for m in rich}
-    orbits = [dihedral_orbit(h, rep) for rep in _rich_class_representatives(h, rich)]
+    rotations = set(rich)
+    orbits = [dihedral_orbit(h, rep) for rep in swept_representatives(h, n - 1, monkeypatch)]
     # distinct orbits are disjoint, so orbits inside the rich set whose sizes
     # sum to its size cover it: every Aut(H) x mirror image of a rich map is rich
     assert all(orbit <= rotations for orbit in orbits)
@@ -153,11 +174,12 @@ def test_rich_maps_are_closed_and_orbit_sizes_sum_to_maps_rich(n):
 @pytest.mark.parametrize("h", order8_groups(), ids=lambda h: h.name)
 def test_valency_batch_keys_are_the_per_map_keys(h):
     for valency in range(1, h.order):
-        batch = _ValencyBatch(h, valency)
-        assert batch.class_key == {m: cayley_class_key(m) for m in batch.maps}
-        assert list(batch.reps) == sorted(
-            m.rotation for m in batch.maps if cayley_class_key(m) == m.rotation)
-        assert all(m.rotation == key for key, m in batch.reps.items())
+        key, mates = _valency_classes(h, valency)
+        maps = [m for m in all_maps(h, valency) if m.valency == valency]
+        assert key == {m.rotation: cayley_class_key(m) for m in maps}
+        assert list(mates) == sorted(
+            m.rotation for m in maps if cayley_class_key(m) == m.rotation)
+        assert all(k in keys for k, keys in mates.items())
 
 
 def test_valency_batch_detects_a_class_leaving_it(monkeypatch):
@@ -171,7 +193,7 @@ def test_valency_batch_detects_a_class_leaving_it(monkeypatch):
         monkeypatch.setattr(ci, "rotations_of",
                             lambda s, gone=gone: (r for r in rotations_of(s) if r != gone))
         with pytest.raises(RuntimeError, match="leaves its valency batch"):
-            _ValencyBatch(h, 4)
+            _valency_classes.__wrapped__(h, 4)
 
 
 # ---------------------------------------------------------------- verdicts
@@ -237,12 +259,6 @@ def test_definitional_single_involution_map():
     assert report.verdict is True
 
 
-def test_definitional_bruteforce_backend(k4):
-    m = make_map(k4, (1, 2))
-    assert definitional_is_ci_map(m, backend="bruteforce").verdict == \
-        definitional_is_ci_map(m, backend="auto").verdict
-
-
 def test_definitional_cap():
     z16 = make_cyclic(16)
     with pytest.raises(CapacityError):
@@ -260,6 +276,61 @@ def test_definitional_detects_disconnected_witness():
     m = make_map(g, (square,))
     report = definitional_is_ci_map(m)
     assert report.verdict is False
+
+
+class UnionFindBatch:
+    """The definitional oracle as a union-find over Cayley class keys: every
+    pair of class representatives with equal invariants is tested unless
+    already joined. Kept as the reference the per-leader partition of
+    ``_valency_classes`` must reproduce."""
+
+    def __init__(self, h, valency):
+        self.maps = [make_map(h, rot) for s in connection_sets(h, valency)
+                     if len(s) == valency for rot in rotations_of(s)]
+        key_of, self.reps = {}, {}
+        for m in sorted(self.maps, key=lambda m: m.rotation):
+            if m.rotation not in key_of:
+                key_of.update(dict.fromkeys(cayley_orbit(h, m.rotation), m.rotation))
+                self.reps[m.rotation] = m
+        self.class_key = {m.rotation: key_of[m.rotation] for m in self.maps}
+        self.root = {k: k for k in self.reps}
+        keys = list(self.reps)
+        invariant = {k: (len(connection_subgroup(m)), face_profile(m))
+                     for k, m in self.reps.items()}
+        for i, a in enumerate(keys):
+            for b in keys[i + 1:]:
+                if invariant[a] != invariant[b] or self.find(a) == self.find(b):
+                    continue
+                iso = map_iso_exists if invariant[a][0] == h.order else bruteforce_map_isomorphism
+                if iso(self.reps[a], self.reps[b]) is not None:
+                    ra, rb = self.find(a), self.find(b)
+                    self.root[max(ra, rb)] = min(ra, rb)
+
+    def find(self, k):
+        while self.root[k] != k:
+            k = self.root[k]
+        return k
+
+    def witness(self, rotation):
+        """The least other class key isomorphic to the map's, or None."""
+        mine = self.class_key[rotation]
+        return next((k for k in self.reps
+                     if k != mine and self.find(k) == self.find(mine)), None)
+
+
+@pytest.mark.parametrize("h", order8_groups() + [make_abelian([2, 2]), make_cyclic(7), make_cyclic(9)],
+                         ids=lambda h: h.name)
+def test_definitional_matches_the_union_find_oracle(h):
+    for valency in range(1, min(h.order, DEFINITIONAL_CAP // h.order + 1)):
+        batch = UnionFindBatch(h, valency)
+        for m in batch.maps:
+            report = definitional_is_ci_map(m)
+            witness = batch.witness(m.rotation)
+            assert report.verdict is (witness is None)
+            assert [w["other"] for w in report.witnesses] == \
+                ([] if witness is None else [list(witness)])
+            assert report.stats == {"maps_same_valency": len(batch.maps),
+                                    "cayley_classes": len(batch.reps)}
 
 
 # ------------------------------------------------------------ group-level
@@ -312,7 +383,7 @@ def test_stabilizer_strategy_finds_all_rich_maps():
         for m in all_maps(h, maxval):
             if is_connected(m) and len(stabilizer_automorphisms(m)) > 1:
                 expected.add(m.rotation)
-        assert {m.rotation for m in rich} == expected
+        assert set(rich) == expected
 
 
 def test_stabilizer_strategy_detects_a_missing_skew_morphism(monkeypatch):

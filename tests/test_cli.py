@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -138,6 +139,30 @@ def test_cross_validate_cli(capsys):
     assert rc == 0
 
 
+# sha256 of the canonical JSON each command prints, and its exit code;
+# any change to these bytes is a change to the regression oracle
+GOLDEN = [
+    (["cross-validate", "--group", "cyclic:8"], 0,
+     "e54a9023f199c3dfe4313bee145a51136518484bb5ab6f019d3aa90645f1e5e9"),
+    (["cross-validate", "--group", "abelian:2,4"], 0,
+     "65fcecbc70d82f223b15c4321604ac816dad68129f6ac20703c9e00d3877b92e"),
+    (["cross-validate", "--group", "abelian:2,2,2"], 0,
+     "1c71509e54bdfca4ef161a55a46e9c1acab3bc4b6736323088bb807dbfd9aac8"),
+    (["cross-validate", "--group", "quaternion:8"], 0,
+     "eb7f81df71225b0d7a7a03d904eabd85f40fa5472ed7bf8765aa8e7de53a6cfb"),
+    (["cross-validate", "--group", "semidirect:cyclic:4,2,neg"], 0,
+     "3f366c412a87fe85a59de2b15ac069b3bf897c1c2ccda947100809accd2569cd"),
+    (["is-ci-map", "--method", "definitional", "--map", "z9:1,5,7,8,4,2"], 1,
+     "de5a95828cb3f95818b8df5e503cfc0a598f909a25a40722fd82316b91b96894"),
+]
+
+
+@pytest.mark.parametrize("argv, code, digest", GOLDEN, ids=[argv[-1] for argv, _, _ in GOLDEN])
+def test_canonical_json_matches_golden_digest(capsys, argv, code, digest):
+    assert run(argv) == code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 def test_counterexample_families(capsys):
     for argv in (
         ["counterexample", "--family", "odd-square", "--p", "3"],
@@ -156,6 +181,12 @@ def test_error_exit_code(capsys):
     captured = capsys.readouterr()
     assert rc == 2
     assert "error" in captured.err
+
+
+@pytest.mark.parametrize("command", ["aut-map", "is-ci-map"])
+def test_workers_is_rejected_where_no_maps_are_swept(capsys, command):
+    assert run([command, "--map", "z8:1,3,5,7", "--workers", "2"]) == 2
+    assert "--workers" in capsys.readouterr().err
 
 
 def test_out_file(tmp_path, capsys):

@@ -205,11 +205,12 @@ def test_morphism_validation_rejects_scramble(z8):
         bad.validate()
 
 
-def test_bruteforce_matches_extension_for_connected(z8):
-    m1 = unit_map(z8)
-    m2 = make_map(z8, (1, 7, 5, 3))
-    assert (map_iso_exists(m1, m2) is not None) == \
-        (bruteforce_map_isomorphism(m1, m2) is not None)
+def test_bruteforce_matches_extension_for_connected(z8, k4):
+    pairs = [(unit_map(z8), make_map(z8, (1, 7, 5, 3)))]
+    pairs += [(make_map(k4, (1, 2)), make_map(k4, rot)) for rot in ((1, 2), (1, 3), (2, 3))]
+    for m1, m2 in pairs:
+        assert (map_iso_exists(m1, m2) is not None) == \
+            (bruteforce_map_isomorphism(m1, m2) is not None)
 
 
 def test_bruteforce_handles_disconnected(z8):

@@ -1,9 +1,13 @@
-"""Every module-level function and class in ``src/cimlab`` is used by the package.
+"""Every module-level function and class in ``src/cimlab``, and every public
+method of those classes, is used by the package.
 
 A definition counts as used when some other part of ``src/cimlab`` names
 it: a call, an attribute access, a decorator, or an import, including the
 exports of ``__init__``. Names inside the definition's own body do not
-count, so a function that only calls itself is still dead.
+count, so a function that only calls itself is still dead. A method is
+used only through an attribute access. The check matches by name alone:
+a local that shares a function's name hides the function, and an
+attribute of any object that shares a method's name hides the method.
 """
 
 import ast
@@ -20,6 +24,9 @@ ALLOWED = {
     "group_to_json": "writer of the @file.json group format that the CLI reads",
     "is_cyclic_permgroup": "acceptance criterion 9 checks that vertex stabilizers are cyclic with it",
     "cayley_class_key": "per-map class key the orbit walk is tested against; `perfbench/spans.py` wraps it",
+    "CayleyMap.mirror": "the mirror oracle the tests compare the orbit walk's reversal against",
+    "GroupIsomorphism.compose": "tests check that Aut(H) is closed under it and that map images compose",
+    "Subgroup.is_normal": "tests check with it that every subgroup of a class-M group is normal",
 }
 
 
@@ -35,17 +42,29 @@ def _names(node: ast.AST) -> Counter:
     return out
 
 
+def _attributes(node: ast.AST) -> Counter:
+    return Counter(sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute))
+
+
 def unreferenced_definitions() -> list[str]:
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     used: Counter = Counter()
+    attributes: Counter = Counter()
     for tree in trees.values():
         used += _names(tree)
+        attributes += _attributes(tree)
     dead = []
     for module, tree in trees.items():
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                if used[node.name] - _names(node)[node.name] <= 0:
-                    dead.append(f"{module}:{node.name}")
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if used[node.name] - _names(node)[node.name] <= 0:
+                dead.append(f"{module}:{node.name}")
+            if isinstance(node, ast.ClassDef):
+                for method in node.body:
+                    if (isinstance(method, ast.FunctionDef) and not method.name.startswith("_")
+                            and attributes[method.name] - _attributes(method)[method.name] <= 0):
+                        dead.append(f"{module}:{node.name}.{method.name}")
     return dead
 
 
