@@ -103,12 +103,11 @@ def regular_witness_map(m: CayleyMap, rival: PermutationGroup) -> CayleyMap:
     translations, the result is isomorphic to m but not Cayley
     isomorphic to it.
     """
-    abstract, order_list = perm_group_as_finite_group(rival)
-    chi = is_isomorphic(m.group, abstract)
+    chi = is_isomorphic(m.group, perm_group_as_finite_group(rival))
     if chi is None:
         raise ValueError("rival subgroup is not isomorphic to the map's group")
-    lam = [order_list[chi.images[g]][0] for g in m.group.elements()]
-    lam_inv = {v: g for g, v in enumerate(lam)}
+    # the rival element chi(g) sends the identity vertex to chi.images[g]
+    lam_inv = {v: g for g, v in enumerate(chi.images)}
     return make_map(m.group, tuple(lam_inv[v] for v in m.rotation))
 
 
@@ -162,15 +161,6 @@ def babai_is_ci_map(m: CayleyMap, aut: Optional[PermutationGroup] = None) -> CiR
         },
         elapsed=time.perf_counter() - t0,
     )
-
-
-def _component_map(m: CayleyMap) -> tuple[Subgroup, CayleyMap]:
-    """The connected component of the identity, as a map over <S>."""
-    members = connection_subgroup(m)
-    sub = Subgroup(m.group, members)
-    rank = {x: i for i, x in enumerate(members)}
-    k_group = sub.as_group()
-    return sub, make_map(k_group, tuple(rank[s] for s in m.rotation))
 
 
 BATCH_CACHE_SIZE = 32
@@ -457,10 +447,10 @@ def _group_report(
     )
 
 
-def _check_reduction_conditions(h: FiniteGroup, k: Subgroup) -> bool:
+def _check_reduction_conditions(h: FiniteGroup, k: Subgroup, k_group: FiniteGroup) -> bool:
     """Equal-order subgroups conjugate to k under Aut(h), and every
-    automorphism of k extends to h; exactly what the disconnected-case
-    reduction consumes."""
+    automorphism of k (as ``k_group``, member rank i as element i) extends
+    to h; exactly what the disconnected-case reduction consumes."""
     auts = automorphisms(h)
     k_set = set(k.members)
     for other in all_subgroups(h):
@@ -468,7 +458,6 @@ def _check_reduction_conditions(h: FiniteGroup, k: Subgroup) -> bool:
             continue
         if not any({a.images[x] for x in other.members} == k_set for a in auts):
             return False
-    k_group = k.as_group()
     ms = k.members
     for beta in automorphisms(k_group):
         if not any(
@@ -493,7 +482,8 @@ def verify_cim_group(
     subgroup automorphisms extend; both conditions are checked, not
     assumed, and hold for the Z_n x Z_2^r / Z_4 / Q_8 family and for
     cyclic groups. Anything else with disconnected maps in range is
-    reported as unsupported rather than guessed.
+    reported as unsupported rather than guessed. Each K is built as a
+    group once, the first time a connection set generates it.
     """
     t0 = time.perf_counter()
     report = verify_connected_cim(h, max_valency, strategy, workers)
@@ -502,53 +492,48 @@ def verify_cim_group(
         report.elapsed = time.perf_counter() - t0
         return report
 
-    disconnected_sets = [
-        s for s in connection_sets(h, max_valency)
-        if len(closure_of(h, s)) != h.order
-    ]
-    if sum(factorial(len(s) - 1) for s in disconnected_sets) > DISCONNECTED_CAP:
+    disconnected_sets = []
+    for s in connection_sets(h, max_valency):
+        members = closure_of(h, s)
+        if len(members) != h.order:
+            disconnected_sets.append((s, members))
+    if sum(factorial(len(s) - 1) for s, _ in disconnected_sets) > DISCONNECTED_CAP:
         raise CapacityError("too many disconnected maps in range")
 
-    reduction_ok: dict[tuple, bool] = {}
-    component_verdicts: dict[tuple, CiReport] = {}
+    # K's members -> (K as a group, rank of each member in it)
+    components: dict[tuple, tuple[FiniteGroup, dict]] = {}
     disconnected = 0
-    reduced = 0
-    used_subgroups = set()
-    for m in (make_map(h, rot) for s in disconnected_sets for rot in rotations_of(s)):
-        disconnected += 1
-        sub, comp = _component_map(m)
-        if sub.members not in reduction_ok:
-            reduction_ok[sub.members] = _check_reduction_conditions(h, sub)
-        if not reduction_ok[sub.members]:
-            raise UnsupportedReductionError(
-                f"disconnected maps over {h.name} generate {sub.members}; "
-                "subgroup conjugacy or automorphism extension fails, so the "
-                "reduction to connected maps does not apply"
-            )
-        used_subgroups.add(sub.members)
-        key = (sub.members, comp.rotation)
-        if key not in component_verdicts:
-            component_verdicts[key] = babai_is_ci_map(comp)
-        reduced += 1
-        comp_report = component_verdicts[key]
-        if not comp_report.verdict:
-            out = _group_report(
-                h, False, report.stats.get("strategy", "auto") + "-babai+disconnected-reduction",
-                comp_report,
-                dict(report.stats, maps_disconnected=disconnected,
-                     component_checks=len(component_verdicts)),
-            )
-            out.notes["failing_disconnected_rotation"] = list(m.rotation)
-            out.elapsed = time.perf_counter() - t0
-            return out
+    for s, members in disconnected_sets:
+        if members not in components:
+            sub = Subgroup(h, members)
+            k_group = sub.as_group()
+            if not _check_reduction_conditions(h, sub, k_group):
+                raise UnsupportedReductionError(
+                    f"disconnected maps over {h.name} generate {members}; "
+                    "subgroup conjugacy or automorphism extension fails, so the "
+                    "reduction to connected maps does not apply"
+                )
+            components[members] = (k_group, {x: i for i, x in enumerate(members)})
+        k_group, rank = components[members]
+        for rot in rotations_of(s):
+            disconnected += 1
+            comp_report = babai_is_ci_map(make_map(k_group, tuple(rank[x] for x in rot)))
+            if not comp_report.verdict:
+                out = _group_report(
+                    h, False, report.stats.get("strategy", "auto") + "-babai+disconnected-reduction",
+                    comp_report,
+                    dict(report.stats, maps_disconnected=disconnected,
+                         component_checks=disconnected),
+                )
+                out.notes["failing_disconnected_rotation"] = list(rot)
+                out.elapsed = time.perf_counter() - t0
+                return out
 
     report.method += "+disconnected-reduction"
     report.stats["maps_disconnected"] = disconnected
-    report.stats["maps_reduced"] = reduced
-    report.stats["component_checks"] = len(component_verdicts)
-    report.notes["reduction_subgroups"] = sorted(
-        list(members) for members in used_subgroups
-    )
+    report.stats["maps_reduced"] = disconnected
+    report.stats["component_checks"] = disconnected
+    report.notes["reduction_subgroups"] = sorted(list(members) for members in components)
     report.elapsed = time.perf_counter() - t0
     return report
 

@@ -29,6 +29,7 @@ from .perms import (
     PermutationGroup,
     closure,
     compose,
+    cycles_of,
     identity_perm,
     inverse_perm,
     is_regular,
@@ -113,10 +114,7 @@ def odd_square_map(p: int, kind: str = "cyclic", cap: int = 7) -> WitnessedMap:
     if perm_order(alpha) != 2 * p:
         raise RuntimeError("alpha does not have order 2p")
     # the connection set is the 2p-element alpha-orbit with the least seed
-    seed = next(
-        x for x in range(1, k_group.order) if len(_orbit(alpha, x)) == 2 * p
-    )
-    rotation = _orbit(alpha, seed)
+    rotation = next(c for c in cycles_of(alpha) if len(c) == 2 * p)
     m = make_map(k_group, rotation)
     ambient = closure(
         [tuple(k_group.table[a]) for a in range(1, k_group.order)] + [alpha]
@@ -131,15 +129,6 @@ def odd_square_map(p: int, kind: str = "cyclic", cap: int = 7) -> WitnessedMap:
         rival=rival,
         notes=f"order-{p * p} {kind} witness; balanced orbit map of valency {2 * p}",
     )
-
-
-def _orbit(p: Perm, x: int) -> tuple[int, ...]:
-    out = [x]
-    y = p[x]
-    while y != x:
-        out.append(y)
-        y = p[y]
-    return tuple(out)
 
 
 def cyclic_2power_map(n: int, cap: int = 6) -> WitnessedMap:

@@ -134,7 +134,8 @@ def check_group_axioms(g: FiniteGroup) -> None:
                     raise ValueError("associativity fails")
 
 
-def _from_table(table: Sequence[Sequence[int]], name: str, validate: bool = True) -> FiniteGroup:
+def from_table(table: Sequence[Sequence[int]], name: str = "group") -> FiniteGroup:
+    """Build and validate a group from an explicit table (e.g. parsed JSON)."""
     n = len(table)
     tbl = tuple(tuple(int(x) for x in row) for row in table)
     inv = [0] * n
@@ -144,14 +145,8 @@ def _from_table(table: Sequence[Sequence[int]], name: str, validate: bool = True
                 inv[a] = b
                 break
     g = FiniteGroup(n, tbl, tuple(inv), name)
-    if validate:
-        check_group_axioms(g)
+    check_group_axioms(g)
     return g
-
-
-def from_table(table: Sequence[Sequence[int]], name: str = "group") -> FiniteGroup:
-    """Build and validate a group from an explicit table (e.g. parsed JSON)."""
-    return _from_table(table, name, validate=True)
 
 
 def make_cyclic(n: int) -> FiniteGroup:
@@ -166,35 +161,7 @@ def make_abelian(orders: Sequence[int]) -> FiniteGroup:
     """Direct product of cyclic groups, elements in mixed-radix encoding."""
     if any(m < 1 for m in orders):
         raise InvalidOrderError(f"all factor orders must be >= 1, got {list(orders)}")
-    radix = list(orders)
-    n = 1
-    for m in radix:
-        n *= m
-
-    def decode(i: int) -> list[int]:
-        digits = []
-        for m in reversed(radix):
-            digits.append(i % m)
-            i //= m
-        return digits[::-1]
-
-    def encode(digits: Iterable[int]) -> int:
-        i = 0
-        for d, m in zip(digits, radix):
-            i = i * m + d
-        return i
-
-    coords = [decode(i) for i in range(n)]
-    tbl = tuple(
-        tuple(
-            encode((x + y) % m for x, y, m in zip(coords[a], coords[b], radix))
-            for b in range(n)
-        )
-        for a in range(n)
-    )
-    inv = tuple(encode((-x) % m for x, m in zip(coords[a], radix)) for a in range(n))
-    name = "x".join(f"Z{m}" for m in radix) if radix else "Z1"
-    return FiniteGroup(n, tbl, inv, name)
+    return functools.reduce(direct_product, map(make_cyclic, orders or [1]))
 
 
 def make_generalized_quaternion(order: int) -> FiniteGroup:
@@ -219,8 +186,7 @@ def make_generalized_quaternion(order: int) -> FiniteGroup:
         return (i2 + quarter) % half
 
     tbl = tuple(tuple(mul(x, y) for y in range(order)) for x in range(order))
-    g = _from_table(tbl, f"Q{order}", validate=True)
-    return g
+    return from_table(tbl, f"Q{order}")
 
 
 def make_semidirect(k_group: FiniteGroup, c_order: int, action: GroupIsomorphism) -> FiniteGroup:
@@ -256,7 +222,7 @@ def make_semidirect(k_group: FiniteGroup, c_order: int, action: GroupIsomorphism
             row.append(((i + j) % c_order) * nk + k_group.table[k1][act[k2]])
         tbl.append(tuple(row))
     name = f"{k_group.name}:Z{c_order}"
-    return _from_table(tbl, name, validate=True)
+    return from_table(tbl, name)
 
 
 def direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:

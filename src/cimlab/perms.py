@@ -148,11 +148,10 @@ def left_regular_representation(h: FiniteGroup) -> PermutationGroup:
     """All left translations x -> g*x of a finite group, acting on its elements.
 
     Cached per group; the result is shared, which is safe because
-    ``PermutationGroup`` is frozen.
+    ``PermutationGroup`` is frozen. Row a of the table is the translation
+    sending the identity to a, so the rows are already in sorted order.
     """
-    elems = tuple(sorted(tuple(h.table[a]) for a in h.elements()))
-    gens = tuple(tuple(h.table[a]) for a in range(h.order) if a != 0) or (identity_perm(h.order),)
-    return PermutationGroup(h.order, elems, gens)
+    return PermutationGroup(h.order, h.table, h.table[1:] or h.table)
 
 
 def orbit_of(g: PermutationGroup, point: int) -> frozenset[int]:
@@ -340,23 +339,22 @@ def _grow_closure(
     return elems
 
 
-def perm_group_as_finite_group(g: PermutationGroup) -> tuple[FiniteGroup, list[Perm]]:
-    """Abstract multiplication table of g; returns the element order used."""
-    ident = identity_perm(g.degree)
-    order_list = [ident] + [p for p in g.elements if p != ident]
-    index = {p: i for i, p in enumerate(order_list)}
-    tbl = tuple(
-        tuple(index[compose(a, b)] for b in order_list) for a in order_list
-    )
-    inv = tuple(index[inverse_perm(a)] for a in order_list)
-    return FiniteGroup(len(order_list), tbl, inv, "perm-group"), order_list
+def perm_group_as_finite_group(g: PermutationGroup) -> FiniteGroup:
+    """Abstract multiplication table of a regular group g.
+
+    Sorted members of a regular group are ordered by their image of 0, so
+    element a is the member sending 0 to a. Then a*b (b first, then a)
+    sends 0 to ``g.elements[a][b]``, so ``g.elements`` is the table.
+    """
+    if [p[0] for p in g.elements] != list(range(g.degree)):
+        raise ValueError("group is not regular")
+    return FiniteGroup(g.order, g.elements, tuple(p.index(0) for p in g.elements), "perm-group")
 
 
 def _perm_group_isomorphic(g: PermutationGroup, h: FiniteGroup) -> bool:
     if g.order != h.order:
         return False
-    abstract, _ = perm_group_as_finite_group(g)
-    return is_isomorphic(abstract, h) is not None
+    return is_isomorphic(perm_group_as_finite_group(g), h) is not None
 
 
 def are_conjugate_subgroups(

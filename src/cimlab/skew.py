@@ -97,19 +97,20 @@ def _leaf_count_estimate(n: int, q: int) -> int:
     return out
 
 
-def cyclic_skew_morphisms(n: int, leaf_budget: int = DEFAULT_LEAF_BUDGET) -> list[Perm]:
+def cyclic_skew_morphisms(n: int) -> list[Perm]:
     """All skew-morphisms of Z_n (identity included), sorted."""
-    return list(_cyclic_skews(n, leaf_budget))
+    return list(_cyclic_skews(n))
 
 
 @functools.lru_cache(maxsize=SKEW_CACHE_SIZE)
-def _cyclic_skews(n: int, leaf_budget: int) -> tuple[Perm, ...]:
+def _cyclic_skews(n: int) -> tuple[Perm, ...]:
     h = make_cyclic(n)
     results: set[Perm] = {tuple(range(n))}
     for q in _proper_divisors(n):
-        if _leaf_count_estimate(n, q) > leaf_budget:
+        if _leaf_count_estimate(n, q) > DEFAULT_LEAF_BUDGET:
             raise CapacityError(
-                f"skew enumeration for Z_{n} needs more than {leaf_budget} leaves at period {q}"
+                f"skew enumeration for Z_{n} needs more than {DEFAULT_LEAF_BUDGET} "
+                f"leaves at period {q}"
             )
         for u in _increment_vectors(n, q):
             psi = [0] * n

@@ -5,6 +5,7 @@ in the failure report) and then asserts. Runtime bounds are part of the
 criteria and are asserted too.
 """
 
+import hashlib
 import json
 import random
 import time
@@ -46,6 +47,9 @@ from cimlab.perms import (
 )
 
 from conftest import negation_action, two_step_formula
+
+# sha256 of the reproduce-paper JSON; perfbench's paper-battery gate records it too
+PAPER_BATTERY_DIGEST = "e09d81c9fc0cec59afaf5360545158d36e5e6e87f3df514debbfa06a45725bba"
 
 
 def announce(number: int, ok: bool, detail: str = "") -> None:
@@ -390,3 +394,4 @@ def test_criterion_10_reproduce_paper_determinism(tmp_path, capsys):
         announce(10, ok, f"3 runs (workers 1/4/8) in {elapsed:.1f}s")
     assert all(rc == 0 for rc in rcs), rcs
     assert identical
+    assert hashlib.sha256(outputs[0]).hexdigest() == PAPER_BATTERY_DIGEST

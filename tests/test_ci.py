@@ -25,8 +25,11 @@ from cimlab.enumeration import (
 )
 from cimlab.errors import CapacityError, UnsupportedReductionError
 from cimlab.groups import (
+    FiniteGroup,
+    Subgroup,
     all_subgroups,
     automorphisms,
+    is_isomorphic,
     make_abelian,
     make_cyclic,
 )
@@ -37,7 +40,19 @@ from cimlab.maps import (
     is_connected,
     make_map,
 )
-from cimlab.mapiso import are_cayley_isomorphic, bruteforce_map_isomorphism, map_iso_exists
+from cimlab.mapiso import (
+    are_cayley_isomorphic,
+    bruteforce_map_isomorphism,
+    map_automorphism_group,
+    map_iso_exists,
+)
+from cimlab.perms import (
+    compose,
+    identity_perm,
+    inverse_perm,
+    left_regular_representation,
+    regular_subgroups_isomorphic_to,
+)
 from conftest import order8_groups
 
 WORKLOADS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -245,6 +260,36 @@ def test_regular_witness_map_properties():
     assert are_cayley_isomorphic(m, witness) is None
 
 
+
+def witness_map_by_multiplying_out(m, rival):
+    """regular_witness_map as it was first written: the rival's table from
+    its products, in the order identity first, then the others sorted."""
+    ident = identity_perm(rival.degree)
+    order_list = [ident] + [p for p in rival.elements if p != ident]
+    index = {p: i for i, p in enumerate(order_list)}
+    table = tuple(tuple(index[compose(a, b)] for b in order_list) for a in order_list)
+    inverse = tuple(index[inverse_perm(a)] for a in order_list)
+    chi = is_isomorphic(m.group, FiniteGroup(len(order_list), table, inverse, "perm-group"))
+    lam = [order_list[chi.images[g]][0] for g in m.group.elements()]
+    lam_inv = {v: g for g, v in enumerate(lam)}
+    return make_map(m.group, tuple(lam_inv[v] for v in m.rotation))
+
+
+def test_regular_witness_map_matches_the_multiplied_out_table():
+    rivals = 0
+    for h in order8_groups() + [make_cyclic(9), make_abelian([3, 3])]:
+        hhat = left_regular_representation(h)
+        for s in connection_sets(h, 5):
+            for rot in rotations_of(s):
+                m = make_map(h, rot)
+                if not is_connected(m):
+                    break
+                for r in regular_subgroups_isomorphic_to(map_automorphism_group(m), h):
+                    if r.elements != hhat.elements:
+                        rivals += 1
+                        assert ci.regular_witness_map(m, r) == witness_map_by_multiplying_out(m, r)
+    assert rivals == 38
+
 # ------------------------------------------------------------ definitional
 
 def test_definitional_agrees_on_orbit_map():
@@ -420,6 +465,43 @@ def test_verify_cim_z2x4_false_via_connected_witness():
     # so the verdict is reported before the reduction is consulted
     report = verify_cim_group(make_abelian([2, 4]), 7)
     assert report.verdict is False
+
+
+def test_disconnected_reduction_reports_a_failing_component(monkeypatch):
+    # every component over Z8 is a CI-map, so flip one verdict to reach the
+    # failure branch: the map (2, 6) reduces to (1, 3) over K = <2>
+    real = ci.babai_is_ci_map
+
+    def flipped(m, aut=None):
+        report = real(m, aut=aut)
+        if m.group.name == "Z8|{0,2,4,6}" and m.rotation == (1, 3):
+            report.verdict = False
+        return report
+
+    monkeypatch.setattr(ci, "babai_is_ci_map", flipped)
+    report = verify_cim_group(make_cyclic(8), 7)
+    assert report.to_json_dict() == {
+        "subject": {"kind": "group", "group": "Z8", "order": 8},
+        "verdict": False,
+        "method": "exhaustive-babai+disconnected-reduction",
+        "witnesses": [{"kind": "non-ci-map", "rotation": [1, 3], "group": "Z8|{0,2,4,6}"}],
+        "stats": {"maps_checked": 936, "maps_connected": 936, "maps_total": 940,
+                  "strategy": "exhaustive", "maps_disconnected": 2, "component_checks": 2},
+        "notes": {"class_m_form": None, "first_failing_map": [1, 3],
+                  "failing_disconnected_rotation": [2, 6]},
+    }
+
+
+def test_each_connection_subgroup_is_built_once(monkeypatch):
+    built = []
+    as_group = Subgroup.as_group
+    monkeypatch.setattr(Subgroup, "as_group",
+                        lambda sub, name=None: built.append(sub.members) or as_group(sub, name))
+    report = verify_cim_group(make_cyclic(16), 5)
+    assert report.verdict is True
+    assert report.stats["maps_disconnected"] > len(built) > 1
+    assert len(built) == len(report.notes["reduction_subgroups"])
+    assert sorted(map(list, built)) == report.notes["reduction_subgroups"]
 
 
 def test_subgroup_heredity_of_z8(z8):

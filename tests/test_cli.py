@@ -154,6 +154,18 @@ GOLDEN = [
      "3f366c412a87fe85a59de2b15ac069b3bf897c1c2ccda947100809accd2569cd"),
     (["is-ci-map", "--method", "definitional", "--map", "z9:1,5,7,8,4,2"], 1,
      "de5a95828cb3f95818b8df5e503cfc0a598f909a25a40722fd82316b91b96894"),
+    # the disconnected reduction, over several connection subgroups each
+    (["verify-cim", "--group", "cyclic:18", "--max-valency", "4"], 0,
+     "15af5afb49277a8375699c6c561ef079bdc64c7b0ae8b282868dbd9b692605d1"),
+    (["verify-cim", "--group", "cyclic:16", "--max-valency", "5"], 0,
+     "1565c2597a815c0a63135781b4ab59580c8a651220277a62158d0762f9fc3c9c"),
+    (["verify-cim", "--group", "cyclic:8", "--max-valency", "7"], 0,
+     "1a562e2ba4b828b0fe7f79ed35a6515fcfab3b44425177bb6c1e010db4cd8909"),
+    # witnesses over make_abelian tables and rival tables
+    (["counterexample", "--family", "odd-square", "--p", "3", "--kind", "elementary"], 1,
+     "3f1735071c95765c1e65a881216cd91d8f669c91f0d0dc94498d114e5d30d6d2"),
+    (["counterexample", "--family", "frobenius"], 1,
+     "905a7a83ac28cd6b11dd4854d0409a7dc7effcd1729614b102b9f8850751f8c6"),
 ]
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -107,6 +108,24 @@ def test_abelian_single_factor_is_cyclic():
 
 def test_abelian_empty_is_trivial():
     assert make_abelian([]).order == 1
+
+
+# sha256 of repr(table) in the mixed-radix encoding (first factor most
+# significant); inline @file.json tables and witness rotations depend on it
+ABELIAN_TABLE_DIGESTS = {
+    (2, 4): "028f3e4b0454e5343b7def100558db9af14d77f38f12e51fa2e5ebffa028ce2e",
+    (2, 2, 2): "3f285b4ed16ad3020ecde79db0d1cce796618db7d0bba10718ea281455e93e1c",
+    (3, 3): "8fd2350da88e5c6eb071817ee312f26f7d0bd58c36851ace10e54d75e2a46206",
+    (15, 2, 2): "5544f781bc89039110d47902651a33c5e7a723215a3ea56c764b4e7dde44a0ee",
+    (3, 4): "16f63672c1282e23a82f12165ca4caadc308195be475961347cdbd4f614dac66",
+}
+
+
+@pytest.mark.parametrize("orders", sorted(ABELIAN_TABLE_DIGESTS))
+def test_abelian_table_encoding_is_pinned(orders):
+    g = make_abelian(list(orders))
+    assert hashlib.sha256(repr(g.table).encode()).hexdigest() == ABELIAN_TABLE_DIGESTS[orders]
+    assert g.name == "x".join(f"Z{m}" for m in orders)
 
 
 def test_quaternion_eight(q8):

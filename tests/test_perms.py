@@ -8,6 +8,7 @@ from cimlab.groups import is_cyclic_group, make_abelian, make_cyclic, make_gener
 from cimlab.perms import (
     are_conjugate_subgroups,
     closure,
+    compose,
     conjugate_subgroup,
     fixed_points,
     identity_perm,
@@ -403,6 +404,24 @@ def test_right_regular_q8_takes_the_isomorphism_test(monkeypatch):
                         lambda sub: calls.append(sub) or as_table(sub))
     assert regular_subgroups_isomorphic_to(g, q8) == [g]
     assert calls == [g]
+
+
+def test_table_of_a_non_regular_group_is_refused():
+    z8 = make_cyclic(8)
+    g = map_automorphism_group(make_map(z8, (1, 3, 5, 7)))
+    assert g.order == 32
+    with pytest.raises(ValueError, match="not regular"):
+        perms.perm_group_as_finite_group(g)
+
+
+def test_regular_group_is_its_own_table(q8=make_generalized_quaternion(8)):
+    g = right_regular_representation(q8)
+    table = perms.perm_group_as_finite_group(g)
+    assert table.table == g.elements
+    for a, p in enumerate(g.elements):
+        assert p[table.inverse[a]] == 0
+        assert all(table.table[a][b] == g.elements.index(compose(p, g.elements[b]))
+                   for b in range(8))
 
 
 def test_left_regular_copy_of_another_group_is_not_taken():

@@ -1,5 +1,6 @@
 import pytest
 
+from cimlab import skew
 from cimlab.errors import CapacityError
 from cimlab.groups import automorphisms, make_cyclic
 from cimlab.maps import is_skew_morphism
@@ -48,10 +49,15 @@ def test_known_counts():
     assert len(cyclic_skew_morphisms(8)) == 6
 
 
-def test_leaf_budget_is_honoured_after_a_cached_call():
+def test_leaf_budget_is_honoured_after_a_cached_call(monkeypatch):
     assert len(cyclic_skew_morphisms(12)) == 8
-    with pytest.raises(CapacityError, match="more than 1 leaves"):
-        cyclic_skew_morphisms(12, leaf_budget=1)
+    monkeypatch.setattr(skew, "DEFAULT_LEAF_BUDGET", 1)
+    skew._cyclic_skews.cache_clear()
+    try:
+        with pytest.raises(CapacityError, match="more than 1 leaves"):
+            cyclic_skew_morphisms(12)
+    finally:
+        skew._cyclic_skews.cache_clear()
 
 
 def test_skew_list_is_a_fresh_list():
