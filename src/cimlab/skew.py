@@ -106,12 +106,15 @@ def cyclic_skew_morphisms(n: int) -> list[Perm]:
 def _cyclic_skews(n: int) -> tuple[Perm, ...]:
     h = make_cyclic(n)
     results: set[Perm] = {tuple(range(n))}
-    for q in _proper_divisors(n):
+    periods = _proper_divisors(n)
+    # refuse before searching anything, naming the least period over budget
+    for q in periods:
         if _leaf_count_estimate(n, q) > DEFAULT_LEAF_BUDGET:
             raise CapacityError(
                 f"skew enumeration for Z_{n} needs more than {DEFAULT_LEAF_BUDGET} "
                 f"leaves at period {q}"
             )
+    for q in periods:
         for u in _increment_vectors(n, q):
             psi = [0] * n
             acc = 0

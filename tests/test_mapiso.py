@@ -2,7 +2,9 @@ import itertools
 
 import pytest
 
-from cimlab.enumeration import connection_sets, rotations_of
+from cimlab import mapiso
+from cimlab.ci import _rich_maps_cyclic
+from cimlab.enumeration import cayley_classes, connection_sets, rotations_of
 from cimlab.errors import DisconnectedMapError
 from cimlab.groups import (
     GroupIsomorphism,
@@ -106,6 +108,51 @@ def test_automorphisms_match_every_alignment_propagated(h):
             aut, expected = map_automorphism_group(m), explicit_automorphism_group(m, stab)
             assert aut.elements == expected.elements
             assert aut.generators == expected.generators
+
+
+def test_extending_alignments_are_the_multiples_of_the_least():
+    # the rich class representatives of Z13: 640 maps of valency up to 12,
+    # whose least extending alignment runs from 1 to 6
+    h = make_cyclic(13)
+    rich, _ = _rich_maps_cyclic(h, 12)
+    reps = [make_map(h, rot)
+            for rot, orbit in cayley_classes(h, rich, mirror=True) if min(orbit) == rot]
+    assert len(reps) == 640
+    least = set()
+    for m in reps:
+        k = m.valency
+        found = {j: p for j in range(k) if (p := _propagate(m, m, 0, j)) is not None}
+        g = min((j for j in found if j), default=k)
+        least.add(g)
+        assert sorted(found) == list(range(0, k, g))
+        assert stabilizer_automorphisms(m) == sorted(found.values())
+    assert least == {1, 2, 3, 4, 5, 6}
+
+
+def test_stabilizer_propagates_only_proper_divisors_of_the_valency(monkeypatch):
+    calls = []
+
+    def counting_propagate(m1, m2, v0, a0):
+        calls.append(a0)
+        return _propagate(m1, m2, v0, a0)
+
+    monkeypatch.setattr(mapiso, "_propagate", counting_propagate)
+    z12 = make_cyclic(12)
+    groups = [(z12, 6)] + [(h, h.order - 1) for h in order8_groups()]
+    maps = 0
+    for h, max_valency in groups:
+        for s in connection_sets(h, max_valency):
+            if len(closure_of(h, s)) != h.order:
+                continue
+            for rot in rotations_of(s):
+                m = make_map(h, rot)
+                k = m.valency
+                calls.clear()
+                stabilizer_automorphisms(m)
+                assert all(0 < a < k and k % a == 0 for a in calls)
+                assert len(calls) <= sum(1 for d in range(1, k) if k % d == 0)
+                maps += 1
+    assert maps > 1000
 
 
 def test_translations_always_automorphisms(z8, k4):

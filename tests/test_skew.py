@@ -60,6 +60,20 @@ def test_leaf_budget_is_honoured_after_a_cached_call(monkeypatch):
         skew._cyclic_skews.cache_clear()
 
 
+def test_refusal_comes_before_any_search(monkeypatch):
+    # Z28 is within budget at periods 1, 2, 4 and 7 but not at 14
+    def no_search(n, q):
+        raise AssertionError(f"searched period {q} before refusing")
+
+    monkeypatch.setattr(skew, "_increment_vectors", no_search)
+    skew._cyclic_skews.cache_clear()
+    try:
+        with pytest.raises(CapacityError, match="at period 14"):
+            cyclic_skew_morphisms(28)
+    finally:
+        skew._cyclic_skews.cache_clear()
+
+
 def test_skew_list_is_a_fresh_list():
     first = cyclic_skew_morphisms(9)
     first.clear()
