@@ -53,11 +53,11 @@ from .maps import (
     CayleyMap,
     connection_subgroup,
     face_profile,
+    identity_component,
     is_connected,
     make_map,
 )
 from .mapiso import (
-    bruteforce_map_isomorphism,
     are_cayley_isomorphic,
     map_automorphism_group,
     map_iso_exists,
@@ -195,9 +195,9 @@ def _valency_classes(h: FiniteGroup, valency: int) -> tuple[dict, dict]:
     for k in dict.fromkeys(key.values()):
         m = make_map(h, k)
         invariant = (len(connection_subgroup(m)), face_profile(m))
-        iso = map_iso_exists if invariant[0] == h.order else bruteforce_map_isomorphism
         classes = leaders.setdefault(invariant, [])
-        keys = next((keys for leader, keys in classes if iso(leader, m) is not None), None)
+        keys = next((keys for leader, keys in classes
+                     if map_iso_exists(leader, m) is not None), None)
         if keys is None:
             keys = []
             classes.append((m, keys))
@@ -209,8 +209,9 @@ def _valency_classes(h: FiniteGroup, valency: int) -> tuple[dict, dict]:
 def definitional_is_ci_map(m: CayleyMap) -> CiReport:
     """CI verdict straight from the definition, by exhausting same-valency maps.
 
-    The map itself may be disconnected: representatives of disconnected
-    classes are compared by brute force, connected ones by extension.
+    The map itself may be disconnected: class representatives are compared
+    by ``map_iso_exists``, which decides disconnected maps through their
+    identity components.
     """
     t0 = time.perf_counter()
     h = m.group
@@ -477,13 +478,13 @@ def verify_cim_group(
     """Is h a CIM-group up to the valency bound?
 
     Connected maps are checked directly. A disconnected map is a CI-map
-    iff its identity component (a connected map over K = <S>) is one,
-    provided equal-order subgroups of h are automorphism-conjugate and
-    subgroup automorphisms extend; both conditions are checked, not
-    assumed, and hold for the Z_n x Z_2^r / Z_4 / Q_8 family and for
-    cyclic groups. Anything else with disconnected maps in range is
-    reported as unsupported rather than guessed. Each K is built as a
-    group once, the first time a connection set generates it.
+    iff its identity component (``identity_component``, a connected map
+    over K = <S>) is one, provided equal-order subgroups of h are
+    automorphism-conjugate and subgroup automorphisms extend; both
+    conditions are checked once per K, not assumed, and hold for the
+    Z_n x Z_2^r / Z_4 / Q_8 family and for cyclic groups. Anything else
+    with disconnected maps in range is reported as unsupported rather
+    than guessed.
     """
     t0 = time.perf_counter()
     report = verify_connected_cim(h, max_valency, strategy, workers)
@@ -492,32 +493,26 @@ def verify_cim_group(
         report.elapsed = time.perf_counter() - t0
         return report
 
-    disconnected_sets = []
-    for s in connection_sets(h, max_valency):
-        members = closure_of(h, s)
-        if len(members) != h.order:
-            disconnected_sets.append((s, members))
-    if sum(factorial(len(s) - 1) for s, _ in disconnected_sets) > DISCONNECTED_CAP:
+    disconnected_sets = [s for s in connection_sets(h, max_valency)
+                         if len(closure_of(h, s)) != h.order]
+    if sum(factorial(len(s) - 1) for s in disconnected_sets) > DISCONNECTED_CAP:
         raise CapacityError("too many disconnected maps in range")
 
-    # K's members -> (K as a group, rank of each member in it)
-    components: dict[tuple, tuple[FiniteGroup, dict]] = {}
+    subgroups: set[tuple[int, ...]] = set()  # the K whose conditions hold
     disconnected = 0
-    for s, members in disconnected_sets:
-        if members not in components:
-            sub = Subgroup(h, members)
-            k_group = sub.as_group()
-            if not _check_reduction_conditions(h, sub, k_group):
-                raise UnsupportedReductionError(
-                    f"disconnected maps over {h.name} generate {members}; "
-                    "subgroup conjugacy or automorphism extension fails, so the "
-                    "reduction to connected maps does not apply"
-                )
-            components[members] = (k_group, {x: i for i, x in enumerate(members)})
-        k_group, rank = components[members]
+    for s in disconnected_sets:
         for rot in rotations_of(s):
+            component, members = identity_component(make_map(h, rot))
+            if members not in subgroups:
+                if not _check_reduction_conditions(h, Subgroup(h, members), component.group):
+                    raise UnsupportedReductionError(
+                        f"disconnected maps over {h.name} generate {members}; "
+                        "subgroup conjugacy or automorphism extension fails, so the "
+                        "reduction to connected maps does not apply"
+                    )
+                subgroups.add(members)
             disconnected += 1
-            comp_report = babai_is_ci_map(make_map(k_group, tuple(rank[x] for x in rot)))
+            comp_report = babai_is_ci_map(component)
             if not comp_report.verdict:
                 out = _group_report(
                     h, False, report.stats.get("strategy", "auto") + "-babai+disconnected-reduction",
@@ -533,7 +528,7 @@ def verify_cim_group(
     report.stats["maps_disconnected"] = disconnected
     report.stats["maps_reduced"] = disconnected
     report.stats["component_checks"] = disconnected
-    report.notes["reduction_subgroups"] = sorted(list(members) for members in components)
+    report.notes["reduction_subgroups"] = sorted(map(list, subgroups))
     report.elapsed = time.perf_counter() - t0
     return report
 
@@ -574,10 +569,7 @@ def revalidate_map_report(report_dict: dict, h: FiniteGroup) -> None:
         elif kind == "isomorphic-non-cayley-isomorphic-map":
             m1 = make_map(h, w["map"])
             m2 = make_map(h, w["other"])
-            if is_connected(m1) and is_connected(m2):
-                if map_iso_exists(m1, m2) is None:
-                    raise ValueError("stored witness pair is not isomorphic")
-            elif bruteforce_map_isomorphism(m1, m2) is None:
+            if map_iso_exists(m1, m2) is None:
                 raise ValueError("stored witness pair is not isomorphic")
             if are_cayley_isomorphic(m1, m2) is not None:
                 raise ValueError("stored witness pair is Cayley isomorphic")

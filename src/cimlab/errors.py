@@ -21,7 +21,7 @@ class MapValidationError(CimlabError):
     """A rotation sequence does not define a valid Cayley map.
 
     ``reason`` is one of ``identity-in-s``, ``s-not-symmetric``,
-    ``duplicate-entry``.
+    ``duplicate-entry``, ``element-out-of-range``.
     """
 
     def __init__(self, reason: str, message: str):

@@ -12,6 +12,11 @@ g | k, and the automorphism at alignment g generates the stabilizer.
 Finding g takes one breadth-first propagation per proper divisor of k,
 tried in ascending order: at most d(k) - 1 of them, where d(k) counts
 the divisors of k.
+
+A disconnected map is translated copies of its identity component, so
+``map_iso_exists`` decides any two maps through their components. The
+backtracking ``bruteforce_map_isomorphism`` is kept as the oracle the
+tests compare that path against.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from typing import Optional
 
 from .errors import CapacityError, DisconnectedMapError
 from .groups import GroupIsomorphism, automorphisms, is_isomorphic
-from .maps import CayleyMap, is_connected
+from .maps import CayleyMap, identity_component, is_connected
 from .perms import (
     Perm,
     PermutationGroup,
@@ -182,14 +187,42 @@ def map_isomorphisms(m1: CayleyMap, m2: CayleyMap) -> list[MapMorphism]:
 
 
 def map_iso_exists(m1: CayleyMap, m2: CayleyMap) -> Optional[tuple[int, ...]]:
-    """One isomorphism between connected maps, or None (cheap existence check)."""
+    """One isomorphism between two maps, or None (cheap existence check).
+
+    Each map is [H:K] translated copies of its identity component over
+    K = <S>, so two maps of one valency are isomorphic exactly when their
+    K have equal order and their components are isomorphic. The component
+    isomorphism is carried to every left coset, xk -> y psi(k), and the
+    whole image tuple is returned only once ``_verify`` accepts it.
+    """
     if m1.group.order != m2.group.order or m1.valency != m2.valency:
         return None
-    for a0 in range(m2.valency):
-        images = _propagate(m1, m2, 0, a0)
-        if images is not None:
-            return images
-    return None
+    (c1, k1), (c2, k2) = identity_component(m1), identity_component(m2)
+    if len(k1) != len(k2):
+        return None
+    for a0 in range(c2.valency):
+        psi = _propagate(c1, c2, 0, a0)
+        if psi is not None:
+            break
+    else:
+        return None
+    mul1, mul2 = m1.group.table, m2.group.table
+    n = m1.group.order
+    images = [-1] * n
+    used = [False] * n
+    y = 0
+    for x in range(n):
+        if images[x] != -1:
+            continue
+        # x and y lead the next unmapped cosets xK1 and yK2
+        while used[y]:
+            y += 1
+        for i, k in enumerate(k1):
+            w = mul2[y][k2[psi[i]]]
+            images[mul1[x][k]] = w
+            used[w] = True
+    out = tuple(images)
+    return out if _verify(m1, m2, out) else None
 
 
 def _bfs_vertex_order(m: CayleyMap) -> list[int]:

@@ -8,11 +8,12 @@ are equal. A map and its mirror image are distinct objects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .errors import MapValidationError
-from .groups import FiniteGroup, GroupIsomorphism, closure_of
+from .groups import FiniteGroup, GroupIsomorphism, Subgroup, closure_of
 from .perms import Perm, perm_order
 
 
@@ -20,6 +21,10 @@ from .perms import Perm, perm_order
 class CayleyMap:
     group: FiniteGroup
     rotation: tuple[int, ...]
+    # K = <S>, set by the first connection_subgroup call. A plain field: a
+    # functools.cached_property takes a lock on first access in Python 3.11,
+    # which the sweeps would pay once per map
+    _members: Optional[tuple[int, ...]] = field(default=None, init=False)
 
     @property
     def valency(self) -> int:
@@ -55,19 +60,48 @@ def make_map(h: FiniteGroup, rotation: Sequence[int]) -> CayleyMap:
         raise MapValidationError("duplicate-entry", f"repeated element in rotation {rot}")
     if 0 in rot:
         raise MapValidationError("identity-in-s", "identity may not lie in the connection set")
+    least = min(rot)
+    if least < 0 or max(rot) >= h.order:
+        raise MapValidationError(
+            "element-out-of-range", f"rotation {rot} names elements outside 1..{h.order - 1}")
     s = set(rot)
     if any(h.inverse[x] not in s for x in rot):
         raise MapValidationError("s-not-symmetric", f"connection set {sorted(s)} is not closed under inverse")
-    i = rot.index(min(rot))
+    i = rot.index(least)
     return CayleyMap(h, rot[i:] + rot[:i])
 
 
 def connection_subgroup(m: CayleyMap) -> tuple[int, ...]:
-    return closure_of(m.group, m.rotation)
+    """Members of K = <S>, sorted; computed once per map."""
+    if m._members is None:
+        object.__setattr__(m, "_members", closure_of(m.group, m.rotation))
+    return m._members
 
 
 def is_connected(m: CayleyMap) -> bool:
     return len(connection_subgroup(m)) == m.group.order
+
+
+COMPONENT_CACHE_SIZE = 128
+
+
+@functools.lru_cache(maxsize=COMPONENT_CACHE_SIZE)
+def _component_group(h: FiniteGroup, members: tuple[int, ...]) -> FiniteGroup:
+    return Subgroup(h, members).as_group()
+
+
+def identity_component(m: CayleyMap) -> tuple[CayleyMap, tuple[int, ...]]:
+    """The component at the identity vertex, as a connected map over K = <S>,
+    and K's members; member rank i of K is element i of the component's group.
+
+    The map is [H:K] translated copies of this component, one on each left
+    coset of K. A connected map is its own component.
+    """
+    members = connection_subgroup(m)
+    if len(members) == m.group.order:
+        return m, members
+    rank = {x: i for i, x in enumerate(members)}
+    return make_map(_component_group(m.group, members), [rank[x] for x in m.rotation]), members
 
 
 def is_balanced(m: CayleyMap) -> bool:

@@ -154,6 +154,13 @@ GOLDEN = [
      "3f366c412a87fe85a59de2b15ac069b3bf897c1c2ccda947100809accd2569cd"),
     (["is-ci-map", "--method", "definitional", "--map", "z9:1,5,7,8,4,2"], 1,
      "de5a95828cb3f95818b8df5e503cfc0a598f909a25a40722fd82316b91b96894"),
+    # disconnected maps, compared through their identity components
+    (["is-ci-map", "--method", "definitional", "--map", "z8:2,6"], 0,
+     "ad94b43d9367e04e4cde7c6d2347554af498c2e8476c0d84003f7951298ebd5f"),
+    (["is-ci-map", "--method", "definitional", "--map", "z10:2,4,6,8"], 0,
+     "5bb47d7aa9c1dcbc0bf856b29425cb1c6e6aeb3b0f6a4c4346dcdda9ee49e6e2"),
+    (["is-ci-map", "--method", "definitional", "--map", "abelian:2,4/2,6"], 1,
+     "ef14d23a81976e4fbfd0153ca0b6d3e372ab341e615a8f8d28d56dc79fab06a3"),
     # the disconnected reduction, over several connection subgroups each
     (["verify-cim", "--group", "cyclic:18", "--max-valency", "4"], 0,
      "15af5afb49277a8375699c6c561ef079bdc64c7b0ae8b282868dbd9b692605d1"),
@@ -193,6 +200,58 @@ def test_error_exit_code(capsys):
     captured = capsys.readouterr()
     assert rc == 2
     assert "error" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["is-ci-map", "--map", "z8:-1,1,7,-7"],
+    ["is-ci-map", "--map", "z8:9"],
+    ["aut-map", "--map", "z8:1,7,12"],
+    ["is-ci-map", "--map", "abelian:2,4/9,3"],
+], ids=["negative", "past-order", "one-entry-past-order", "abelian"])
+def test_rotation_entries_outside_the_group_are_usage_errors(capsys, argv):
+    # exit 1 would read as a false verdict and exit 0 as a true one
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "outside 1..7" in captured.err
+
+
+def test_map_file_entries_outside_the_group_are_usage_errors(tmp_path, capsys):
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps({"group": "cyclic:8", "rotation": [1, 15]}))
+    assert run(["is-ci-map", "--map", f"@{path}"]) == 2
+    assert "outside 1..7" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec", ["z16:2,4,12,14", "z12:2,4,8,10"])
+def test_definitional_oracle_past_the_old_brute_force_cap(capsys, spec):
+    # two copies of a connected map over Z8 and three over Z4; the verdict
+    # is the component's
+    from cimlab.ci import babai_is_ci_map
+    from cimlab.maps import identity_component
+
+    rc, data = run_json(capsys, ["is-ci-map", "--method", "definitional", "--map", spec])
+    component, _ = identity_component(parse_map_spec(spec))
+    assert rc == 0
+    assert data["reports"][0]["verdict"] is babai_is_ci_map(component).verdict is True
+
+
+def test_disconnected_witness_past_the_old_cap_reverifies(capsys):
+    from cimlab.ci import revalidate_map_report
+
+    rc, data = run_json(capsys, ["is-ci-map", "--method", "definitional",
+                                 "--map", "abelian:4,4/1,3"])
+    assert rc == 1
+    report = data["reports"][0]
+    assert report["witnesses"] == [{"kind": "isomorphic-non-cayley-isomorphic-map",
+                                    "map": [1, 3], "other": [2, 8]}]
+    h = parse_group_spec("abelian:4,4")
+    revalidate_map_report(report, h)
+    # equal valency, but connection subgroups of orders 4 and 8
+    report["witnesses"] = [{"kind": "isomorphic-non-cayley-isomorphic-map",
+                            "map": [1, 2, 3], "other": [1, 8, 3]}]
+    with pytest.raises(ValueError, match="not isomorphic"):
+        revalidate_map_report(report, h)
 
 
 @pytest.mark.parametrize("command", ["aut-map", "is-ci-map"])

@@ -9,9 +9,11 @@ from cimlab.errors import DisconnectedMapError
 from cimlab.groups import (
     GroupIsomorphism,
     closure_of,
+    make_abelian,
     make_cyclic,
+    make_semidirect,
 )
-from cimlab.maps import make_map, preserves_relation, ternary_relation
+from cimlab.maps import is_connected, make_map, preserves_relation, ternary_relation
 from cimlab.mapiso import (
     MapMorphism,
     _propagate,
@@ -29,7 +31,7 @@ from cimlab.perms import (
     left_regular_representation,
     point_stabilizer,
 )
-from conftest import order8_groups
+from conftest import negation_action, order8_groups
 
 
 def unit_map(z8):
@@ -269,6 +271,77 @@ def test_bruteforce_handles_disconnected(z8):
     # disconnected 2-regular map vs a different component shape
     m3 = make_map(z8, (4,))
     assert bruteforce_map_isomorphism(m1, m3) is None
+
+
+def groups_to_order_10():
+    """The 13 groups of order at most 10 that have disconnected maps: every
+    group of composite order up to 10."""
+    z3, z5 = make_cyclic(3), make_cyclic(5)
+    return ([make_cyclic(4), make_abelian([2, 2]), make_cyclic(6),
+             make_semidirect(z3, 2, negation_action(z3))] + order8_groups()
+            + [make_cyclic(9), make_abelian([3, 3]), make_cyclic(10),
+               make_semidirect(z5, 2, negation_action(z5))])
+
+
+def disconnected_class_keys(h):
+    """Valency -> one map per Cayley class of the disconnected maps over h."""
+    out = {}
+    for k in range(1, h.order):
+        rotations = sorted(rot for s in connection_sets(h, k) if len(s) == k
+                           for rot in rotations_of(s))
+        out[k] = [m for m in (make_map(h, rot) for rot, _ in cayley_classes(h, rotations))
+                  if not is_connected(m)]
+    return out
+
+
+def assert_agrees_with_bruteforce(m1, m2):
+    found = map_iso_exists(m1, m2)
+    assert (found is None) == (bruteforce_map_isomorphism(m1, m2) is None), (m1, m2)
+    if found is not None:
+        MapMorphism(m1, m2, found).validate()
+    return found is not None
+
+
+def test_component_path_agrees_with_bruteforce_within_each_group():
+    groups = groups_to_order_10()
+    assert len(groups) == 13
+    pairs = isomorphic = 0
+    for h in groups:
+        for maps in disconnected_class_keys(h).values():
+            for m1, m2 in itertools.combinations_with_replacement(maps, 2):
+                pairs += 1
+                isomorphic += assert_agrees_with_bruteforce(m1, m2)
+    # 41 classes, each paired with itself, and 16 pairs of distinct classes
+    assert (pairs, isomorphic) == (57, 49)
+
+
+def test_component_path_agrees_with_bruteforce_across_order8_groups():
+    keys = [disconnected_class_keys(h) for h in order8_groups()]
+    pairs = isomorphic = 0
+    for a, b in itertools.combinations(keys, 2):
+        for k, maps in a.items():
+            for m1, m2 in itertools.product(maps, b[k]):
+                pairs += 1
+                isomorphic += assert_agrees_with_bruteforce(m1, m2)
+    assert (pairs, isomorphic) == (68, 58)
+
+
+def test_component_isomorphism_reaches_every_coset():
+    # Z16 with S = {2, 4, 12, 14} is two copies of a map over Z8, and
+    # Z4xZ4 with S = {1, 3} is four 4-cycles: past any brute-force cap
+    z16 = make_cyclic(16)
+    m1 = make_map(z16, (2, 4, 12, 14))
+    m2 = make_map(z16, tuple(3 * x % 16 for x in m1.rotation))
+    found = map_iso_exists(m1, m2)
+    assert found is not None
+    MapMorphism(m1, m2, found).validate()
+    assert map_iso_exists(m1, make_map(z16, (2, 12, 4, 14))) is None
+    z4sq = make_abelian([4, 4])
+    cycles = make_map(z4sq, (1, 3))
+    assert map_iso_exists(cycles, make_map(make_cyclic(16), (4, 12))) is not None
+    # equal valency, but components of orders 4 and 8
+    assert map_iso_exists(cycles, make_map(z16, (2, 14))) is None
+    assert map_iso_exists(make_map(z4sq, (1, 2, 3)), make_map(z4sq, (1, 8, 3))) is None
 
 
 # ------------------------------------------------------- cayley isomorphism

@@ -4,11 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cimlab import maps
 from cimlab.errors import MapValidationError
-from cimlab.groups import GroupIsomorphism, automorphisms, make_cyclic
+from cimlab.groups import GroupIsomorphism, automorphisms, make_abelian, make_cyclic
 from cimlab.maps import (
     apply_group_automorphism,
+    connection_subgroup,
     face_profile,
+    identity_component,
     is_antibalanced,
     is_balanced,
     is_connected,
@@ -60,6 +63,23 @@ def test_make_map_rejects_duplicates(z8):
     assert err.value.reason == "duplicate-entry"
 
 
+@pytest.mark.parametrize("rotation", [(-1, 1, 7, -7), (9,), (1, 7, 12), (8,)],
+                         ids=["negative", "nine", "twelve", "eight"])
+def test_make_map_rejects_elements_outside_the_group(z8, rotation):
+    # a negative index would alias a real element: (-1, 1, 7, -7) reads as (7, 1, 7, 1)
+    with pytest.raises(MapValidationError) as err:
+        make_map(z8, rotation)
+    assert err.value.reason == "element-out-of-range"
+
+
+def test_make_map_range_check_uses_the_group_order():
+    h = make_abelian([2, 4])
+    with pytest.raises(MapValidationError) as err:
+        make_map(h, (9, 3))
+    assert err.value.reason == "element-out-of-range"
+    assert make_map(h, (7, h.inverse[7])).valency == 2
+
+
 def test_two_element_map_over_klein(k4):
     m = make_map(k4, (1, 2))
     assert m.valency == 2
@@ -104,6 +124,48 @@ def test_disconnected_even_subset(z8):
 
 def test_lemma_orbit_map_connected():
     assert is_connected(lemma_orbit_map())
+
+
+def test_connected_map_is_its_own_component(z8):
+    m = make_map(z8, (1, 3, 5, 7))
+    component, members = identity_component(m)
+    assert component is m
+    assert members == tuple(range(8))
+
+
+def test_identity_component_over_the_connection_subgroup():
+    z16 = make_cyclic(16)
+    m = make_map(z16, (2, 4, 12, 14))
+    component, members = identity_component(m)
+    assert members == (0, 2, 4, 6, 8, 10, 12, 14)
+    # member rank i of K is element i of the component's group
+    assert component.group.order == 8
+    assert component.rotation == (1, 2, 6, 7)
+    assert is_connected(component)
+    for a, x in enumerate(members):
+        for b, y in enumerate(members):
+            assert members[component.group.table[a][b]] == z16.table[x][y]
+
+
+def test_component_group_is_built_once_per_subgroup():
+    z16 = make_cyclic(16)
+    first, _ = identity_component(make_map(z16, (2, 14)))
+    second, _ = identity_component(make_map(z16, (6, 10)))
+    third, _ = identity_component(make_map(z16, (4, 12)))
+    assert first.group is second.group
+    assert third.group is not first.group and third.group.order == 4
+
+
+def test_connection_subgroup_is_computed_once_per_map(monkeypatch, z8):
+    calls = []
+    closure_of = maps.closure_of
+    monkeypatch.setattr(maps, "closure_of", lambda g, seed: calls.append(seed) or closure_of(g, seed))
+    m = make_map(z8, (2, 6))
+    assert connection_subgroup(m) == (0, 2, 4, 6)
+    assert not is_connected(m)
+    identity_component(m)
+    identity_component(m)
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------- balance

@@ -24,6 +24,7 @@ ALLOWED = {
     "group_to_json": "writer of the @file.json group format that the CLI reads",
     "is_cyclic_permgroup": "acceptance criterion 9 checks that vertex stabilizers are cyclic with it",
     "cayley_class_key": "per-map class key the orbit walk is tested against; `perfbench/spans.py` wraps it",
+    "bruteforce_map_isomorphism": "oracle the component path is tested against; `perfbench/spans.py` wraps it",
     "CayleyMap.mirror": "the mirror oracle the tests compare the orbit walk's reversal against",
     "GroupIsomorphism.compose": "tests check that Aut(H) is closed under it and that map images compose",
     "Subgroup.is_normal": "tests check with it that every subgroup of a class-M group is normal",
