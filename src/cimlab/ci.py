@@ -63,6 +63,7 @@ from .mapiso import (
     map_iso_exists,
 )
 from .perms import (
+    Perm,
     PermutationGroup,
     _perm_group_isomorphic,
     are_conjugate_subgroups,
@@ -302,11 +303,19 @@ def _full_cycle_roots(orbits: Sequence[tuple[int, ...]], d: int):
             yield tuple(cycles[j][i] for i in range(d) for j in range(c))
 
 
-def _babai_task(h: FiniteGroup, rotation: tuple[int, ...]) -> tuple[CiReport, PermutationGroup]:
-    """One map's verdict and identity-vertex stabilizer, from a single Aut(M)."""
+def _babai_task(
+    h: FiniteGroup, rotation: tuple[int, ...]
+) -> tuple[Optional[CiReport], tuple[Perm, ...]]:
+    """One map's verdict and identity-vertex stabilizer, from a single Aut(M).
+
+    Only what the sweeps read crosses the pipe: the report when the map is
+    not a CI-map and None when it is, and the stabilizer's elements, so a
+    CI-map's reply pickles to a few dozen bytes.
+    """
     m = make_map(h, rotation)
     aut = map_automorphism_group(m)
-    return babai_is_ci_map(m, aut=aut), point_stabilizer(aut, 0)
+    report = babai_is_ci_map(m, aut=aut)
+    return (None if report.verdict else report), point_stabilizer(aut, 0).elements
 
 
 _POOL_GROUP: Optional[FiniteGroup] = None
@@ -318,12 +327,13 @@ def _set_pool_group(h: FiniteGroup) -> None:
     _POOL_GROUP = h
 
 
-def _pool_task(rotation: tuple[int, ...]) -> tuple[CiReport, PermutationGroup]:
+def _pool_task(rotation: tuple[int, ...]) -> tuple[Optional[CiReport], tuple[Perm, ...]]:
     return _babai_task(_POOL_GROUP, rotation)
 
 
 def _sweep(h: FiniteGroup, rotations: Iterable[tuple[int, ...]], workers: int):
-    """``_babai_task`` over the rotations, in order.
+    """``_babai_task`` over the rotations, in order: for each map, its
+    report if it is not a CI-map (else None) and its stabilizer's elements.
 
     Worker counts are clamped to [1, cpu_count]. One pool serves the whole
     sweep and gets the group once per worker, so the group's caches stay
@@ -394,9 +404,9 @@ def _verify_connected_exhaustive(h: FiniteGroup, max_valency: int, workers: int)
     # enumeration read-ahead depends on batching, so it must stay out
     checked = 0
     with closing(_sweep(h, _connected_rotations(h, max_valency), workers)) as results:
-        for checked, (rpt, _) in enumerate(results, 1):
-            if not rpt.verdict:
-                return _group_report(h, False, "exhaustive-babai", rpt,
+        for checked, (failing, _) in enumerate(results, 1):
+            if failing is not None:
+                return _group_report(h, False, "exhaustive-babai", failing,
                                      {"maps_checked": checked})
     # every connected map was checked
     return _group_report(h, True, "exhaustive-babai", None,
@@ -413,14 +423,14 @@ def _verify_connected_stabilizer(h: FiniteGroup, max_valency: int, workers: int)
     stats = {"maps_rich": maps_rich, "rich_classes": len(reps)}
     checked = 0
     with closing(_sweep(h, reps, workers)) as results:
-        for checked, (rpt, stab) in enumerate(results, 1):
-            if not skew_set.issuperset(stab.elements):
+        for checked, (failing, stab) in enumerate(results, 1):
+            if not skew_set.issuperset(stab):
                 raise RuntimeError(
                     "map stabilizer element missing from the skew-morphism list; "
                     "stabilizer enumeration is incomplete"
                 )
-            if not rpt.verdict:
-                return _group_report(h, False, "stabilizer-babai", rpt,
+            if failing is not None:
+                return _group_report(h, False, "stabilizer-babai", failing,
                                      dict(stats, maps_checked=checked))
     return _group_report(h, True, "stabilizer-babai", None, dict(stats, maps_checked=checked))
 
@@ -581,7 +591,7 @@ def cross_validate(h: FiniteGroup, workers: int = 1) -> CiReport:
     if h.order > 8:
         raise CapacityError("cross validation is limited to groups of order <= 8")
     connected = list(_connected_rotations(h, h.order - 1))
-    verdicts = [rpt.verdict for rpt, _ in _sweep(h, connected, workers)]
+    verdicts = [failing is None for failing, _ in _sweep(h, connected, workers)]
     discrepancies = []
     for rot, babai_verdict in zip(connected, verdicts):
         key, mates = _valency_classes(h, len(rot))

@@ -8,10 +8,12 @@ are at most |S| candidates fixing a vertex, one per alignment.
 
 The automorphisms fixing a vertex compose by adding their alignments
 mod k = |S|, so the alignments that extend form a subgroup gZ_k with
-g | k, and the automorphism at alignment g generates the stabilizer.
-Finding g takes one breadth-first propagation per proper divisor of k,
-tried in ascending order: at most d(k) - 1 of them, where d(k) counts
-the divisors of k.
+g | k. For each prime p | k a walk down k/p, k/p^2, ... finds how many
+factors p the quotient k/g has; the product of the last automorphism
+found for each p generates the stabilizer. That takes at most one
+breadth-first propagation per prime factor of k counted with
+multiplicity, and exactly one per distinct prime of k when the
+stabilizer is trivial; no alignment is propagated twice.
 
 A disconnected map is translated copies of its identity component, so
 ``map_iso_exists`` decides any two maps through their components. The
@@ -121,35 +123,57 @@ def _propagate(m1: CayleyMap, m2: CayleyMap, v0: int, a0: int) -> Optional[tuple
     return out
 
 
+def _prime_divisors(k: int) -> list[int]:
+    """The distinct primes dividing k, ascending."""
+    primes, p = [], 2
+    while p * p <= k:
+        if k % p == 0:
+            primes.append(p)
+            while k % p == 0:
+                k //= p
+        p += 1
+    if k > 1:
+        primes.append(k)
+    return primes
+
+
 def stabilizer_automorphisms(m: CayleyMap) -> list[Perm]:
     """All automorphisms fixing the identity vertex, for a connected map, sorted.
 
     The alignments that extend form a subgroup gZ_k of Z_k (k the
     valency), since composing two automorphisms that fix the identity
-    adds their alignments. Its least positive element g divides k, so
-    the proper divisors of k are propagated in ascending order and the
-    first that extends is g; no proper divisor extending means g = k and
-    a trivial stabilizer. The stabilizer is then the k/g powers of the
-    automorphism at alignment g, which `_propagate` has verified, so the
-    list holds every alignment's automorphism once and nothing unchecked.
-    That takes at most d(k) - 1 propagations rather than k - 1.
+    adds their alignments; g divides k. For each prime p | k the walk
+    propagates j = k/p, k/p^2, ... while j extends and p divides j, and
+    keeps the last automorphism found: its alignment is k/p^e, where p^e
+    is the largest power of p dividing k/g. The product of the kept
+    automorphisms has alignment g times a number prime to k/g, so it
+    generates the stabilizer, whose k/g powers are returned. Every power
+    is a product of automorphisms `_propagate` has verified, and no
+    alignment is propagated twice: a trivial stabilizer takes one
+    propagation per distinct prime of k, and any stabilizer at most one
+    per prime factor of k counted with multiplicity.
     """
     if not is_connected(m):
         raise DisconnectedMapError("map automorphisms need a connected map")
     k = m.valency
     identity = tuple(range(m.group.order))
-    for g in range(1, k):
-        if k % g:
-            continue
-        generator = _propagate(m, m, 0, g)
-        if generator is not None:
-            out = [identity]
-            power = generator
-            while power != identity:
-                out.append(power)
-                power = compose(power, generator)
-            return sorted(out)
-    return [identity]
+    generator = identity
+    for p in _prime_divisors(k):
+        kept = None
+        j = k // p
+        while (found := _propagate(m, m, 0, j)) is not None:
+            kept = found
+            if j % p:
+                break
+            j //= p
+        if kept is not None:
+            generator = compose(generator, kept)
+    out = [identity]
+    power = generator
+    while power != identity:
+        out.append(power)
+        power = compose(power, generator)
+    return sorted(out)
 
 
 def map_automorphism_group(m: CayleyMap) -> PermutationGroup:

@@ -21,9 +21,10 @@ from .perms import Perm, perm_order
 class CayleyMap:
     group: FiniteGroup
     rotation: tuple[int, ...]
-    # K = <S>, set by the first connection_subgroup call. A plain field: a
-    # functools.cached_property takes a lock on first access in Python 3.11,
-    # which the sweeps would pay once per map
+    # K = <S>, set by the first connection_subgroup call from a cache kept
+    # per connection set. A plain field: a functools.cached_property takes a
+    # lock on first access in Python 3.11, which the sweeps would pay once
+    # per map
     _members: Optional[tuple[int, ...]] = field(default=None, init=False)
 
     @property
@@ -71,10 +72,19 @@ def make_map(h: FiniteGroup, rotation: Sequence[int]) -> CayleyMap:
     return CayleyMap(h, rot[i:] + rot[:i])
 
 
+CONNECTION_CACHE_SIZE = 1024
+
+
+@functools.lru_cache(maxsize=CONNECTION_CACHE_SIZE)
+def _generated_subgroup(h: FiniteGroup, connection_set: tuple[int, ...]) -> tuple[int, ...]:
+    return closure_of(h, connection_set)
+
+
 def connection_subgroup(m: CayleyMap) -> tuple[int, ...]:
-    """Members of K = <S>, sorted; computed once per map."""
+    """Members of K = <S>, sorted; computed once per connection set, and
+    looked up once per map."""
     if m._members is None:
-        object.__setattr__(m, "_members", closure_of(m.group, m.rotation))
+        object.__setattr__(m, "_members", _generated_subgroup(m.group, tuple(sorted(m.rotation))))
     return m._members
 
 

@@ -45,6 +45,7 @@ from cimlab.mapiso import (
     bruteforce_map_isomorphism,
     map_automorphism_group,
     map_iso_exists,
+    stabilizer_automorphisms,
 )
 from cimlab.perms import (
     compose,
@@ -542,11 +543,13 @@ def test_worker_counts_do_not_change_reports(z9):
 class CountingMultiprocessing:
     """Stands in for ``multiprocessing`` inside ``ci``: records each pool's
     size, runs its initializer and runs ``map`` serially, so no process is
-    ever started."""
+    ever started. Every task's input and result is kept."""
 
     def __init__(self):
         self.pool_sizes = []
         self.mapped = []
+        self.items = []
+        self.results = []
 
     def Pool(self, processes, initializer=None, initargs=()):  # noqa: N802
         self.pool_sizes.append(processes)
@@ -562,7 +565,10 @@ class CountingMultiprocessing:
 
     def map(self, fn, items, chunksize=1):
         self.mapped.append(fn)
-        return [fn(x) for x in items]
+        out = [fn(x) for x in items]
+        self.items.extend(items)
+        self.results.extend(out)
+        return out
 
 
 @pytest.fixture
@@ -590,6 +596,30 @@ def test_pool_tasks_do_not_carry_the_group(counting_pool):
     assert counting_pool.mapped
     for fn in counting_pool.mapped:
         assert len(pickle.dumps(fn)) < len(pickle.dumps(h))
+
+
+def test_worker_replies_carry_only_what_the_sweeps_read(counting_pool):
+    # a CI-map's reply is None and its stabilizer's elements, no report
+    h = make_cyclic(11)
+    verify_connected_cim(h, 6, strategy="exhaustive", workers=2)
+    assert len(counting_pool.results) == 1265
+    for rot, reply in zip(counting_pool.items, counting_pool.results):
+        failing, stab = reply
+        assert failing is None
+        assert stab == tuple(stabilizer_automorphisms(make_map(h, rot)))
+        assert len(pickle.dumps(reply)) < 100
+
+
+def test_worker_reply_carries_the_failing_report(counting_pool):
+    h = make_cyclic(9)
+    report = verify_connected_cim(h, 8, strategy="exhaustive", workers=2)
+    assert report.verdict is False
+    carried = [failing for failing, _ in counting_pool.results if failing is not None]
+    assert carried
+    first = carried[0]
+    assert first.subject["rotation"] == report.notes["first_failing_map"]
+    rot = first.subject["rotation"]
+    assert first.to_json_dict() == babai_is_ci_map(make_map(h, rot)).to_json_dict()
 
 
 @pytest.mark.parametrize("workers, pool_sizes", [(64, [4]), (3, [3]), (1, []), (0, []), (-3, [])])

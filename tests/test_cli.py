@@ -173,6 +173,18 @@ GOLDEN = [
      "3f1735071c95765c1e65a881216cd91d8f669c91f0d0dc94498d114e5d30d6d2"),
     (["counterexample", "--family", "frobenius"], 1,
      "905a7a83ac28cd6b11dd4854d0409a7dc7effcd1729614b102b9f8850751f8c6"),
+    # sweeps through a real pool of two workers; the group goes last, as the id
+    (["verify-cim", "--max-valency", "8", "--workers", "2", "--group", "cyclic:9"], 1,
+     "dd578e9cbd47e50312469b9cbad6d33e80aa137a08169d05ec02eadfb0300f04"),
+    (["verify-connected-cim", "--max-valency", "8", "--strategy", "exhaustive",
+      "--workers", "2", "--group", "cyclic:11"], 0,
+     "6ac08eb1a10961f3854c78111b2fab0f669d041a2e4390cbecda11c8b56c7cad"),
+    (["verify-connected-cim", "--max-valency", "8", "--strategy", "exhaustive",
+      "--workers", "2", "--group", "abelian:3,3"], 1,
+     "41a2de76b6a85ff3aa4ac5f07effecb1cf16fbb667cb510b5a12cc11f16d4cdb"),
+    (["verify-connected-cim", "--max-valency", "8", "--strategy", "stabilizer",
+      "--workers", "2", "--group", "cyclic:16"], 1,
+     "6316945b69d251692866e25ea4835607dc51f87a8973bbe00e22a62e2fa79e84"),
 ]
 
 

@@ -112,6 +112,10 @@ def test_automorphisms_match_every_alignment_propagated(h):
             assert aut.generators == expected.generators
 
 
+def prime_divisors(n):
+    return {p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p))}
+
+
 def test_extending_alignments_are_the_multiples_of_the_least():
     # the rich class representatives of Z13: 640 maps of valency up to 12,
     # whose least extending alignment runs from 1 to 6
@@ -121,17 +125,23 @@ def test_extending_alignments_are_the_multiples_of_the_least():
             for rot, orbit in cayley_classes(h, rich, mirror=True) if min(orbit) == rot]
     assert len(reps) == 640
     least = set()
+    orders = set()
     for m in reps:
         k = m.valency
         found = {j: p for j in range(k) if (p := _propagate(m, m, 0, j)) is not None}
         g = min((j for j in found if j), default=k)
         least.add(g)
+        orders.add(len(found))
         assert sorted(found) == list(range(0, k, g))
         assert stabilizer_automorphisms(m) == sorted(found.values())
     assert least == {1, 2, 3, 4, 5, 6}
+    # a stabilizer order with two primes makes the walk compose two automorphisms
+    assert any(len(prime_divisors(order)) >= 2 for order in orders)
 
 
-def test_stabilizer_propagates_only_proper_divisors_of_the_valency(monkeypatch):
+def propagations_per_map(monkeypatch):
+    """(valency, alignments propagated, stabilizer) for every connected map
+    of Z12 at valency <= 6 and of the five groups of order 8."""
     calls = []
 
     def counting_propagate(m1, m2, v0, a0):
@@ -141,20 +151,34 @@ def test_stabilizer_propagates_only_proper_divisors_of_the_valency(monkeypatch):
     monkeypatch.setattr(mapiso, "_propagate", counting_propagate)
     z12 = make_cyclic(12)
     groups = [(z12, 6)] + [(h, h.order - 1) for h in order8_groups()]
-    maps = 0
     for h, max_valency in groups:
         for s in connection_sets(h, max_valency):
             if len(closure_of(h, s)) != h.order:
                 continue
             for rot in rotations_of(s):
                 m = make_map(h, rot)
-                k = m.valency
                 calls.clear()
-                stabilizer_automorphisms(m)
-                assert all(0 < a < k and k % a == 0 for a in calls)
-                assert len(calls) <= sum(1 for d in range(1, k) if k % d == 0)
-                maps += 1
+                stab = stabilizer_automorphisms(m)
+                yield m.valency, list(calls), stab
+
+
+def test_stabilizer_propagates_only_proper_divisors_of_the_valency(monkeypatch):
+    maps = 0
+    for k, calls, _ in propagations_per_map(monkeypatch):
+        assert all(0 < a < k and k % a == 0 for a in calls)
+        assert len(calls) <= sum(1 for d in range(1, k) if k % d == 0)
+        maps += 1
     assert maps > 1000
+
+
+def test_stabilizer_walks_prime_powers_without_repeats(monkeypatch):
+    trivial = 0
+    for k, calls, stab in propagations_per_map(monkeypatch):
+        assert len(calls) == len(set(calls))
+        if len(stab) == 1:
+            assert sorted(calls) == sorted(k // p for p in prime_divisors(k))
+            trivial += 1
+    assert trivial > 1000
 
 
 def test_translations_always_automorphisms(z8, k4):

@@ -157,14 +157,22 @@ def test_component_group_is_built_once_per_subgroup():
 
 
 def test_connection_subgroup_is_computed_once_per_map(monkeypatch, z8):
+    # once per connection set: the cache is cleared, since earlier tests warm it
+    maps._generated_subgroup.cache_clear()
     calls = []
     closure_of = maps.closure_of
     monkeypatch.setattr(maps, "closure_of", lambda g, seed: calls.append(seed) or closure_of(g, seed))
-    m = make_map(z8, (2, 6))
+    m = make_map(z8, (2, 4, 6))
     assert connection_subgroup(m) == (0, 2, 4, 6)
     assert not is_connected(m)
     identity_component(m)
     identity_component(m)
+    assert len(calls) == 1
+    # another rotation of the same set finds its subgroup in the cache
+    other = make_map(z8, (2, 6, 4))
+    assert other.rotation != m.rotation
+    assert connection_subgroup(other) == (0, 2, 4, 6)
+    identity_component(other)
     assert len(calls) == 1
 
 
