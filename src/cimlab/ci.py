@@ -19,6 +19,12 @@ returns a group of order |H| without an isomorphism test exactly when
 its elements equal those of the left-regular copy of H. Both strategies
 are cross-checked against each other by the test suite on every group
 small enough to run both.
+
+Every map-by-map verdict goes through one sweep: ``_sweep`` runs
+``_babai_task`` on each rotation, inline or through one worker pool, and
+``_first_failure`` stops at the first map that is not a CI-map. The two
+strategies sweep the connected maps, ``verify_cim_group`` the
+disconnected ones, each decided through its identity component.
 """
 
 from __future__ import annotations
@@ -51,6 +57,8 @@ from .groups import (
 )
 from .maps import (
     CayleyMap,
+    _component_group,
+    _generated_subgroup,
     connection_subgroup,
     face_profile,
     identity_component,
@@ -75,7 +83,6 @@ from .perms import (
     left_regular_representation,
     perm_group_as_finite_group,
     perm_order,
-    point_stabilizer,
     regular_subgroups_isomorphic_to,
 )
 from .reports import CiReport
@@ -306,16 +313,19 @@ def _full_cycle_roots(orbits: Sequence[tuple[int, ...]], d: int):
 def _babai_task(
     h: FiniteGroup, rotation: tuple[int, ...]
 ) -> tuple[Optional[CiReport], tuple[Perm, ...]]:
-    """One map's verdict and identity-vertex stabilizer, from a single Aut(M).
+    """One map's verdict, decided through its identity component (a
+    connected map is its own), and that component's identity-vertex
+    stabilizer, from a single Aut.
 
     Only what the sweeps read crosses the pipe: the report when the map is
     not a CI-map and None when it is, and the stabilizer's elements, so a
-    CI-map's reply pickles to a few dozen bytes.
+    CI-map with a trivial stabilizer replies in a few dozen pickled bytes.
     """
-    m = make_map(h, rotation)
-    aut = map_automorphism_group(m)
-    report = babai_is_ci_map(m, aut=aut)
-    return (None if report.verdict else report), point_stabilizer(aut, 0).elements
+    component, members = identity_component(make_map(h, rotation))
+    aut = map_automorphism_group(component)
+    report = babai_is_ci_map(component, aut=aut)
+    # Aut = K^ G_1 sends 0 to each vertex |G_1| times, so sorted it starts with G_1
+    return (None if report.verdict else report), aut.elements[:aut.order // len(members)]
 
 
 _POOL_GROUP: Optional[FiniteGroup] = None
@@ -332,8 +342,9 @@ def _pool_task(rotation: tuple[int, ...]) -> tuple[Optional[CiReport], tuple[Per
 
 
 def _sweep(h: FiniteGroup, rotations: Iterable[tuple[int, ...]], workers: int):
-    """``_babai_task`` over the rotations, in order: for each map, its
-    report if it is not a CI-map (else None) and its stabilizer's elements.
+    """Each rotation, in order, with ``_babai_task``'s reply for its map:
+    the report if the map is not a CI-map (else None) and its component's
+    stabilizer elements.
 
     Worker counts are clamped to [1, cpu_count]. One pool serves the whole
     sweep and gets the group once per worker, so the group's caches stay
@@ -346,12 +357,36 @@ def _sweep(h: FiniteGroup, rotations: Iterable[tuple[int, ...]], workers: int):
     rotations = iter(rotations)
     batch = list(islice(rotations, 512 * workers))
     if workers == 1 or len(batch) < 4:
-        yield from (_babai_task(h, rotation) for rotation in chain(batch, rotations))
+        yield from ((rotation, _babai_task(h, rotation)) for rotation in chain(batch, rotations))
         return
     with multiprocessing.Pool(workers, initializer=_set_pool_group, initargs=(h,)) as pool:
         while batch:
-            yield from pool.map(_pool_task, batch, chunksize=max(1, len(batch) // (workers * 8)))
+            yield from zip(batch, pool.map(_pool_task, batch,
+                                           chunksize=max(1, len(batch) // (workers * 8))))
             batch = list(islice(rotations, 512 * workers))
+
+
+def _first_failure(h: FiniteGroup, rotations: Iterable[tuple[int, ...]], workers: int,
+                   skews: Optional[set] = None):
+    """Sweep the maps until the first one that is not a CI-map.
+
+    Returns the number of maps checked, then the failing map's rotation
+    and report, both None when every map is a CI-map. Given ``skews``,
+    every stabilizer element must lie in it. Only the failing map's place
+    in the canonical order is reported: how far enumeration read ahead
+    depends on the batching, so it must stay out.
+    """
+    checked = 0
+    with closing(_sweep(h, rotations, workers)) as results:
+        for checked, (rotation, (failing, stab)) in enumerate(results, 1):
+            if skews is not None and not skews.issuperset(stab):
+                raise RuntimeError(
+                    "map stabilizer element missing from the skew-morphism list; "
+                    "stabilizer enumeration is incomplete"
+                )
+            if failing is not None:
+                return checked, rotation, failing
+    return checked, None, None
 
 
 def verify_connected_cim(
@@ -378,15 +413,25 @@ def verify_connected_cim(
             raise CapacityError(
                 f"{total} maps exceed the exhaustive cap; use the stabilizer strategy"
             )
-        report = _verify_connected_exhaustive(h, max_valency, workers)
+        rotations, skews, stats = _connected_rotations(h, max_valency), None, {}
     elif strategy == "stabilizer":
         if not is_cyclic_group(h):
             raise CapacityError("stabilizer strategy is implemented for cyclic groups only")
-        report = _verify_connected_stabilizer(h, max_valency, workers)
+        rich, skews = _rich_maps_cyclic(h, max_valency)
+        # Aut(H) and mirror reversal both preserve CI verdicts; an orbit whose
+        # least member is not rich has no representative
+        rotations = [rot for rot, orbit in cayley_classes(h, rich, mirror=True)
+                     if min(orbit) == rot]
+        stats = {"maps_rich": len(rich), "rich_classes": len(rotations)}
+        del rich  # the sweep needs only the representatives
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
-    report.stats["maps_total"] = total
-    report.stats["strategy"] = strategy
+    checked, _, failing = _first_failure(h, rotations, workers, skews)
+    if failing is None and strategy == "exhaustive":
+        stats["maps_connected"] = checked  # every connected map was checked
+    report = _group_report(h, failing is None, f"{strategy}-babai", failing,
+                           dict(stats, maps_checked=checked, maps_total=total,
+                                strategy=strategy))
     report.elapsed = time.perf_counter() - t0
     return report
 
@@ -397,42 +442,6 @@ def _connected_rotations(h: FiniteGroup, max_valency: int):
     for s in connection_sets(h, max_valency):
         if len(closure_of(h, s)) == h.order:
             yield from rotations_of(s)
-
-
-def _verify_connected_exhaustive(h: FiniteGroup, max_valency: int, workers: int) -> CiReport:
-    # on failure only the canonical index of the first bad map is reported;
-    # enumeration read-ahead depends on batching, so it must stay out
-    checked = 0
-    with closing(_sweep(h, _connected_rotations(h, max_valency), workers)) as results:
-        for checked, (failing, _) in enumerate(results, 1):
-            if failing is not None:
-                return _group_report(h, False, "exhaustive-babai", failing,
-                                     {"maps_checked": checked})
-    # every connected map was checked
-    return _group_report(h, True, "exhaustive-babai", None,
-                         {"maps_connected": checked, "maps_checked": checked})
-
-
-def _verify_connected_stabilizer(h: FiniteGroup, max_valency: int, workers: int) -> CiReport:
-    rich, skew_set = _rich_maps_cyclic(h, max_valency)
-    maps_rich = len(rich)
-    # Aut(H) and mirror reversal both preserve CI verdicts; an orbit whose
-    # least member is not rich has no representative
-    reps = [rot for rot, orbit in cayley_classes(h, rich, mirror=True) if min(orbit) == rot]
-    del rich  # the sweep needs only the representatives
-    stats = {"maps_rich": maps_rich, "rich_classes": len(reps)}
-    checked = 0
-    with closing(_sweep(h, reps, workers)) as results:
-        for checked, (failing, stab) in enumerate(results, 1):
-            if not skew_set.issuperset(stab):
-                raise RuntimeError(
-                    "map stabilizer element missing from the skew-morphism list; "
-                    "stabilizer enumeration is incomplete"
-                )
-            if failing is not None:
-                return _group_report(h, False, "stabilizer-babai", failing,
-                                     dict(stats, maps_checked=checked))
-    return _group_report(h, True, "stabilizer-babai", None, dict(stats, maps_checked=checked))
 
 
 def _group_report(
@@ -490,55 +499,50 @@ def verify_cim_group(
     Connected maps are checked directly. A disconnected map is a CI-map
     iff its identity component (``identity_component``, a connected map
     over K = <S>) is one, provided equal-order subgroups of h are
-    automorphism-conjugate and subgroup automorphisms extend; both
-    conditions are checked once per K, not assumed, and hold for the
-    Z_n x Z_2^r / Z_4 / Q_8 family and for cyclic groups. Anything else
-    with disconnected maps in range is reported as unsupported rather
-    than guessed.
+    automorphism-conjugate and subgroup automorphisms extend. Both
+    conditions are checked, not assumed, once per K in order of first
+    appearance; they hold for the Z_n x Z_2^r / Z_4 / Q_8 family and for
+    cyclic groups. The disconnected maps then go through the same sweep
+    as the connected ones, up to the first set whose K fails the
+    conditions; if none of those maps fails, h is reported as unsupported
+    rather than guessed.
     """
     t0 = time.perf_counter()
     report = verify_connected_cim(h, max_valency, strategy, workers)
-    if not report.verdict:
-        report.method += "+disconnected-reduction"
-        report.elapsed = time.perf_counter() - t0
-        return report
-
-    disconnected_sets = [s for s in connection_sets(h, max_valency)
-                         if len(closure_of(h, s)) != h.order]
-    if sum(factorial(len(s) - 1) for s in disconnected_sets) > DISCONNECTED_CAP:
-        raise CapacityError("too many disconnected maps in range")
-
-    subgroups: set[tuple[int, ...]] = set()  # the K whose conditions hold
-    disconnected = 0
-    for s in disconnected_sets:
-        for rot in rotations_of(s):
-            component, members = identity_component(make_map(h, rot))
-            if members not in subgroups:
-                if not _check_reduction_conditions(h, Subgroup(h, members), component.group):
-                    raise UnsupportedReductionError(
-                        f"disconnected maps over {h.name} generate {members}; "
-                        "subgroup conjugacy or automorphism extension fails, so the "
-                        "reduction to connected maps does not apply"
-                    )
-                subgroups.add(members)
-            disconnected += 1
-            comp_report = babai_is_ci_map(component)
-            if not comp_report.verdict:
-                out = _group_report(
-                    h, False, report.stats.get("strategy", "auto") + "-babai+disconnected-reduction",
-                    comp_report,
-                    dict(report.stats, maps_disconnected=disconnected,
-                         component_checks=disconnected),
-                )
-                out.notes["failing_disconnected_rotation"] = list(rot)
-                out.elapsed = time.perf_counter() - t0
-                return out
-
     report.method += "+disconnected-reduction"
-    report.stats["maps_disconnected"] = disconnected
-    report.stats["maps_reduced"] = disconnected
-    report.stats["component_checks"] = disconnected
-    report.notes["reduction_subgroups"] = sorted(map(list, subgroups))
+    if report.verdict:
+        disconnected = [(s, k) for s in connection_sets(h, max_valency)
+                        if len(k := _generated_subgroup(h, s)) != h.order]
+        if sum(factorial(len(s) - 1) for s, _ in disconnected) > DISCONNECTED_CAP:
+            raise CapacityError("too many disconnected maps in range")
+        subgroups: set[tuple[int, ...]] = set()  # the K whose conditions hold
+        refused = None
+        swept = []
+        for s, members in disconnected:
+            if members not in subgroups:
+                if not _check_reduction_conditions(h, Subgroup(h, members),
+                                                   _component_group(h, members)):
+                    refused = members
+                    break
+                subgroups.add(members)
+            swept.append(s)
+        checked, rot, failing = _first_failure(
+            h, chain.from_iterable(map(rotations_of, swept)), workers)
+        if failing is not None:
+            report = _group_report(h, False, report.method, failing,
+                                   dict(report.stats, maps_disconnected=checked,
+                                        component_checks=checked))
+            report.notes["failing_disconnected_rotation"] = list(rot)
+        elif refused is not None:
+            raise UnsupportedReductionError(
+                f"disconnected maps over {h.name} generate {refused}; "
+                "subgroup conjugacy or automorphism extension fails, so the "
+                "reduction to connected maps does not apply"
+            )
+        else:
+            report.stats.update(maps_disconnected=checked, maps_reduced=checked,
+                                component_checks=checked)
+            report.notes["reduction_subgroups"] = sorted(map(list, subgroups))
     report.elapsed = time.perf_counter() - t0
     return report
 
@@ -590,21 +594,15 @@ def cross_validate(h: FiniteGroup, workers: int = 1) -> CiReport:
     t0 = time.perf_counter()
     if h.order > 8:
         raise CapacityError("cross validation is limited to groups of order <= 8")
-    connected = list(_connected_rotations(h, h.order - 1))
-    verdicts = [failing is None for failing, _ in _sweep(h, connected, workers)]
     discrepancies = []
-    for rot, babai_verdict in zip(connected, verdicts):
+    checked = 0
+    results = _sweep(h, _connected_rotations(h, h.order - 1), workers)
+    for checked, (rot, (failing, _)) in enumerate(results, 1):
         key, mates = _valency_classes(h, len(rot))
         def_verdict = len(mates[key[rot]]) == 1
-        if def_verdict != babai_verdict:
-            discrepancies.append(
-                {
-                    "kind": "oracle-discrepancy",
-                    "rotation": list(rot),
-                    "babai": babai_verdict,
-                    "definitional": def_verdict,
-                }
-            )
+        if def_verdict != (failing is None):
+            discrepancies.append({"kind": "oracle-discrepancy", "rotation": list(rot),
+                                  "babai": failing is None, "definitional": def_verdict})
     return CiReport(
         subject=_group_subject(h),
         verdict=not discrepancies,
@@ -612,7 +610,7 @@ def cross_validate(h: FiniteGroup, workers: int = 1) -> CiReport:
         witnesses=discrepancies,
         stats={
             "maps_enumerated": total_map_count(h, h.order - 1),
-            "connected_checked": len(connected),
+            "connected_checked": checked,
             "discrepancies": len(discrepancies),
         },
         elapsed=time.perf_counter() - t0,

@@ -38,6 +38,9 @@ from .perms import (
     perm_order,
 )
 
+ODD_SQUARE_CAP = 7  # largest p for odd_square_map
+TWO_POWER_CAP = 6  # largest n for cyclic_2power_map
+
 
 @dataclass(frozen=True, eq=False)
 class WitnessedMap:
@@ -74,7 +77,7 @@ def _perm_of(h: FiniteGroup, fn) -> Perm:
     return tuple(fn(x) for x in h.elements())
 
 
-def odd_square_map(p: int, kind: str = "cyclic", cap: int = 7) -> WitnessedMap:
+def odd_square_map(p: int, kind: str = "cyclic") -> WitnessedMap:
     """Balanced non-CI map over a group of order p^2, p an odd prime.
 
     kind="cyclic": K = Z_(p^2), beta(x) = (1+p) x, rival = <gamma> with
@@ -85,8 +88,8 @@ def odd_square_map(p: int, kind: str = "cyclic", cap: int = 7) -> WitnessedMap:
     """
     if not _is_odd_prime(p):
         raise InvalidOrderError(f"p must be an odd prime, got {p}")
-    if p > cap:
-        raise InvalidOrderError(f"p capped at {cap}")
+    if p > ODD_SQUARE_CAP:
+        raise InvalidOrderError(f"p capped at {ODD_SQUARE_CAP}")
     if kind == "cyclic":
         k_group = make_cyclic(p * p)
         alpha = _perm_of(k_group, lambda x: (-(1 + p) * x) % (p * p))
@@ -131,7 +134,7 @@ def odd_square_map(p: int, kind: str = "cyclic", cap: int = 7) -> WitnessedMap:
     )
 
 
-def cyclic_2power_map(n: int, cap: int = 6) -> WitnessedMap:
+def cyclic_2power_map(n: int) -> WitnessedMap:
     """Antibalanced non-CI map over Z_(2^n), n >= 4, of valency 8.
 
     With a = 1 + 2^(n-1), the connection set is
@@ -142,8 +145,8 @@ def cyclic_2power_map(n: int, cap: int = 6) -> WitnessedMap:
     """
     if n < 4:
         raise InvalidOrderError(f"n must be at least 4, got {n}")
-    if n > cap:
-        raise InvalidOrderError(f"n capped at {cap}")
+    if n > TWO_POWER_CAP:
+        raise InvalidOrderError(f"n capped at {TWO_POWER_CAP}")
     order = 2 ** n
     a = 1 + 2 ** (n - 1)
     h = make_cyclic(order)

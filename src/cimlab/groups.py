@@ -274,10 +274,11 @@ def closure_of(g: FiniteGroup, seed: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted(members))
 
 
-def all_subgroups(g: FiniteGroup, cap: int = DEFAULT_ORDER_CAP) -> list[Subgroup]:
+def all_subgroups(g: FiniteGroup) -> list[Subgroup]:
     """All subgroups, by growing each known subgroup by one extra generator."""
-    if g.order > cap:
-        raise CapacityError(f"subgroup enumeration capped at order {cap}, got {g.order}")
+    if g.order > DEFAULT_ORDER_CAP:
+        raise CapacityError(
+            f"subgroup enumeration capped at order {DEFAULT_ORDER_CAP}, got {g.order}")
     trivial = (0,)
     seen = {trivial}
     frontier = [trivial]
@@ -379,12 +380,10 @@ def _isomorphisms_iter(g: FiniteGroup, h: FiniteGroup):
     yield from extend(0, [])
 
 
-def is_isomorphic(
-    g1: FiniteGroup, g2: FiniteGroup, cap: int = DEFAULT_ORDER_CAP
-) -> Optional[GroupIsomorphism]:
+def is_isomorphic(g1: FiniteGroup, g2: FiniteGroup) -> Optional[GroupIsomorphism]:
     """First isomorphism in backtracking order, or None."""
-    if max(g1.order, g2.order) > cap:
-        raise CapacityError(f"isomorphism search capped at order {cap}")
+    if max(g1.order, g2.order) > DEFAULT_ORDER_CAP:
+        raise CapacityError(f"isomorphism search capped at order {DEFAULT_ORDER_CAP}")
     for images in _isomorphisms_iter(g1, g2):
         return GroupIsomorphism(g1, g2, images)
     return None
@@ -395,10 +394,10 @@ def _automorphisms_of(g: FiniteGroup) -> tuple[GroupIsomorphism, ...]:
     return tuple(GroupIsomorphism(g, g, f) for f in sorted(_isomorphisms_iter(g, g)))
 
 
-def automorphisms(g: FiniteGroup, cap: int = DEFAULT_ORDER_CAP) -> list[GroupIsomorphism]:
+def automorphisms(g: FiniteGroup) -> list[GroupIsomorphism]:
     """All automorphisms of g, sorted by image tuple. Cached per group object."""
-    if g.order > cap:
-        raise CapacityError(f"automorphism enumeration capped at order {cap}")
+    if g.order > DEFAULT_ORDER_CAP:
+        raise CapacityError(f"automorphism enumeration capped at order {DEFAULT_ORDER_CAP}")
     return list(_automorphisms_of(g))
 
 

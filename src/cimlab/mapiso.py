@@ -32,6 +32,7 @@ from .maps import CayleyMap, identity_component, is_connected
 from .perms import (
     Perm,
     PermutationGroup,
+    _cyclic_subgroup,
     compose,
     from_elements,
     left_regular_representation,
@@ -156,8 +157,7 @@ def stabilizer_automorphisms(m: CayleyMap) -> list[Perm]:
     if not is_connected(m):
         raise DisconnectedMapError("map automorphisms need a connected map")
     k = m.valency
-    identity = tuple(range(m.group.order))
-    generator = identity
+    generator = tuple(range(m.group.order))
     for p in _prime_divisors(k):
         kept = None
         j = k // p
@@ -168,12 +168,7 @@ def stabilizer_automorphisms(m: CayleyMap) -> list[Perm]:
             j //= p
         if kept is not None:
             generator = compose(generator, kept)
-    out = [identity]
-    power = generator
-    while power != identity:
-        out.append(power)
-        power = compose(power, generator)
-    return sorted(out)
+    return sorted(_cyclic_subgroup(generator))
 
 
 def map_automorphism_group(m: CayleyMap) -> PermutationGroup:
@@ -269,13 +264,11 @@ def _bfs_vertex_order(m: CayleyMap) -> list[int]:
     return order
 
 
-def bruteforce_map_isomorphism(
-    m1: CayleyMap, m2: CayleyMap, cap: int = BRUTE_FORCE_CAP
-) -> Optional[tuple[int, ...]]:
+def bruteforce_map_isomorphism(m1: CayleyMap, m2: CayleyMap) -> Optional[tuple[int, ...]]:
     """Backtracking isomorphism search that also handles disconnected maps."""
     n = m1.group.order
-    if n > cap:
-        raise CapacityError(f"brute-force isomorphism capped at order {cap}")
+    if n > BRUTE_FORCE_CAP:
+        raise CapacityError(f"brute-force isomorphism capped at order {BRUTE_FORCE_CAP}")
     if m2.group.order != n or m1.valency != m2.valency:
         return None
     g1, g2 = m1.group, m2.group

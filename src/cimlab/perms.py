@@ -208,9 +208,7 @@ def is_block(g: PermutationGroup, delta: Iterable[int]) -> bool:
     return True
 
 
-def regular_subgroups_isomorphic_to(
-    g: PermutationGroup, h: FiniteGroup, cap: int = DEFAULT_GROUP_CAP
-) -> list[PermutationGroup]:
+def regular_subgroups_isomorphic_to(g: PermutationGroup, h: FiniteGroup) -> list[PermutationGroup]:
     """All regular subgroups of g isomorphic to h, sorted canonically.
 
     A regular subgroup has order equal to the degree and consists of the
@@ -234,8 +232,8 @@ def regular_subgroups_isomorphic_to(
     n = h.order
     if g.degree != n:
         raise ValueError("degree must equal |h|")
-    if g.order > cap:
-        raise CapacityError(f"regular subgroup search capped at {cap}")
+    if g.order > DEFAULT_GROUP_CAP:
+        raise CapacityError(f"regular subgroup search capped at {DEFAULT_GROUP_CAP}")
     ident = identity_perm(n)
 
     if g.order == n:

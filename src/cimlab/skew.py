@@ -41,11 +41,11 @@ DEFAULT_LEAF_BUDGET = 5_000_000
 SKEW_CACHE_SIZE = 32
 
 
-def brute_force_skew_morphisms(h: FiniteGroup, cap: int = BRUTE_FORCE_CAP) -> list[Perm]:
+def brute_force_skew_morphisms(h: FiniteGroup) -> list[Perm]:
     """Scan all of Sym(H) fixing the identity; oracle for the fast search."""
     n = h.order
-    if n > cap:
-        raise CapacityError(f"brute-force skew enumeration capped at order {cap}")
+    if n > BRUTE_FORCE_CAP:
+        raise CapacityError(f"brute-force skew enumeration capped at order {BRUTE_FORCE_CAP}")
     out = []
     for rest in permutations(range(1, n)):
         phi = (0,) + rest

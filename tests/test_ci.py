@@ -37,6 +37,7 @@ from cimlab.maps import (
     apply_group_automorphism,
     connection_subgroup,
     face_profile,
+    identity_component,
     is_connected,
     make_map,
 )
@@ -493,6 +494,46 @@ def test_disconnected_reduction_reports_a_failing_component(monkeypatch):
     }
 
 
+def flip_component(monkeypatch, group_name, rotation):
+    """Make ``babai_is_ci_map`` call one component over the named group non-CI."""
+    real = ci.babai_is_ci_map
+
+    def flipped(m, aut=None):
+        report = real(m, aut=aut)
+        if m.group.name == group_name and m.rotation == rotation:
+            report.verdict = False
+        return report
+
+    monkeypatch.setattr(ci, "babai_is_ci_map", flipped)
+
+
+def test_refused_reduction_ends_the_sweep_before_its_first_set(monkeypatch):
+    # over Z8 the disconnected sets are {4} over K = <4>, then {2, 6} and
+    # {2, 4, 6} over K = <2>; refuse <2>
+    real = ci._check_reduction_conditions
+    monkeypatch.setattr(ci, "_check_reduction_conditions",
+                        lambda h, k, k_group: k.members != (0, 2, 4, 6) and real(h, k, k_group))
+    with pytest.raises(UnsupportedReductionError, match=r"generate \(0, 2, 4, 6\)"):
+        verify_cim_group(make_cyclic(8), 7)
+    # no map over the refused K is swept, so its failing component goes unseen
+    flip_component(monkeypatch, "Z8|{0,2,4,6}", (1, 3))
+    with pytest.raises(UnsupportedReductionError):
+        verify_cim_group(make_cyclic(8), 7)
+    # a failing map over an earlier K is reported instead of the refusal
+    flip_component(monkeypatch, "Z8|{0,4}", (1,))
+    report = verify_cim_group(make_cyclic(8), 7)
+    assert report.to_json_dict() == {
+        "subject": {"kind": "group", "group": "Z8", "order": 8},
+        "verdict": False,
+        "method": "exhaustive-babai+disconnected-reduction",
+        "witnesses": [{"kind": "non-ci-map", "rotation": [1], "group": "Z8|{0,4}"}],
+        "stats": {"maps_checked": 936, "maps_connected": 936, "maps_total": 940,
+                  "strategy": "exhaustive", "maps_disconnected": 1, "component_checks": 1},
+        "notes": {"class_m_form": None, "first_failing_map": [1],
+                  "failing_disconnected_rotation": [4]},
+    }
+
+
 def test_each_connection_subgroup_is_built_once(monkeypatch):
     built = []
     as_group = Subgroup.as_group
@@ -598,16 +639,30 @@ def test_pool_tasks_do_not_carry_the_group(counting_pool):
         assert len(pickle.dumps(fn)) < len(pickle.dumps(h))
 
 
+def test_disconnected_reduction_sweeps_through_its_own_pool(counting_pool):
+    h = make_cyclic(16)
+    report = verify_cim_group(h, 5, workers=2)
+    assert report.stats["maps_disconnected"] == 100
+    assert counting_pool.pool_sizes == [2, 2]  # the connected sweep's, then the reduction's
+    assert report.to_json_dict() == verify_cim_group(h, 5).to_json_dict()
+
+
 def test_worker_replies_carry_only_what_the_sweeps_read(counting_pool):
-    # a CI-map's reply is None and its stabilizer's elements, no report
-    h = make_cyclic(11)
-    verify_connected_cim(h, 6, strategy="exhaustive", workers=2)
-    assert len(counting_pool.results) == 1265
+    # a CI-map's reply is None and its component's stabilizer elements, no
+    # report; with a trivial stabilizer it pickles to a few dozen bytes
+    h = make_cyclic(16)
+    verify_cim_group(h, 5, workers=2)
+    assert len(counting_pool.results) == 652
+    nontrivial = 0
     for rot, reply in zip(counting_pool.items, counting_pool.results):
         failing, stab = reply
+        component, _ = identity_component(make_map(h, rot))
         assert failing is None
-        assert stab == tuple(stabilizer_automorphisms(make_map(h, rot)))
-        assert len(pickle.dumps(reply)) < 100
+        assert stab == tuple(stabilizer_automorphisms(component))
+        if len(stab) == 1:
+            assert len(pickle.dumps(reply)) < 100
+        nontrivial += len(stab) > 1
+    assert nontrivial == 61
 
 
 def test_worker_reply_carries_the_failing_report(counting_pool):

@@ -168,6 +168,10 @@ GOLDEN = [
      "1565c2597a815c0a63135781b4ab59580c8a651220277a62158d0762f9fc3c9c"),
     (["verify-cim", "--group", "cyclic:8", "--max-valency", "7"], 0,
      "1a562e2ba4b828b0fe7f79ed35a6515fcfab3b44425177bb6c1e010db4cd8909"),
+    # the connected and the disconnected sweep each through a pool of two
+    # workers; the worker count goes last, as a unique id
+    (["verify-cim", "--max-valency", "5", "--group", "cyclic:16", "--workers", "2"], 0,
+     "1565c2597a815c0a63135781b4ab59580c8a651220277a62158d0762f9fc3c9c"),
     # witnesses over make_abelian tables and rival tables
     (["counterexample", "--family", "odd-square", "--p", "3", "--kind", "elementary"], 1,
      "3f1735071c95765c1e65a881216cd91d8f669c91f0d0dc94498d114e5d30d6d2"),
