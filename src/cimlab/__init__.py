@@ -71,6 +71,4 @@ from .constructions import (
     quaternion16_witness,
     z8_cim_maps,
 )
-from .reports import CiReport, ReportBundle
-
-__version__ = "0.1.0"
+from .reports import TOOL_VERSION as __version__, CiReport, ReportBundle

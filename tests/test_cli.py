@@ -1,11 +1,15 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from cimlab.cli import build_parser, parse_group_spec, parse_map_spec, run
 from cimlab.groups import is_isomorphic, make_abelian, make_cyclic, make_generalized_quaternion
-from cimlab.reports import validate_bundle_dict
+from cimlab.reports import CiReport, validate_bundle_dict
 
 
 def run_json(capsys, argv):
@@ -192,7 +196,12 @@ GOLDEN = [
 ]
 
 
-@pytest.mark.parametrize("argv, code, digest", GOLDEN, ids=[argv[-1] for argv, _, _ in GOLDEN])
+# pytest would suffix a repeated id, silently renaming the test that had it
+GOLDEN_IDS = [argv[-1] for argv, _, _ in GOLDEN]
+assert len(set(GOLDEN_IDS)) == len(GOLDEN_IDS), "each GOLDEN argv must end in its own value"
+
+
+@pytest.mark.parametrize("argv, code, digest", GOLDEN, ids=GOLDEN_IDS)
 def test_canonical_json_matches_golden_digest(capsys, argv, code, digest):
     assert run(argv) == code
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
@@ -426,6 +435,71 @@ def test_internal_error_exit_code(monkeypatch, capsys):
     assert captured.out == ""
     assert captured.err == (
         "internal error: left-regular copy missing from regular subgroup search\n")
+
+
+def test_bundle_that_fails_its_own_check_is_an_internal_error(monkeypatch, capsys):
+    # exit 1 would read as a false verdict
+    import cimlab.cli
+
+    monkeypatch.setattr(cimlab.cli, "verify_connected_cim", lambda *args, **kwargs: CiReport(
+        subject={}, verdict=True, method="exhaustive", stats=[]))
+    rc = run(["verify-connected-cim", "--group", "cyclic:5", "--max-valency", "4"])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert captured.err.startswith("internal error:")
+
+
+def _with_report(bundle, **fields):
+    return {**bundle, "reports": [{**bundle["reports"][0], **fields}]}
+
+
+# edits of a real bundle (`is-ci-map --map z8:1,3,5,7`, one report with a
+# witness) that validate_bundle_dict must reject
+REJECTED_EDITS = {
+    "missing-key": lambda b: {k: v for k, v in b.items() if k != "command"},
+    "extra-key": lambda b: {**b, "elapsed": 0.1},
+    "report-missing-key": lambda b: {**b, "reports": [
+        {k: v for k, v in b["reports"][0].items() if k != "notes"}]},
+    "report-extra-key": lambda b: _with_report(b, seconds=0.1),
+    "verdict-int": lambda b: _with_report(b, verdict=1),
+    "elapsed-true": lambda b: {**b, "elapsed_seconds": True},
+    "report-elapsed-string": lambda b: _with_report(b, elapsed_seconds="0.1"),
+    "reports-dict": lambda b: {**b, "reports": {"0": b["reports"][0]}},
+    "reports-tuple": lambda b: {**b, "reports": tuple(b["reports"])},
+    "witness-list": lambda b: _with_report(b, witnesses=[list(b["reports"][0]["witnesses"][0])]),
+    "subject-string": lambda b: _with_report(b, subject="z8:1,3,5,7"),
+    "not-a-dict": lambda b: list(b.items()),
+}
+
+
+def real_bundle(capsys, *flags):
+    assert run(["is-ci-map", "--map", "z8:1,3,5,7", *flags]) == 0
+    bundle = json.loads(capsys.readouterr().out)
+    assert bundle["reports"][0]["witnesses"]
+    return bundle
+
+
+@pytest.mark.parametrize("flags", [[], ["--timings"]], ids=["plain", "timings"])
+def test_validate_bundle_accepts_real_bundles(capsys, flags):
+    bundle = real_bundle(capsys, *flags)
+    assert ("elapsed_seconds" in bundle) is bool(flags)
+    validate_bundle_dict(bundle)
+
+
+@pytest.mark.parametrize("edit", REJECTED_EDITS.values(), ids=REJECTED_EDITS.keys())
+def test_validate_bundle_rejects_malformed_bundles(capsys, edit):
+    with pytest.raises(RuntimeError):
+        validate_bundle_dict(edit(real_bundle(capsys)))
+
+
+def test_import_needs_only_the_standard_library():
+    # -S leaves site-packages off the path, so any third-party import fails
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-S", "-c", "import cimlab.cli"],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("command, bound", [("verify-connected-cim", "-3"), ("verify-cim", "0")])
