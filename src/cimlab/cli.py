@@ -2,10 +2,13 @@
 
 Subcommands: aut-map, iso-maps, is-ci-map, verify-cim,
 verify-connected-cim, cross-validate, counterexample, reproduce-paper.
-All output is canonical JSON (pretty, sorted keys) on stdout; timing
-goes to stderr so repeated runs are byte-identical. Exit codes: 0 for a
-true verdict, 1 for false, 2 for a usage or input error, 3 for an
-internal error (a failed internal check).
+Each subcommand's builder returns its config and reports, and ``run()``
+emits them as one bundle: canonical JSON (pretty, sorted keys) on
+stdout, timing on stderr, so repeated runs are byte-identical. The
+entries of reproduce-paper (``BATTERY``) come from the same builders.
+Exit codes: 0 when the last report's verdict is true (reproduce-paper's
+last report is its summary), 1 when it is false, 2 for a usage or input
+error, 3 for an internal error (a failed internal check).
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from .groups import (
 from .maps import CayleyMap, is_antibalanced, is_balanced, is_connected, make_map
 from .mapiso import are_cayley_isomorphic, map_automorphism_group, map_isomorphisms
 from .ci import (
+    _map_subject,
     babai_is_ci_map,
     cross_validate,
     definitional_is_ci_map,
@@ -218,20 +222,14 @@ def _emit(args, command: str, config: dict, reports: list[CiReport], t0: float) 
     print(f"[{command}] {bundle.elapsed:.2f}s", file=sys.stderr)
 
 
-def _cmd_aut_map(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_aut_map(args) -> tuple[dict, list[CiReport]]:
     m = parse_map_spec(args.map)
     group = map_automorphism_group(m)
-    stab = point_stabilizer(group, 0)
     report = CiReport(
-        subject={"kind": "map", "group": m.group.name, "order": m.group.order,
-                 "rotation": list(m.rotation)},
+        subject=_map_subject(m),
         verdict=True,
         method="aut-map",
-        stats={
-            "order": group.order,
-            "stabilizer_order": stab.order,
-        },
+        stats={"order": group.order, "stabilizer_order": point_stabilizer(group, 0).order},
         notes={
             "balanced": is_balanced(m),
             "antibalanced": is_antibalanced(m),
@@ -239,63 +237,49 @@ def _cmd_aut_map(args) -> int:
             "generators": [list(p) for p in group.generators],
         },
     )
-    _emit(args, "aut-map", {"map": args.map}, [report], t0)
-    return 0
+    return {"map": args.map}, [report]
 
 
-def _cmd_iso_maps(args) -> int:
-    t0 = time.perf_counter()
-    m1 = parse_map_spec(args.map1)
-    m2 = parse_map_spec(args.map2)
+def _map_pair_report(m1: CayleyMap, m2: CayleyMap, method: str) -> CiReport:
+    """Verdict: m1 and m2 are isomorphic maps. The notes say whether a
+    Cayley isomorphism exists too."""
     isos = map_isomorphisms(m1, m2)
     cayley = are_cayley_isomorphic(m1, m2)
-    report = CiReport(
+    return CiReport(
         subject={"kind": "map-pair", "group1": m1.group.name, "group2": m2.group.name,
                  "rotation1": list(m1.rotation), "rotation2": list(m2.rotation)},
         verdict=bool(isos),
-        method="iso-maps",
-        witnesses=(
-            [{"kind": "map-isomorphism", "images": list(isos[0].images)}] if isos else []
-        ),
+        method=method,
+        witnesses=[{"kind": "map-isomorphism", "images": list(isos[0].images)}] if isos else [],
         stats={"isomorphism_count": len(isos)},
-        notes={
-            "cayley_isomorphic": cayley is not None,
-            "cayley_witness": list(cayley.images) if cayley else None,
-        },
+        notes={"cayley_isomorphic": cayley is not None,
+               "cayley_witness": list(cayley.images) if cayley else None},
     )
-    _emit(args, "iso-maps", {"map1": args.map1, "map2": args.map2}, [report], t0)
-    return 0 if isos else 1
 
 
-def _cmd_is_ci_map(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_iso_maps(args) -> tuple[dict, list[CiReport]]:
+    report = _map_pair_report(parse_map_spec(args.map1), parse_map_spec(args.map2), "iso-maps")
+    return {"map1": args.map1, "map2": args.map2}, [report]
+
+
+def _cmd_is_ci_map(args) -> tuple[dict, list[CiReport]]:
     m = parse_map_spec(args.map)
-    if args.method == "babai":
-        report = babai_is_ci_map(m)
-    else:
-        report = definitional_is_ci_map(m)
-    _emit(args, "is-ci-map", {"map": args.map, "method": args.method}, [report], t0)
-    return 0 if report.verdict else 1
+    check = babai_is_ci_map if args.method == "babai" else definitional_is_ci_map
+    return {"map": args.map, "method": args.method}, [check(m)]
 
 
-def _cmd_verify_cim(args, connected_only: bool) -> int:
-    t0 = time.perf_counter()
+def _cmd_verify_cim(args) -> tuple[dict, list[CiReport]]:
+    """verify-cim and verify-connected-cim; the command names the maps swept."""
     h = parse_group_spec(args.group)
-    fn = verify_connected_cim if connected_only else verify_cim_group
-    report = fn(h, args.max_valency, strategy=args.strategy, workers=args.workers)
-    name = "verify-connected-cim" if connected_only else "verify-cim"
-    config = {"group": args.group, "max_valency": args.max_valency,
-              "strategy": args.strategy}
-    _emit(args, name, config, [report], t0)
-    return 0 if report.verdict else 1
+    verify = verify_connected_cim if args.command == "verify-connected-cim" else verify_cim_group
+    report = verify(h, args.max_valency, strategy=args.strategy, workers=args.workers)
+    return {"group": args.group, "max_valency": args.max_valency,
+            "strategy": args.strategy}, [report]
 
 
-def _cmd_cross_validate(args) -> int:
-    t0 = time.perf_counter()
-    h = parse_group_spec(args.group)
-    report = cross_validate(h, workers=args.workers)
-    _emit(args, "cross-validate", {"group": args.group}, [report], t0)
-    return 0 if report.verdict else 1
+def _cmd_cross_validate(args) -> tuple[dict, list[CiReport]]:
+    report = cross_validate(parse_group_spec(args.group), workers=args.workers)
+    return {"group": args.group}, [report]
 
 
 def _witnessed_report(w, key: str) -> CiReport:
@@ -312,11 +296,8 @@ def _witnessed_report(w, key: str) -> CiReport:
              "generators": [list(p) for p in w.rival.generators],
              "order": w.rival.order},
         ] + babai.witnesses,
-        stats={
-            "aut_order": aut.order,
-            "ambient_order": w.ambient.order,
-            "rival_order": w.rival.order,
-        },
+        stats={"aut_order": aut.order, "ambient_order": w.ambient.order,
+               "rival_order": w.rival.order},
         notes={"family": key, "description": w.notes,
                "balanced": is_balanced(w.map), "antibalanced": is_antibalanced(w.map)},
     )
@@ -324,144 +305,132 @@ def _witnessed_report(w, key: str) -> CiReport:
 
 def _q16_report() -> CiReport:
     q = quaternion16_witness()
-    isos = map_isomorphisms(q.map_quaternion, q.map_cyclic)
-    cayley = are_cayley_isomorphic(q.map_quaternion, q.map_cyclic)
-    groups_iso = is_isomorphic(
-        q.quaternion_subgroup.as_group(), q.cyclic_subgroup.as_group()
-    )
-    if not isos or cayley is not None or groups_iso is not None:
+    report = _map_pair_report(q.map_quaternion, q.map_cyclic, "counterexample")
+    groups_iso = is_isomorphic(q.quaternion_subgroup.as_group(), q.cyclic_subgroup.as_group())
+    if not report.verdict or report.notes["cayley_isomorphic"] or groups_iso is not None:
         raise RuntimeError("quaternion-cyclic witness failed to reproduce")
-    return CiReport(
-        subject={"kind": "map-pair", "group1": q.map_quaternion.group.name,
-                 "group2": q.map_cyclic.group.name,
-                 "rotation1": list(q.map_quaternion.rotation),
-                 "rotation2": list(q.map_cyclic.rotation)},
-        verdict=False,
-        method="counterexample",
-        witnesses=[{"kind": "map-isomorphism", "images": list(isos[0].images)}],
-        stats={"isomorphism_count": len(isos),
-               "aut_order": map_automorphism_group(q.map_quaternion).order},
-        notes={"family": "q16", "cayley_isomorphic": False,
-               "groups_isomorphic": False,
-               "balanced": is_balanced(q.map_quaternion)},
-    )
+    # isomorphic maps that no Cayley isomorphism relates: the CI property fails
+    report.verdict = False
+    report.stats["aut_order"] = map_automorphism_group(q.map_quaternion).order
+    report.notes = {"family": "q16", "cayley_isomorphic": False, "groups_isomorphic": False,
+                    "balanced": is_balanced(q.map_quaternion)}
+    return report
 
 
-def _cmd_counterexample(args) -> int:
-    t0 = time.perf_counter()
-    key = args.family
-    if key == "odd-square":
+# the options each counterexample family reads, which are also its config
+FAMILY_OPTIONS = {
+    "odd-square": ("p", "kind"),
+    "cyclic-2power": ("n",),
+    "frobenius": ("k_group", "c_order", "action", "seed"),
+    "q16": (),
+}
+
+
+def _cmd_counterexample(args) -> tuple[dict, list[CiReport]]:
+    family = args.family
+    config = {"family": family, **{o: getattr(args, o) for o in FAMILY_OPTIONS[family]}}
+    if family == "q16":
+        return config, [_q16_report()]
+    if family == "odd-square":
         w = odd_square_map(args.p, args.kind)
-        report = _witnessed_report(w, key)
-        config = {"family": key, "p": args.p, "kind": args.kind}
-    elif key == "cyclic-2power":
+    elif family == "cyclic-2power":
         w = cyclic_2power_map(args.n)
-        report = _witnessed_report(w, key)
-        report.notes["overlap6_set"] = sorted(overlap_set(w.map, 6))
-        config = {"family": key, "n": args.n}
-    elif key == "frobenius":
+    else:
         k_group = parse_group_spec(args.k_group)
         action, rest = _parse_action(k_group, args.action)
         if rest:
             raise ValueError(f"trailing tokens in action {args.action!r}")
         w = frobenius_map(args.c_order, k_group, action, args.seed)
-        report = _witnessed_report(w, key)
-        config = {"family": key, "k_group": args.k_group, "c_order": args.c_order,
-                  "action": args.action, "seed": args.seed}
-    elif key == "q16":
-        report = _q16_report()
-        config = {"family": key}
-    else:
-        raise ValueError(f"unknown family {key!r}")
-    _emit(args, "counterexample", config, [report], t0)
-    return 0 if report.verdict else 1
+    report = _witnessed_report(w, family)
+    if family == "cyclic-2power":
+        report.notes["overlap6_set"] = sorted(overlap_set(w.map, 6))
+    return config, [report]
 
 
-def _scan_groups() -> list[tuple[str, FiniteGroup, bool]]:
-    """Odd-order groups of order 3..15 with their expected CIM verdicts."""
-    out: list[tuple[str, FiniteGroup, bool]] = []
-    for n in (3, 5, 7, 9, 11, 13, 15):
-        out.append((f"cyclic:{n}", make_cyclic(n), n not in (9,)))
-    out.append(("abelian:3,3", make_abelian([3, 3]), False))
-    return out
-
-
-def _cmd_reproduce_paper(args) -> int:
-    t0 = time.perf_counter()
-    reports: list[CiReport] = []
-
-    def add(report: CiReport, key: str, expected: bool) -> None:
-        report.notes["battery_key"] = key
-        report.notes["expected_verdict"] = expected
-        report.notes["matches_expected"] = report.verdict == expected
-        reports.append(report)
-
-    add(_witnessed_report(odd_square_map(3, "cyclic"), "odd-square"),
-        "odd-square-cyclic-p3", False)
-    add(_witnessed_report(odd_square_map(3, "elementary"), "odd-square"),
-        "odd-square-elementary-p3", False)
-    w = cyclic_2power_map(4)
-    rpt = _witnessed_report(w, "cyclic-2power")
-    rpt.notes["overlap6_set"] = sorted(overlap_set(w.map, 6))
-    add(rpt, "cyclic-2power-n4", False)
-
-    add(_q16_report(), "quaternion16-pair", False)
-
-    z7 = make_cyclic(7)
-    action = GroupIsomorphism(z7, z7, tuple(2 * x % 7 for x in range(7)))
-    add(_witnessed_report(frobenius_map(3, z7, action, 1), "frobenius"),
-        "frobenius-21", False)
-
-    add(verify_cim_group(make_cyclic(8), 7, workers=args.workers),
-        "cyclic8-cim", True)
-
+def _featured_maps_report() -> CiReport:
     featured = z8_cim_maps()
-    featured_ok = all(
-        map_automorphism_group(m).order == 32
-        and is_antibalanced(m)
-        and babai_is_ci_map(m).verdict
-        for m in featured
-    )
-    add(
-        CiReport(
-            subject={"kind": "map-family", "group": "Z8",
-                     "rotations": [list(m.rotation) for m in featured]},
-            verdict=featured_ok,
-            method="babai",
-            stats={"maps": len(featured)},
-            notes={"aut_order": 32, "antibalanced": True},
-        ),
-        "cyclic8-featured-maps", True,
+    checks = [babai_is_ci_map(m) for m in featured]
+    return CiReport(
+        subject={"kind": "map-family", "group": "Z8",
+                 "rotations": [list(m.rotation) for m in featured]},
+        verdict=all(r.verdict and r.stats["aut_order"] == 32 and is_antibalanced(m)
+                    for m, r in zip(featured, checks)),
+        method="babai",
+        stats={"maps": len(featured)},
+        notes={"aut_order": 32, "antibalanced": True},
     )
 
-    for spec, group, expected in _scan_groups():
-        add(
-            verify_cim_group(group, group.order - 1, workers=args.workers),
-            f"odd-order-scan-{spec.replace(':', '').replace(',', '_')}",
-            expected,
-        )
 
+# reproduce-paper's entries: (battery_key, expected verdict, subcommand,
+# its options). Each entry is the report of that subcommand with those
+# options; only the featured Z8 maps have no subcommand.
+BATTERY = [
+    ("odd-square-cyclic-p3", False, "counterexample",
+     {"family": "odd-square", "p": 3, "kind": "cyclic"}),
+    ("odd-square-elementary-p3", False, "counterexample",
+     {"family": "odd-square", "p": 3, "kind": "elementary"}),
+    ("cyclic-2power-n4", False, "counterexample", {"family": "cyclic-2power", "n": 4}),
+    ("quaternion16-pair", False, "counterexample", {"family": "q16"}),
+    ("frobenius-21", False, "counterexample", {"family": "frobenius", "k_group": "cyclic:7",
+                                               "c_order": 3, "action": "mult:2", "seed": 1}),
+    ("cyclic8-cim", True, "verify-cim", {"group": "cyclic:8", "max_valency": 7,
+                                         "strategy": "auto"}),
+    ("cyclic8-featured-maps", True, None, {}),
+] + [
+    # the odd orders 3..15 at full valency
+    (f"odd-order-scan-{spec.replace(':', '').replace(',', '_')}", expected, "verify-cim",
+     {"group": spec, "max_valency": order - 1, "strategy": "auto"})
+    for spec, order, expected in [
+        ("cyclic:3", 3, True), ("cyclic:5", 5, True), ("cyclic:7", 7, True),
+        ("cyclic:9", 9, False), ("cyclic:11", 11, True), ("cyclic:13", 13, True),
+        ("cyclic:15", 15, True), ("abelian:3,3", 9, False),
+    ]
+]
+
+
+def _cmd_reproduce_paper(args) -> tuple[dict, list[CiReport]]:
+    reports: list[CiReport] = []
+    for key, expected, command, options in BATTERY:
+        if command is None:
+            report = _featured_maps_report()
+        else:
+            sub = argparse.Namespace(command=command, workers=args.workers, **options)
+            _, (report,) = _build(sub)
+        report.notes.update(battery_key=key, expected_verdict=expected,
+                            matches_expected=report.verdict == expected)
+        reports.append(report)
     all_match = all(r.notes["matches_expected"] for r in reports)
     summary = CiReport(
         subject={"kind": "battery", "entries": len(reports)},
         verdict=all_match,
         method="reproduce-paper",
-        stats={
-            "entries": len(reports),
-            "matching": sum(1 for r in reports if r.notes["matches_expected"]),
-        },
+        stats={"entries": len(reports),
+               "matching": sum(1 for r in reports if r.notes["matches_expected"])},
         notes={"results": {r.notes["battery_key"]: r.verdict for r in reports}},
     )
-    reports.append(summary)
-    _emit(args, "reproduce-paper", {"scan": "odd-orders-3-15"}, reports, t0)
-    return 0 if all_match else 1
+    return {"scan": "odd-orders-3-15"}, reports + [summary]
+
+
+def _build(args) -> tuple[dict, list[CiReport]]:
+    """The config and reports of ``args.command``, for run() and the battery.
+
+    The builders are looked up at each call, so a wrapper set on one of
+    this module's attributes is the one called.
+    """
+    return {
+        "aut-map": _cmd_aut_map,
+        "iso-maps": _cmd_iso_maps,
+        "is-ci-map": _cmd_is_ci_map,
+        "verify-cim": _cmd_verify_cim,
+        "verify-connected-cim": _cmd_verify_cim,
+        "cross-validate": _cmd_cross_validate,
+        "counterexample": _cmd_counterexample,
+        "reproduce-paper": _cmd_reproduce_paper,
+    }[args.command](args)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="cimlab",
-        description="Cayley map isomorphism workbench",
-    )
+    parser = argparse.ArgumentParser(prog="cimlab", description="Cayley map isomorphism workbench")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -477,49 +446,35 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("aut-map", help="automorphism group of a map")
     p.add_argument("--map", required=True)
     common(p)
-    p.set_defaults(fn=_cmd_aut_map)
 
     p = sub.add_parser("iso-maps", help="all isomorphisms between two maps")
     p.add_argument("--map1", required=True)
     p.add_argument("--map2", required=True)
     common(p)
-    p.set_defaults(fn=_cmd_iso_maps)
 
     p = sub.add_parser("is-ci-map", help="CI verdict for one map")
     p.add_argument("--map", required=True)
     p.add_argument("--method", choices=["babai", "definitional"], default="babai")
     common(p)
-    p.set_defaults(fn=_cmd_is_ci_map)
 
-    p = sub.add_parser("verify-cim", help="is the group a CIM-group up to a valency bound")
-    p.add_argument("--group", required=True)
-    p.add_argument("--max-valency", type=int, required=True)
-    p.add_argument("--strategy", choices=["auto", "exhaustive", "stabilizer"],
-                   default="auto")
-    common(p)
-    workers(p)
-    p.set_defaults(fn=lambda a: _cmd_verify_cim(a, connected_only=False))
-
-    p = sub.add_parser("verify-connected-cim",
-                       help="restrict the CIM check to connected maps")
-    p.add_argument("--group", required=True)
-    p.add_argument("--max-valency", type=int, required=True)
-    p.add_argument("--strategy", choices=["auto", "exhaustive", "stabilizer"],
-                   default="auto")
-    common(p)
-    workers(p)
-    p.set_defaults(fn=lambda a: _cmd_verify_cim(a, connected_only=True))
+    for name, text in (("verify-cim", "is the group a CIM-group up to a valency bound"),
+                       ("verify-connected-cim", "restrict the CIM check to connected maps")):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--group", required=True)
+        p.add_argument("--max-valency", type=int, required=True)
+        p.add_argument("--strategy", choices=["auto", "exhaustive", "stabilizer"],
+                       default="auto")
+        common(p)
+        workers(p)
 
     p = sub.add_parser("cross-validate",
                        help="definitional vs regular-subgroup verdicts, order <= 8")
     p.add_argument("--group", required=True)
     common(p)
     workers(p)
-    p.set_defaults(fn=_cmd_cross_validate)
 
     p = sub.add_parser("counterexample", help="construct a witnessed non-CI map")
-    p.add_argument("--family", required=True,
-                   choices=["odd-square", "cyclic-2power", "frobenius", "q16"])
+    p.add_argument("--family", required=True, choices=list(FAMILY_OPTIONS))
     p.add_argument("--p", type=int, default=3)
     p.add_argument("--kind", choices=["cyclic", "elementary"], default="cyclic")
     p.add_argument("--n", type=int, default=4)
@@ -528,12 +483,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--action", default="mult:2")
     p.add_argument("--seed", type=int, default=1)
     common(p)
-    p.set_defaults(fn=_cmd_counterexample)
 
     p = sub.add_parser("reproduce-paper", help="run the full reproduction battery")
     common(p)
     workers(p)
-    p.set_defaults(fn=_cmd_reproduce_paper)
 
     return parser
 
@@ -544,14 +497,17 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    t0 = time.perf_counter()
     try:
-        return args.fn(args)
+        config, reports = _build(args)
+        _emit(args, args.command, config, reports, t0)
     except (CimlabError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
+    return 0 if reports[-1].verdict else 1
 
 
 def main() -> None:

@@ -138,13 +138,9 @@ def from_table(table: Sequence[Sequence[int]], name: str = "group") -> FiniteGro
     """Build and validate a group from an explicit table (e.g. parsed JSON)."""
     n = len(table)
     tbl = tuple(tuple(int(x) for x in row) for row in table)
-    inv = [0] * n
-    for a in range(n):
-        for b in range(n):
-            if tbl[a][b] == 0:
-                inv[a] = b
-                break
-    g = FiniteGroup(n, tbl, tuple(inv), name)
+    # a ragged table, or a row without 0, fails the axiom check below
+    inv = tuple(row.index(0) if 0 in row else 0 for row in tbl)
+    g = FiniteGroup(n, tbl, inv, name)
     check_group_axioms(g)
     return g
 

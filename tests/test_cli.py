@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -7,9 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from cimlab.cli import build_parser, parse_group_spec, parse_map_spec, run
+from cimlab.cli import BATTERY, FAMILY_OPTIONS, build_parser, parse_group_spec, parse_map_spec, run
 from cimlab.groups import is_isomorphic, make_abelian, make_cyclic, make_generalized_quaternion
-from cimlab.reports import CiReport, validate_bundle_dict
+from cimlab.reports import TOOL_VERSION, CiReport, validate_bundle_dict
 
 
 def run_json(capsys, argv):
@@ -93,6 +95,17 @@ def test_malformed_map_file_is_a_usage_error(tmp_path, capsys, payload, message)
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert "Traceback" not in err
+
+
+def test_ragged_inline_table_is_a_usage_error(tmp_path, capsys):
+    # a short row once crashed the inverse search: a traceback and exit 1
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps({"group": {"order": 2, "table": [[0, 1], [1]]},
+                                "rotation": [1]}))
+    assert run(["aut-map", "--map", f"@{path}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: table shape mismatch\n"
 
 
 # ------------------------------------------------------------- subcommands
@@ -193,6 +206,18 @@ GOLDEN = [
     (["verify-connected-cim", "--max-valency", "8", "--strategy", "stabilizer",
       "--workers", "2", "--group", "cyclic:16"], 1,
      "6316945b69d251692866e25ea4835607dc51f87a8973bbe00e22a62e2fa79e84"),
+    # the other counterexample families, a map's automorphism group and a
+    # map pair; the n = 4 argv ends in its family, as 4 is already an id
+    (["counterexample", "--family", "odd-square", "--p", "3", "--kind", "cyclic"], 1,
+     "a9f1238c1d98e857a9a62f985afab18ac1c5fc9c3c4126d0baa15d9487b01e87"),
+    (["counterexample", "--n", "4", "--family", "cyclic-2power"], 1,
+     "540fdcabfc1aa9fffa8fbf28611e6b23bedc32f6209c3339ac8363314facbdc6"),
+    (["counterexample", "--family", "q16"], 1,
+     "238cfd2223953c4987049dd68972f9572cc30b87a5e2e3ee8366d69e4b7714e5"),
+    (["aut-map", "--map", "z8:1,3,5,7"], 0,
+     "be8972303f196e0693ba0f2a5a2e0b21a2520124e05cfcc834dc9de66b43f840"),
+    (["iso-maps", "--map1", "abelian:2,2/1,2", "--map2", "z4:1,3"], 0,
+     "3a5c24af2509d8dbe0265beb12c1eecd7f047b09bdeadccdfef4d892aaee42a2"),
 ]
 
 
@@ -205,6 +230,46 @@ assert len(set(GOLDEN_IDS)) == len(GOLDEN_IDS), "each GOLDEN argv must end in it
 def test_canonical_json_matches_golden_digest(capsys, argv, code, digest):
     assert run(argv) == code
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+BATTERY_NOTES = ("battery_key", "expected_verdict", "matches_expected")
+
+
+@pytest.fixture(scope="module")
+def battery_entries():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        assert run(["reproduce-paper"]) == 0
+    return {r["notes"].get("battery_key"): r for r in json.loads(out.getvalue())["reports"]}
+
+
+@pytest.mark.parametrize("key, command, options",
+                         [(key, command, options) for key, _, command, options in BATTERY
+                          if command is not None],
+                         ids=[key for key, _, command, _ in BATTERY if command is not None])
+def test_battery_entry_is_its_subcommands_report(capsys, battery_entries, key, command, options):
+    argv = [command]
+    for name, value in options.items():
+        argv += [f"--{name.replace('_', '-')}", str(value)]
+    entry = battery_entries[key]
+    assert run(argv) == (0 if entry["verdict"] else 1)
+    standalone = json.loads(capsys.readouterr().out)["reports"]
+    notes = {k: v for k, v in entry["notes"].items() if k not in BATTERY_NOTES}
+    assert [{**entry, "notes": notes}] == standalone
+
+
+def test_battery_and_family_tables_name_the_parsers_options():
+    subs = build_parser()._subparsers._group_actions[0].choices
+    dests = {name: {a.dest for a in p._actions} - {"help", "out", "timings"}
+             for name, p in subs.items()}
+    assert dests["counterexample"] == {"family"}.union(*FAMILY_OPTIONS.values())
+    for key, _, command, options in BATTERY:
+        if command is None:
+            continue
+        assert command in subs, key
+        assert set(options) <= dests[command], key
+        if command == "counterexample":
+            assert set(options) == {"family", *FAMILY_OPTIONS[options["family"]]}, key
 
 
 def test_counterexample_families(capsys):
@@ -491,6 +556,23 @@ def test_validate_bundle_accepts_real_bundles(capsys, flags):
 def test_validate_bundle_rejects_malformed_bundles(capsys, edit):
     with pytest.raises(RuntimeError):
         validate_bundle_dict(edit(real_bundle(capsys)))
+
+
+@pytest.mark.filterwarnings("ignore:Support for `\\[tool.setuptools\\]`")
+def test_pyproject_takes_the_version_from_reports():
+    tomllib = pytest.importorskip("tomllib")
+    path = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    with open(path, "rb") as fh:
+        data = tomllib.load(fh)
+    assert "version" not in data["project"]
+    assert data["project"]["dynamic"] == ["version"]
+    assert data["tool"]["setuptools"]["dynamic"]["version"] == {
+        "attr": "cimlab.reports.TOOL_VERSION"}
+    try:
+        from setuptools.config.pyprojecttoml import read_configuration
+    except ImportError:
+        return
+    assert read_configuration(path, expand=True)["project"]["version"] == TOOL_VERSION
 
 
 def test_import_needs_only_the_standard_library():

@@ -180,6 +180,14 @@ def test_semidirect_rejects_incompatible_action():
         make_semidirect(z7, 2, action)
 
 
+@pytest.mark.parametrize("table", [[[0, 1], [1]], [[0, 1], [1, 0, 2]], [[0], [1, 0]]],
+                         ids=["short-row", "long-row", "short-first-row"])
+def test_from_table_rejects_a_ragged_table(table):
+    # the inverse search must not index past a short row before the shape check
+    with pytest.raises(ValueError, match="table shape mismatch"):
+        groups.from_table(table)
+
+
 def test_direct_product_orders(q8):
     z3 = make_cyclic(3)
     g = direct_product(z3, q8)
