@@ -201,7 +201,7 @@ def _valency_classes(h: FiniteGroup, valency: int) -> tuple[dict, dict]:
     leaders: dict[tuple, list[tuple[CayleyMap, list]]] = {}
     mates: dict[tuple, list] = {}
     for k in dict.fromkeys(key.values()):
-        m = make_map(h, k)
+        m = CayleyMap(h, k)
         invariant = (len(connection_subgroup(m)), face_profile(m))
         classes = leaders.setdefault(invariant, [])
         keys = next((keys for leader, keys in classes
@@ -232,7 +232,7 @@ def definitional_is_ci_map(m: CayleyMap) -> CiReport:
     other = next((k for k in mates[my_key] if k != my_key), None)
     witnesses = []
     if other is not None:
-        if are_cayley_isomorphic(m, make_map(h, other)) is not None:
+        if are_cayley_isomorphic(m, CayleyMap(h, other)) is not None:
             raise RuntimeError("definitional witness is Cayley isomorphic after all")
         witnesses.append(
             {
@@ -315,13 +315,14 @@ def _babai_task(
 ) -> tuple[Optional[CiReport], tuple[Perm, ...]]:
     """One map's verdict, decided through its identity component (a
     connected map is its own), and that component's identity-vertex
-    stabilizer, from a single Aut.
+    stabilizer, from a single Aut. The sweeps pass only enumerated
+    rotations, valid and in canonical phase, so none is validated again.
 
     Only what the sweeps read crosses the pipe: the report when the map is
     not a CI-map and None when it is, and the stabilizer's elements, so a
     CI-map with a trivial stabilizer replies in a few dozen pickled bytes.
     """
-    component, members = identity_component(make_map(h, rotation))
+    component, members = identity_component(CayleyMap(h, rotation))
     aut = map_automorphism_group(component)
     report = babai_is_ci_map(component, aut=aut)
     # Aut = K^ G_1 sends 0 to each vertex |G_1| times, so sorted it starts with G_1

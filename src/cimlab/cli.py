@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -52,7 +53,6 @@ from .constructions import (
     quaternion16_witness,
     z8_cim_maps,
 )
-from .perms import point_stabilizer
 from .reports import CiReport, ReportBundle, dumps_canonical, validate_bundle_dict
 
 
@@ -70,11 +70,11 @@ def _check_order_cap(order: int) -> None:
 
 def parse_group_spec(spec: str) -> FiniteGroup:
     """Parse shorthand specs: cyclic:8, abelian:2,2,2, quaternion:16,
-    product:<spec>,<spec>, semidirect:<spec>,<order>,mult:<u>."""
+    product:<spec>,<spec>, semidirect:<spec>,<order>,mult:<u>. Each
+    order is checked against the cap before its table is built."""
     group, rest = _parse_group(spec.strip())
     if rest:
         raise ValueError(f"trailing tokens {rest!r} in group spec {spec!r}")
-    _check_order_cap(group.order)
     return group
 
 
@@ -82,6 +82,7 @@ def _parse_group(spec: str) -> tuple[FiniteGroup, str]:
     kind, _, rest = spec.partition(":")
     if kind == "cyclic":
         n, rest = _take_int(rest)
+        _check_order_cap(n)
         return make_cyclic(n), rest
     if kind == "abelian":
         orders = []
@@ -95,21 +96,25 @@ def _parse_group(spec: str) -> tuple[FiniteGroup, str]:
             if not head.isdigit():
                 break
             rest = probe
+        _check_order_cap(math.prod(orders))
         return make_abelian(orders), rest
     if kind == "quaternion":
         n, rest = _take_int(rest)
+        _check_order_cap(n)
         return make_generalized_quaternion(n), rest
     if kind == "product":
         g1, rest = _parse_group(rest)
         if not rest.startswith(","):
             raise ValueError("product needs two comma-separated specs")
         g2, rest = _parse_group(rest[1:])
+        _check_order_cap(g1.order * g2.order)
         return direct_product(g1, g2), rest
     if kind == "semidirect":
         k_group, rest = _parse_group(rest)
         if not rest.startswith(","):
             raise ValueError("semidirect needs <k-spec>,<order>,<action>")
         c_order, rest = _take_int(rest[1:])
+        _check_order_cap(k_group.order * c_order)
         if not rest.startswith(","):
             raise ValueError("semidirect needs an action spec")
         action, rest = _parse_action(k_group, rest[1:])
@@ -229,7 +234,7 @@ def _cmd_aut_map(args) -> tuple[dict, list[CiReport]]:
         subject=_map_subject(m),
         verdict=True,
         method="aut-map",
-        stats={"order": group.order, "stabilizer_order": point_stabilizer(group, 0).order},
+        stats={"order": group.order, "stabilizer_order": group.order // m.group.order},
         notes={
             "balanced": is_balanced(m),
             "antibalanced": is_antibalanced(m),
@@ -337,6 +342,7 @@ def _cmd_counterexample(args) -> tuple[dict, list[CiReport]]:
         w = cyclic_2power_map(args.n)
     else:
         k_group = parse_group_spec(args.k_group)
+        _check_order_cap(k_group.order * args.c_order)  # the product frobenius_map builds
         action, rest = _parse_action(k_group, args.action)
         if rest:
             raise ValueError(f"trailing tokens in action {args.action!r}")

@@ -4,12 +4,16 @@ connection set, applied at every vertex.
 The rotation is stored in canonical phase (smallest element first), so
 two maps over the same group object are equal iff their rotation tuples
 are equal. A map and its mirror image are distinct objects.
+
+``make_map`` validates and re-phases rotations from outside; the
+enumerators' rotations are valid and canonical, so they build the value
+directly.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import MapValidationError
@@ -17,15 +21,10 @@ from .groups import FiniteGroup, GroupIsomorphism, Subgroup, closure_of
 from .perms import Perm, perm_order
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class CayleyMap:
     group: FiniteGroup
     rotation: tuple[int, ...]
-    # K = <S>, set by the first connection_subgroup call from a cache kept
-    # per connection set. A plain field: a functools.cached_property takes a
-    # lock on first access in Python 3.11, which the sweeps would pay once
-    # per map
-    _members: Optional[tuple[int, ...]] = field(default=None, init=False)
 
     @property
     def valency(self) -> int:
@@ -37,16 +36,6 @@ class CayleyMap:
 
     def mirror(self) -> "CayleyMap":
         return make_map(self.group, (self.rotation[0],) + tuple(reversed(self.rotation[1:])))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, CayleyMap)
-            and self.group is other.group
-            and self.rotation == other.rotation
-        )
-
-    def __hash__(self) -> int:
-        return hash((id(self.group), self.rotation))
 
     def __repr__(self) -> str:
         return f"CayleyMap({self.group.name}, {self.rotation})"
@@ -81,11 +70,8 @@ def _generated_subgroup(h: FiniteGroup, connection_set: tuple[int, ...]) -> tupl
 
 
 def connection_subgroup(m: CayleyMap) -> tuple[int, ...]:
-    """Members of K = <S>, sorted; computed once per connection set, and
-    looked up once per map."""
-    if m._members is None:
-        object.__setattr__(m, "_members", _generated_subgroup(m.group, tuple(sorted(m.rotation))))
-    return m._members
+    """Members of K = <S>, sorted; computed once per connection set."""
+    return _generated_subgroup(m.group, tuple(sorted(m.rotation)))
 
 
 def is_connected(m: CayleyMap) -> bool:
@@ -110,8 +96,8 @@ def identity_component(m: CayleyMap) -> tuple[CayleyMap, tuple[int, ...]]:
     members = connection_subgroup(m)
     if len(members) == m.group.order:
         return m, members
-    rank = {x: i for i, x in enumerate(members)}
-    return make_map(_component_group(m.group, members), [rank[x] for x in m.rotation]), members
+    rank = {x: i for i, x in enumerate(members)}  # in order, so the least still leads
+    return CayleyMap(_component_group(m.group, members), tuple(map(rank.get, m.rotation))), members
 
 
 def is_balanced(m: CayleyMap) -> bool:

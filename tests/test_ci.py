@@ -34,6 +34,7 @@ from cimlab.groups import (
     make_cyclic,
 )
 from cimlab.maps import (
+    CayleyMap,
     apply_group_automorphism,
     connection_subgroup,
     face_profile,
@@ -74,8 +75,9 @@ def benchmark_relabel(h, seed):
     return workloads.relabel(h, seed)
 
 
-def swept_representatives(h, max_valency, monkeypatch):
-    """The rotations the stabilizer strategy hands to its sweep."""
+def swept_rotations(monkeypatch, verify, h, *args, **kwargs):
+    """Every rotation a verification hands to its sweeps, read through a
+    stand-in ``_sweep`` that decides no map."""
     swept = []
 
     def record(h, rotations, workers):
@@ -83,8 +85,14 @@ def swept_representatives(h, max_valency, monkeypatch):
         yield from ()
 
     monkeypatch.setattr(ci, "_sweep", record)
-    verify_connected_cim(h, max_valency, strategy="stabilizer")
+    verify(h, *args, **kwargs)
     return swept
+
+
+def swept_representatives(h, max_valency, monkeypatch):
+    """The rotations the stabilizer strategy hands to its sweep."""
+    return swept_rotations(monkeypatch, verify_connected_cim, h, max_valency,
+                           strategy="stabilizer")
 
 
 def dihedral_orbit(h, rotation):
@@ -554,6 +562,30 @@ def test_subgroup_heredity_of_z8(z8):
             continue
         k = sub.as_group()
         assert verify_connected_cim(k, k.order - 1).verdict is True
+
+
+@pytest.mark.parametrize("verify, h, args", [
+    *[(verify_connected_cim, h, (7, "exhaustive")) for h in order8_groups()],
+    (verify_connected_cim, make_cyclic(11), (6, "exhaustive")),
+    *[(verify_connected_cim, make_cyclic(n), (n - 1, "stabilizer")) for n in range(7, 14)],
+    (verify_cim_group, make_cyclic(16), (5,)),
+], ids=lambda v: getattr(v, "__name__", None) or getattr(v, "name", None) or "-".join(map(str, v)))
+def test_swept_rotations_are_valid_and_in_canonical_phase(verify, h, args, monkeypatch):
+    # _babai_task builds each swept map as CayleyMap(h, rotation), unvalidated
+    swept = swept_rotations(monkeypatch, verify, h, *args)
+    assert swept
+    for rot in swept:
+        assert make_map(h, rot).rotation == rot
+
+
+def test_swept_identity_components_are_valid_and_in_canonical_phase(monkeypatch):
+    h = make_cyclic(16)
+    swept = swept_rotations(monkeypatch, verify_cim_group, h, 5)
+    disconnected = [rot for rot in swept if not is_connected(CayleyMap(h, rot))]
+    assert len(disconnected) == 100
+    for rot in disconnected:
+        component, _ = identity_component(CayleyMap(h, rot))
+        assert component == make_map(component.group, component.rotation)
 
 
 # ---------------------------------------------------------- cross validate

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from cimlab import cli
 from cimlab.cli import BATTERY, FAMILY_OPTIONS, build_parser, parse_group_spec, parse_map_spec, run
 from cimlab.groups import is_isomorphic, make_abelian, make_cyclic, make_generalized_quaternion
 from cimlab.reports import TOOL_VERSION, CiReport, validate_bundle_dict
@@ -63,6 +64,40 @@ def test_parse_order_cap(monkeypatch):
         parse_group_spec("cyclic:16")
     monkeypatch.setenv("CIMLAB_CAP_ORDER", "64")
     assert parse_group_spec("cyclic:16").order == 16
+
+
+def _never_built(*args, **kwargs):
+    raise AssertionError("an over-cap group was built")
+
+
+@pytest.mark.parametrize("argv, constructor", [
+    (["verify-cim", "--group", "cyclic:20000", "--max-valency", "1"], "make_cyclic"),
+    (["verify-cim", "--group", "quaternion:2048", "--max-valency", "1"],
+     "make_generalized_quaternion"),
+    (["verify-cim", "--group", "abelian:8,16", "--max-valency", "1"], "make_abelian"),
+    (["verify-cim", "--group", "product:cyclic:8,cyclic:9", "--max-valency", "1"],
+     "direct_product"),
+    (["verify-cim", "--group", "semidirect:cyclic:7,303,mult:2", "--max-valency", "1"],
+     "make_semidirect"),
+    (["aut-map", "--map", "z20000:1,19999"], "make_cyclic"),
+    (["counterexample", "--family", "frobenius", "--k-group", "cyclic:7",
+      "--c-order", "303", "--action", "mult:2"], "frobenius_map"),
+], ids=["cyclic", "quaternion", "abelian", "product", "semidirect", "map-spec", "frobenius"])
+def test_order_cap_is_checked_before_any_table_is_built(monkeypatch, capsys, argv, constructor):
+    monkeypatch.setattr(cli, constructor, _never_built)
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: group order ")
+    assert captured.err.count("\n") == 1
+
+
+def test_groups_at_the_order_cap_are_built(monkeypatch, capsys):
+    assert parse_group_spec("product:cyclic:8,cyclic:8").order == 64
+    assert parse_group_spec("semidirect:cyclic:8,8,neg").order == 64
+    monkeypatch.setenv("CIMLAB_CAP_ORDER", "21")
+    rc, data = run_json(capsys, ["counterexample", "--family", "frobenius"])
+    assert rc == 1 and data["reports"][0]["subject"]["order"] == 21
 
 
 def test_parse_map_shorthand():
