@@ -16,9 +16,12 @@ the left translations as its whole automorphism group, hence exactly
 one regular subgroup, and is a CI-map for free. The exhaustive strategy
 gets that shortcut from ``regular_subgroups_isomorphic_to``, which
 returns a group of order |H| without an isomorphism test exactly when
-its elements equal those of the left-regular copy of H. Both strategies
-are cross-checked against each other by the test suite on every group
-small enough to run both.
+its elements equal those of the left-regular copy of H. For cyclic H it
+has a second shortcut, from Aut(M)'s generators and order alone: when
+the translations are normal in Aut(M) with index prime to |H|, they are
+the only regular cyclic subgroup, and Aut(M)'s elements are never
+listed. Both strategies are cross-checked against each other by the
+test suite on every group small enough to run both.
 
 Every map-by-map verdict goes through one sweep: ``_sweep`` runs
 ``_babai_task`` on each rotation, inline or through one worker pool, and
@@ -69,6 +72,7 @@ from .mapiso import (
     are_cayley_isomorphic,
     map_automorphism_group,
     map_iso_exists,
+    stabilizer_automorphisms,
 )
 from .perms import (
     Perm,
@@ -291,20 +295,16 @@ def _rich_maps_cyclic(h: FiniteGroup, max_valency: int) -> tuple[list[tuple[int,
 def _full_cycle_roots(orbits: Sequence[tuple[int, ...]], d: int):
     """All full cycles rho on the union with rho^c equal to the orbit permutation.
 
-    Threads the c orbits in every order and relative offset; the orbit
-    containing the smallest element is rotated to lead with it, which
-    makes each output already canonically phased.
+    Threads the c orbits in every order and relative offset behind the
+    first. The orbits come from ``cycles_of``, which lists each cycle from
+    its minimum and the cycles in ascending order of minima, and
+    ``combinations`` keeps that order; so orbits[0] leads with the least
+    element, which makes each output already canonically phased.
     """
     c = len(orbits)
-    lead = min(range(c), key=lambda i: min(orbits[i]))
-    lead_cycle = orbits[lead]
-    shift = lead_cycle.index(min(lead_cycle))
-    lead_cycle = lead_cycle[shift:] + lead_cycle[:shift]
-    others = [orbits[i] for i in range(c) if i != lead]
-    for perm in permutations(range(c - 1)):
-        ordered = [others[i] for i in perm]
+    for ordered in permutations(orbits[1:]):
         for offs in product(range(d), repeat=c - 1):
-            cycles = [lead_cycle] + [
+            cycles = [orbits[0]] + [
                 cyc[o:] + cyc[:o] for cyc, o in zip(ordered, offs)
             ]
             yield tuple(cycles[j][i] for i in range(d) for j in range(c))
@@ -315,18 +315,19 @@ def _babai_task(
 ) -> tuple[Optional[CiReport], tuple[Perm, ...]]:
     """One map's verdict, decided through its identity component (a
     connected map is its own), and that component's identity-vertex
-    stabilizer, from a single Aut. The sweeps pass only enumerated
-    rotations, valid and in canonical phase, so none is validated again.
+    stabilizer, from a single stabilizer computation that Aut is built on;
+    Aut's elements are listed only if the verdict reads them. The sweeps
+    pass only enumerated rotations, valid and in canonical phase, so none
+    is validated again.
 
     Only what the sweeps read crosses the pipe: the report when the map is
     not a CI-map and None when it is, and the stabilizer's elements, so a
     CI-map with a trivial stabilizer replies in a few dozen pickled bytes.
     """
-    component, members = identity_component(CayleyMap(h, rotation))
-    aut = map_automorphism_group(component)
-    report = babai_is_ci_map(component, aut=aut)
-    # Aut = K^ G_1 sends 0 to each vertex |G_1| times, so sorted it starts with G_1
-    return (None if report.verdict else report), aut.elements[:aut.order // len(members)]
+    component, _ = identity_component(CayleyMap(h, rotation))
+    stab = stabilizer_automorphisms(component)
+    report = babai_is_ci_map(component, aut=map_automorphism_group(component, stab))
+    return (None if report.verdict else report), tuple(stab)
 
 
 _POOL_GROUP: Optional[FiniteGroup] = None

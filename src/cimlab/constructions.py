@@ -338,7 +338,8 @@ def frobenius_map(
     for g in range(n):
         j = g // nk
         rival_elems.append(compose(tuple(h.table[g]), sigma_pows[j]))
-    rival = PermutationGroup(n, tuple(sorted(rival_elems)), _small_generating_set(rival_elems, n))
+    rival = PermutationGroup.listed(n, tuple(sorted(rival_elems)),
+                                    _small_generating_set(rival_elems, n))
     return WitnessedMap(
         map=m,
         ambient=ambient,

@@ -24,7 +24,7 @@ tests compare that path against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from .errors import CapacityError, DisconnectedMapError
 from .groups import GroupIsomorphism, automorphisms, is_isomorphic
@@ -34,7 +34,6 @@ from .perms import (
     PermutationGroup,
     _cyclic_subgroup,
     compose,
-    from_elements,
     left_regular_representation,
 )
 
@@ -171,19 +170,24 @@ def stabilizer_automorphisms(m: CayleyMap) -> list[Perm]:
     return sorted(_cyclic_subgroup(generator))
 
 
-def map_automorphism_group(m: CayleyMap) -> PermutationGroup:
+def map_automorphism_group(m: CayleyMap, stabilizer: Optional[Sequence[Perm]] = None
+                           ) -> PermutationGroup:
     """The full automorphism group: left translations times the vertex stabilizer.
 
     With a trivial stabilizer that is the left-regular copy of the group.
+    Otherwise the product H^ G_1 has order |H| |G_1|, since H^ is regular;
+    its generators are the translations and the stabilizer, and its
+    elements are listed only when read. ``stabilizer`` is
+    ``stabilizer_automorphisms(m)`` when the caller already has it.
     """
-    stab = stabilizer_automorphisms(m)
+    stab = stabilizer_automorphisms(m) if stabilizer is None else stabilizer
     if len(stab) == 1:
         return left_regular_representation(m.group)
     table = m.group.table
     n = m.group.order
-    elems = [tuple(table[h][x] for x in phi) for h in range(n) for phi in stab]
     gens = [tuple(table[h]) for h in range(1, n)] + [p for p in stab if p != tuple(range(n))]
-    return from_elements(elems, gens)
+    return PermutationGroup(n, tuple(gens), n * len(stab), lambda: (
+        tuple(row[x] for x in phi) for row in table for phi in stab))
 
 
 def map_isomorphisms(m1: CayleyMap, m2: CayleyMap) -> list[MapMorphism]:

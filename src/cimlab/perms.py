@@ -2,18 +2,22 @@
 
 Permutations are image tuples: ``p[i]`` is the image of point ``i``.
 Composition is function composition, ``compose(p, q)(x) == p[q[x]]``.
-Groups are stored as full, sorted element lists; the sizes in play here
-(degree <= ~64, order <= ~20000) make that exact and fast enough.
+A group keeps its degree, generators and order as values and lists its
+sorted elements on first read; the sizes in play here (degree <= ~64,
+order <= ~20000) make that exact and fast enough. So a group whose order
+is known from its structure, such as the automorphism group of a map, can
+be handed over and searched from its generators without being listed.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from math import gcd
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import CapacityError
-from .groups import FiniteGroup, is_cyclic_group, is_isomorphic
+from .groups import FiniteGroup, is_isomorphic
 
 Perm = tuple[int, ...]
 
@@ -81,13 +85,30 @@ def is_permutation(images: Sequence[int], degree: int) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class PermutationGroup:
-    degree: int
-    elements: tuple[Perm, ...]
-    generators: tuple[Perm, ...]
+    """A permutation group: degree, generators and order are values.
 
-    @property
-    def order(self) -> int:
-        return len(self.elements)
+    ``listing`` returns the elements in any order; ``elements`` sorts them
+    on first read, checks that there are ``order`` of them, and keeps them.
+    """
+
+    degree: int
+    generators: tuple[Perm, ...]
+    order: int
+    listing: Callable[[], Iterable[Perm]]
+
+    @classmethod
+    def listed(cls, degree: int, elements: tuple[Perm, ...],
+               generators: Iterable[Perm]) -> "PermutationGroup":
+        """A group whose distinct elements are already at hand."""
+        return cls(degree, tuple(generators), len(elements), lambda: elements)
+
+    @functools.cached_property
+    def elements(self) -> tuple[Perm, ...]:
+        """The elements in sorted order, listed on first read and kept."""
+        elems = tuple(sorted(self.listing()))
+        if len(elems) != self.order:
+            raise RuntimeError(f"listed {len(elems)} elements for a group of order {self.order}")
+        return elems
 
     @functools.cached_property
     def _element_set(self) -> frozenset[Perm]:
@@ -132,15 +153,7 @@ def closure(gens: Sequence[Perm], cap: int = DEFAULT_GROUP_CAP) -> PermutationGr
                     elems.add(q)
                     nxt.append(q)
         frontier = nxt
-    return PermutationGroup(degree, tuple(sorted(elems)), tuple(gens))
-
-
-def from_elements(elements: Iterable[Perm], generators: Sequence[Perm] = ()) -> PermutationGroup:
-    """Wrap an element set that is already known to be a group."""
-    elems = tuple(sorted(set(tuple(p) for p in elements)))
-    degree = len(elems[0])
-    gens = tuple(tuple(g) for g in generators) or elems
-    return PermutationGroup(degree, elems, gens)
+    return PermutationGroup.listed(degree, tuple(sorted(elems)), gens)
 
 
 @functools.lru_cache(maxsize=REGULAR_REP_CACHE_SIZE)
@@ -151,7 +164,29 @@ def left_regular_representation(h: FiniteGroup) -> PermutationGroup:
     ``PermutationGroup`` is frozen. Row a of the table is the translation
     sending the identity to a, so the rows are already in sorted order.
     """
-    return PermutationGroup(h.order, h.table, h.table[1:] or h.table)
+    return PermutationGroup.listed(h.order, h.table, h.table[1:] or h.table)
+
+
+@functools.lru_cache(maxsize=REGULAR_REP_CACHE_SIZE)
+def _cyclic_translations(h: FiniteGroup) -> Optional[PermutationGroup]:
+    """The left translations of h generated by their least |h|-cycle t, as
+    the cyclic search returns them, or None when h is not cyclic. Cached
+    per group, beside ``left_regular_representation``.
+
+    A translation by a has every cycle of length o(a), so it is an
+    |h|-cycle exactly when a generates h.
+    """
+    hhat = left_regular_representation(h)
+    t = next((p for p in hhat.elements if _orbit_length_of_0(p) == h.order), None)
+    return None if t is None else PermutationGroup.listed(h.order, hhat.elements, (t,))
+
+
+def _orbit_length_of_0(p: Perm) -> int:
+    j, length = p[0], 1
+    while j:
+        j = p[j]
+        length += 1
+    return length
 
 
 def orbit_of(g: PermutationGroup, point: int) -> frozenset[int]:
@@ -179,7 +214,7 @@ def is_regular(g: PermutationGroup) -> bool:
 
 def point_stabilizer(g: PermutationGroup, point: int) -> PermutationGroup:
     elems = tuple(p for p in g.elements if p[point] == point)
-    return PermutationGroup(g.degree, elems, elems)
+    return PermutationGroup.listed(g.degree, elems, elems)
 
 
 def is_cyclic_permgroup(g: PermutationGroup) -> bool:
@@ -216,10 +251,16 @@ def regular_subgroups_isomorphic_to(g: PermutationGroup, h: FiniteGroup) -> list
 
     For cyclic h, a cyclic group of degree n is regular exactly when a
     generator is an n-cycle, that is, when the orbit of point 0 under it
-    has length n. The search walks g's elements in sorted order, skips
-    those that lie in a subgroup already found, and builds <p> once for
-    each n-cycle p left; p is then the least n-cycle of <p> and its
-    generator.
+    has length n. Let t be the least n-cycle of the left-regular copy H^
+    of h. When t is one of g's generators, every generator conjugates t
+    into H^, and |g|/n is prime to n, H^ is the only such subgroup and is
+    returned without listing g: H^ = <t> lies in g and is normal in it, and
+    a normal subgroup N of order n and index prime to n contains every
+    subgroup R of order n, because RN/N has order dividing both |R| = n
+    and |g:N|. Any other g is searched: the search walks g's elements in
+    sorted order, skips those that lie in a subgroup already found, and
+    builds <p> once for each n-cycle p left; p is then the least n-cycle
+    of <p> and its generator, as t is for H^.
 
     Otherwise subgroups are grown breadth first, adjoining one candidate
     at a time: an element whose own cyclic subgroup is semiregular with
@@ -246,21 +287,20 @@ def regular_subgroups_isomorphic_to(g: PermutationGroup, h: FiniteGroup) -> list
             return [g]
         return []
 
-    if is_cyclic_group(h):
+    translations = _cyclic_translations(h)
+    if translations is not None:
+        [t] = translations.generators
+        if (t in g.generators and gcd(g.order // n, n) == 1
+                and _normalizes(g.generators, t, h.table)):
+            return [translations]
         covered: set[Perm] = set()
         found = []
         for p in g.elements:
-            if p in covered:
-                continue
-            j, length = p[0], 1
-            while j:
-                j = p[j]
-                length += 1
-            if length != n:
+            if p in covered or _orbit_length_of_0(p) != n:
                 continue
             sub = _cyclic_subgroup(p)
             covered.update(sub)
-            found.append(PermutationGroup(n, tuple(sorted(sub)), (p,)))
+            found.append(PermutationGroup.listed(n, tuple(sorted(sub)), (p,)))
         found.sort(key=lambda sub: sub.elements)
         return found
 
@@ -292,13 +332,28 @@ def regular_subgroups_isomorphic_to(g: PermutationGroup, h: FiniteGroup) -> list
                     continue
                 seen.add(key)
                 if len(grown) == n:
-                    sub = PermutationGroup(n, tuple(sorted(grown)), new_gens)
+                    sub = PermutationGroup.listed(n, tuple(sorted(grown)), new_gens)
                     if _perm_group_isomorphic(sub, h):
                         results[sub.elements] = sub
                 else:
                     nxt.append((key, new_gens))
         frontier = nxt
     return [results[k] for k in sorted(results)]
+
+
+def _normalizes(gens: Sequence[Perm], t: Perm, rows: Sequence[Perm]) -> bool:
+    """Whether every generator conjugates t to one of the left translations
+    ``rows``, where row a is the translation sending 0 to a; for an n-cycle
+    t among them, that is whether <gens> normalizes <t>."""
+    for gamma in gens:
+        if rows[gamma[0]] == gamma:
+            continue  # a translation; the translations of a cyclic group commute
+        conj = [0] * len(t)
+        for x, y in zip(gamma, t):
+            conj[x] = gamma[y]  # gamma t gamma^-1 sends gamma(x) to gamma(t(x))
+        if rows[conj[0]] != tuple(conj):
+            return False
+    return True
 
 
 def _cyclic_subgroup(p: Perm) -> list[Perm]:
@@ -378,5 +433,5 @@ def are_conjugate_subgroups(
 def conjugate_subgroup(sub: PermutationGroup, x: Perm) -> PermutationGroup:
     x_inv = inverse_perm(x)
     elems = tuple(sorted(tuple(x[p[y]] for y in x_inv) for p in sub.elements))
-    gens = tuple(tuple(x[p[y]] for y in x_inv) for p in sub.generators)
-    return PermutationGroup(sub.degree, elems, gens)
+    gens = (tuple(x[p[y]] for y in x_inv) for p in sub.generators)
+    return PermutationGroup.listed(sub.degree, elems, gens)

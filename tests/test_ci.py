@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from cimlab import ci
+from cimlab import ci, mapiso
 from cimlab.ci import (
     DEFINITIONAL_CAP,
     _rich_maps_cyclic,
@@ -576,6 +576,33 @@ def test_swept_rotations_are_valid_and_in_canonical_phase(verify, h, args, monke
     assert swept
     for rot in swept:
         assert make_map(h, rot).rotation == rot
+
+
+def test_babai_task_finds_the_stabilizer_once_and_leaves_aut_unlisted(monkeypatch):
+    # a Z15 rich map: Aut(M) = H^ x| G_1 with |G_1| = 2, prime to 15
+    h = make_cyclic(15)
+    rotation = (1, 4, 11, 14)
+    calls, auts = [], []
+
+    def counted(m):
+        calls.append(m)
+        return stabilizer_automorphisms(m)
+
+    def recorded(m, stabilizer=None):
+        auts.append(map_automorphism_group(m, stabilizer))
+        return auts[-1]
+
+    # ci binds the name for _babai_task, mapiso for map_automorphism_group
+    monkeypatch.setattr(ci, "stabilizer_automorphisms", counted)
+    monkeypatch.setattr(mapiso, "stabilizer_automorphisms", counted)
+    monkeypatch.setattr(ci, "map_automorphism_group", recorded)
+    failing, stab = ci._babai_task(h, rotation)
+    assert failing is None
+    assert calls == [CayleyMap(h, rotation)]
+    assert stab == tuple(stabilizer_automorphisms(CayleyMap(h, rotation)))
+    assert len(stab) == 2
+    [aut] = auts
+    assert aut.order == 30 and "elements" not in vars(aut)
 
 
 def test_swept_identity_components_are_valid_and_in_canonical_phase(monkeypatch):

@@ -25,8 +25,8 @@ from cimlab.mapiso import (
     stabilizer_automorphisms,
 )
 from cimlab.perms import (
+    PermutationGroup,
     fixed_points,
-    from_elements,
     is_cyclic_permgroup,
     left_regular_representation,
     point_stabilizer,
@@ -91,7 +91,7 @@ def explicit_automorphism_group(m, stab):
     table, n = m.group.table, m.group.order
     elems = [tuple(table[h][x] for x in phi) for h in range(n) for phi in stab]
     gens = [tuple(table[h]) for h in range(1, n)] + [p for p in stab if p != tuple(range(n))]
-    return from_elements(elems, gens)
+    return PermutationGroup.listed(n, tuple(sorted(set(elems))), gens)
 
 
 @pytest.mark.parametrize("h", order8_groups() + [make_cyclic(9), make_cyclic(10)],

@@ -22,9 +22,10 @@ from cimlab.perms import (
     point_stabilizer,
     regular_subgroups_isomorphic_to,
 )
-from cimlab.enumeration import connection_sets, rotations_of
-from cimlab.mapiso import map_automorphism_group
-from cimlab.maps import is_connected, make_map
+from cimlab.ci import _rich_maps_cyclic
+from cimlab.enumeration import cayley_classes, connection_sets, rotations_of
+from cimlab.mapiso import map_automorphism_group, stabilizer_automorphisms
+from cimlab.maps import CayleyMap, is_connected, make_map
 from conftest import order8_groups
 
 
@@ -88,7 +89,7 @@ def regular_subgroups_by_fpf_growth(g, h):
         for p in fpf:
             if perm_order(p) == n:
                 found.setdefault(closure([p]).elements, p)
-        return [perms.PermutationGroup(n, key, (found[key],)) for key in sorted(found)]
+        return [perms.PermutationGroup.listed(n, key, (found[key],)) for key in sorted(found)]
 
     def grow(members, p):
         elems, frontier, gens = set(members) | {p}, [p], list(members) + [p]
@@ -124,7 +125,7 @@ def regular_subgroups_by_fpf_growth(g, h):
                     continue
                 seen.add(key)
                 if len(grown) == n:
-                    sub = perms.PermutationGroup(n, tuple(sorted(grown)), gens + (p,))
+                    sub = perms.PermutationGroup.listed(n, tuple(sorted(grown)), gens + (p,))
                     if perms._perm_group_isomorphic(sub, h):
                         results[sub.elements] = sub
                 else:
@@ -448,6 +449,135 @@ def test_element_set_is_built_once_and_lazily():
     assert first == frozenset(g.elements)
     assert g.element_set() is first
     assert eight_cycle() in g
+
+
+def test_elements_are_listed_once_and_lazily():
+    listings = []
+    g = perms.PermutationGroup(3, ((1, 2, 0),), 3,
+                               lambda: listings.append(1) or [(2, 0, 1), (0, 1, 2), (1, 2, 0)])
+    assert "elements" not in vars(g) and g.order == 3 and not listings
+    assert g.elements == ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+    assert g.elements is g.elements and listings == [1]
+
+
+def test_a_listing_that_misses_the_order_is_refused():
+    g = perms.PermutationGroup(3, ((1, 2, 0),), 3, lambda: [(0, 1, 2), (1, 2, 0)])
+    with pytest.raises(RuntimeError, match="listed 2 elements for a group of order 3"):
+        g.elements
+
+
+# --------------------------------------------- cyclic search and its shortcut
+
+def test_cycles_of_leads_each_cycle_with_its_minimum_in_ascending_order():
+    # ci._full_cycle_roots relies on this order to phase its rotations
+    for p in itertools.permutations(range(6)):
+        cycles = perms.cycles_of(p)
+        assert all(c[0] == min(c) for c in cycles)
+        assert [c[0] for c in cycles] == sorted(c[0] for c in cycles)
+        assert sorted(x for c in cycles for x in c) == list(range(6))
+        assert all(p[c[i - 1]] == c[i] for c in cycles for i in range(len(c)))
+
+
+def cyclic_search_by_walk(g, n):
+    """The cyclic branch of ``regular_subgroups_isomorphic_to`` as it stood
+    before the normal-subgroup shortcut, as (elements, generators) pairs;
+    oracle for the shortcut."""
+    covered, found = set(), []
+    for p in g.elements:
+        if p in covered:
+            continue
+        j, length = p[0], 1
+        while j:
+            j = p[j]
+            length += 1
+        if length != n:
+            continue
+        sub = closure([p]).elements
+        covered.update(sub)
+        found.append((sub, (p,)))
+    return sorted(found)
+
+
+def searched(g, h):
+    return [(r.elements, r.generators) for r in regular_subgroups_isomorphic_to(g, h)]
+
+
+@pytest.mark.parametrize("n, max_valency, classes", [(11, 10, 79), (13, 12, 640), (15, 12, 5350)])
+def test_normal_subgroup_shortcut_agrees_with_the_walk(n, max_valency, classes):
+    # every rich class representative here has H^ normal in Aut(M) with index
+    # prime to n, so the search leaves Aut(M) unlisted; listed afterwards, its
+    # elements are the sorted product of the translations and the stabilizer
+    h = make_cyclic(n)
+    rich, _ = _rich_maps_cyclic(h, max_valency)
+    reps = [rot for rot, orbit in cayley_classes(h, rich, mirror=True) if min(orbit) == rot]
+    assert len(reps) == classes
+    for rot in reps:
+        m = CayleyMap(h, rot)
+        aut = map_automorphism_group(m)
+        found = searched(aut, h)
+        assert "elements" not in vars(aut)
+        assert found == cyclic_search_by_walk(aut, n)
+        stab = stabilizer_automorphisms(m)
+        assert aut.elements == tuple(sorted(
+            tuple(h.table[x][y] for y in phi) for x in range(n) for phi in stab))
+
+
+def with_translations(h, *extra):
+    return closure(list(left_regular_representation(h).generators) + list(extra))
+
+
+@pytest.mark.parametrize("n, build, count", [
+    # Aut of the Z8 unit map, order 32: index 4 is not prime to 8
+    (8, lambda h: map_automorphism_group(make_map(h, (1, 3, 5, 7))), 2),
+    # H^ and x -> 5x, order 16: H^ is normal, but of index 2
+    (8, lambda h: with_translations(h, mult_perm(8, 5)), 2),
+    # Sym(5): index 24 is prime to 5, but a transposition does not normalize H^
+    (5, lambda h: with_translations(h, (1, 0, 2, 3, 4)), 6),
+    # x -> x + 2 and x -> 2x generate a group of order 21 without naming the
+    # least 7-cycle, x -> x + 1
+    (7, lambda h: closure([(2, 3, 4, 5, 6, 0, 1), mult_perm(7, 2)]), 1),
+], ids=["z8-unit-map", "z8-times-5", "sym5", "z7-without-t"])
+def test_search_walks_groups_the_shortcut_cannot_settle(n, build, count):
+    h = make_cyclic(n)
+    g = build(h)
+    found = searched(g, h)
+    assert len(found) == count
+    assert found == cyclic_search_by_walk(g, n)
+
+
+def test_shortcut_settles_a_normal_translation_group_of_prime_index():
+    # AGL(1, 5) = H^ x| Z4: H^ is normal of index 4, prime to 5
+    z5 = make_cyclic(5)
+    g = with_translations(z5, mult_perm(5, 2))
+    assert g.order == 20
+    found = searched(g, z5)
+    assert "elements" not in vars(g)
+    assert found == cyclic_search_by_walk(g, 5) == [
+        (left_regular_representation(z5).elements, ((1, 2, 3, 4, 0),))]
+
+
+def test_cyclic_translations_decide_cyclicity_once_per_group():
+    for h in order8_groups() + [make_cyclic(9), make_abelian([3, 3]), make_cyclic(1)]:
+        translations = perms._cyclic_translations(h)
+        assert (translations is not None) == is_cyclic_group(h)
+        if translations is not None:
+            assert translations.elements == left_regular_representation(h).elements
+            assert translations.generators == (min(
+                p for p in translations.elements if len(perms.cycles_of(p)) == 1),)
+    z8 = make_cyclic(8)
+    perms._cyclic_translations.cache_clear()
+    for u in (3, 5, 7):
+        regular_subgroups_isomorphic_to(with_translations(z8, mult_perm(8, u)), z8)
+    info = perms._cyclic_translations.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+
+
+def test_cyclic_translations_cache_is_bounded():
+    for n in range(1, 3 * perms.REGULAR_REP_CACHE_SIZE):
+        perms._cyclic_translations(make_cyclic(n % 40 + 1))
+    info = perms._cyclic_translations.cache_info()
+    assert info.maxsize == perms.REGULAR_REP_CACHE_SIZE
+    assert info.currsize <= perms.REGULAR_REP_CACHE_SIZE
 
 
 # ---------------------------------------------------------------- conjugacy
