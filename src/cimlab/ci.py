@@ -20,7 +20,13 @@ its elements equal those of the left-regular copy of H. For cyclic H it
 has a second shortcut, from Aut(M)'s generators and order alone: when
 the translations are normal in Aut(M) with index prime to |H|, they are
 the only regular cyclic subgroup, and Aut(M)'s elements are never
-listed. Both strategies are cross-checked against each other by the
+listed. For other H it searches by point cosets: from a subgroup K it
+adjoins only the elements sending 0 to the least point outside K's orbit
+of 0, so a regular subgroup, which has exactly one element sending 0 to
+each point, is reached by exactly one path. Each subgroup found keeps
+the generators the earlier breadth-first search gave it, which the
+witnesses print, and the left translations skip the isomorphism test.
+Both strategies are cross-checked against each other by the
 test suite on every group small enough to run both.
 
 Every map-by-map verdict goes through one sweep: ``_sweep`` runs
@@ -129,7 +135,7 @@ def babai_is_ci_map(m: CayleyMap, aut: Optional[PermutationGroup] = None) -> CiR
     group = aut if aut is not None else map_automorphism_group(m)
     hhat = left_regular_representation(m.group)
     regs = regular_subgroups_isomorphic_to(group, m.group)
-    if hhat.elements not in {r.elements for r in regs}:
+    if not any(r.elements == hhat.elements for r in regs):
         raise RuntimeError("left-regular copy missing from regular subgroup search")
     verdict = True
     witnesses: list[dict] = []

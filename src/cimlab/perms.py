@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from math import gcd
-from typing import Callable, Iterable, Optional, Sequence
+from typing import AbstractSet, Callable, Iterable, Optional, Sequence
 
 from .errors import CapacityError
 from .groups import FiniteGroup, is_isomorphic
@@ -168,17 +168,17 @@ def left_regular_representation(h: FiniteGroup) -> PermutationGroup:
 
 
 @functools.lru_cache(maxsize=REGULAR_REP_CACHE_SIZE)
-def _cyclic_translations(h: FiniteGroup) -> Optional[PermutationGroup]:
-    """The left translations of h generated by their least |h|-cycle t, as
-    the cyclic search returns them, or None when h is not cyclic. Cached
-    per group, beside ``left_regular_representation``.
+def _translations(h: FiniteGroup) -> PermutationGroup:
+    """The left translations of h with the generators the search gives
+    them (``_search_generators``). Cached per group, beside
+    ``left_regular_representation``.
 
-    A translation by a has every cycle of length o(a), so it is an
-    |h|-cycle exactly when a generates h.
+    The search generators are one permutation, the least |h|-cycle,
+    exactly when h is cyclic: a translation by a has every cycle of
+    length o(a), so it is an |h|-cycle exactly when a generates h.
     """
     hhat = left_regular_representation(h)
-    t = next((p for p in hhat.elements if _orbit_length_of_0(p) == h.order), None)
-    return None if t is None else PermutationGroup.listed(h.order, hhat.elements, (t,))
+    return PermutationGroup.listed(h.order, hhat.elements, _search_generators(hhat.elements))
 
 
 def _orbit_length_of_0(p: Perm) -> int:
@@ -262,13 +262,29 @@ def regular_subgroups_isomorphic_to(g: PermutationGroup, h: FiniteGroup) -> list
     builds <p> once for each n-cycle p left; p is then the least n-cycle
     of <p> and its generator, as t is for H^.
 
-    Otherwise subgroups are grown breadth first, adjoining one candidate
-    at a time: an element whose own cyclic subgroup is semiregular with
-    order dividing n, which every non-identity element of a regular
-    subgroup of order n is. Each closure is grown coset by coset from the
-    generators adjoined so far, and is abandoned at its first
-    non-identity element that is not a candidate, or once it exceeds n
-    elements.
+    Otherwise the search runs depth first over subgroups K of g whose
+    non-identity elements are all candidates: elements whose own cyclic
+    subgroup is semiregular with order dividing n, which every
+    non-identity element of a regular subgroup of order n is. Such a K is
+    semiregular, so its orbit of 0 has |K| points. From K the search
+    adjoins only the candidates that send 0 to a, the least point outside
+    that orbit. Each closure is grown coset by coset from the generators
+    adjoined so far, and is abandoned at its first non-identity element
+    that is not a candidate, or once it exceeds n elements; a closure of n
+    elements is regular. A regular R has exactly one element sending 0 to
+    each point, so from any K inside R exactly one step stays inside R:
+    each R is reached by exactly one path, and no subgroup needs to be
+    remembered.
+
+    Each R found gets the generators the breadth-first search this one
+    replaced gave it. That search adjoined every candidate to every
+    subgroup found so far, level by level, and kept the first generators
+    that reached each subgroup. On its way to R it passes only through
+    subgroups of R, whose elements are all candidates, so it gives R what
+    the same search over R's own sorted elements gives
+    (``_search_generators``). When R is the left-regular copy of h, it is
+    isomorphic to h by Cayley's theorem, and is taken with those
+    generators from the per-group cache.
     """
     n = h.order
     if g.degree != n:
@@ -287,8 +303,8 @@ def regular_subgroups_isomorphic_to(g: PermutationGroup, h: FiniteGroup) -> list
             return [g]
         return []
 
-    translations = _cyclic_translations(h)
-    if translations is not None:
+    translations = _translations(h)
+    if len(translations.generators) == 1:
         [t] = translations.generators
         if (t in g.generators and gcd(g.order // n, n) == 1
                 and _normalizes(g.generators, t, h.table)):
@@ -305,40 +321,65 @@ def regular_subgroups_isomorphic_to(g: PermutationGroup, h: FiniteGroup) -> list
         return found
 
     # p can lie in a regular subgroup only if <p> is semiregular, that
-    # is, if all cycles of p have one length, and that length divides n
-    candidates = []
+    # is, if all cycles of p have one length, and that length divides n;
+    # the candidates are kept by their image of 0
+    sending_0_to: list[list[Perm]] = [[] for _ in range(n)]
     for p in g.elements:
         lengths = {len(c) for c in cycles_of(p)}
         if len(lengths) == 1 and n % lengths.pop() == 0 and p != ident:
-            candidates.append(p)
-    allowed = set(candidates)
-    seen: set[frozenset[Perm]] = set()
-    results: dict[tuple[Perm, ...], PermutationGroup] = {}
+            sending_0_to[p[0]].append(p)
+    allowed = {p for ps in sending_0_to for p in ps}
+    found = []
+    stack: list[tuple[AbstractSet[Perm], tuple[Perm, ...]]] = [({ident}, ())]
+    while stack:
+        members, gens = stack.pop()
+        reached = {p[0] for p in members}
+        a = next(x for x in range(n) if x not in reached)
+        for p in sending_0_to[a]:
+            new_gens = gens + (p,)
+            grown = _grow_closure(members, new_gens, allowed, n)
+            if grown is None or n % len(grown):
+                continue
+            if len(grown) < n:
+                stack.append((grown, new_gens))
+                continue
+            elements = tuple(sorted(grown))
+            if elements == translations.elements:
+                found.append(translations)
+            elif _perm_group_isomorphic(PermutationGroup.listed(n, elements, ()), h):
+                found.append(PermutationGroup.listed(n, elements, _search_generators(elements)))
+    found.sort(key=lambda sub: sub.elements)
+    return found
+
+
+def _search_generators(elements: tuple[Perm, ...]) -> tuple[Perm, ...]:
+    """The generators a breadth-first search over a group's sorted elements
+    gives the group: level by level, adjoin each non-identity element in
+    turn to each subgroup reached at the level before, keep the first
+    generators that reach each subgroup, and stop at the first that reach
+    the whole group. A cyclic group gets its least generator. The trivial
+    group, which no element reaches, is generated by its identity.
+    """
+    ident, rest = elements[0], elements[1:]
+    allowed = set(rest)
     start = frozenset({ident})
-    frontier = [(start, ())]
-    seen.add(start)
+    seen = {start}
+    frontier: list[tuple[frozenset[Perm], tuple[Perm, ...]]] = [(start, ())]
     while frontier:
         nxt = []
         for members, gens in frontier:
-            for p in candidates:
+            for p in rest:
                 if p in members:
                     continue
                 new_gens = gens + (p,)
-                grown = _grow_closure(members, new_gens, allowed, n)
-                if grown is None or n % len(grown):
-                    continue
-                key = frozenset(grown)
-                if key in seen:
-                    continue
-                seen.add(key)
-                if len(grown) == n:
-                    sub = PermutationGroup.listed(n, tuple(sorted(grown)), new_gens)
-                    if _perm_group_isomorphic(sub, h):
-                        results[sub.elements] = sub
-                else:
-                    nxt.append((key, new_gens))
+                grown = frozenset(_grow_closure(members, new_gens, allowed, len(elements)))
+                if len(grown) == len(elements):
+                    return new_gens
+                if grown not in seen:
+                    seen.add(grown)
+                    nxt.append((grown, new_gens))
         frontier = nxt
-    return [results[k] for k in sorted(results)]
+    return elements
 
 
 def _normalizes(gens: Sequence[Perm], t: Perm, rows: Sequence[Perm]) -> bool:
@@ -366,7 +407,7 @@ def _cyclic_subgroup(p: Perm) -> list[Perm]:
 
 
 def _grow_closure(
-    members: frozenset[Perm], gens: tuple[Perm, ...], allowed: set[Perm], limit: int
+    members: AbstractSet[Perm], gens: tuple[Perm, ...], allowed: set[Perm], limit: int
 ) -> Optional[set[Perm]]:
     """<gens> as a set, where members is the group generated by gens[:-1].
 

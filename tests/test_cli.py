@@ -249,6 +249,13 @@ GOLDEN = [
      "540fdcabfc1aa9fffa8fbf28611e6b23bedc32f6209c3339ac8363314facbdc6"),
     (["counterexample", "--family", "q16"], 1,
      "238cfd2223953c4987049dd68972f9572cc30b87a5e2e3ee8366d69e4b7714e5"),
+    # Babai witnesses over non-cyclic groups, with the rival subgroups'
+    # generators: three regular subgroups of a D4 map, each conjugate to the
+    # translations, and a Z2 x Z4 map with a rival that is not
+    (["is-ci-map", "--method", "babai", "--map", "semidirect:cyclic:4,2,neg/1,3,4"], 0,
+     "9faa5876eefd48974b8c6c2d72ecb9e3d9ca4fcb5bd6ad6eeece8faf3d50e2b1"),
+    (["is-ci-map", "--method", "babai", "--map", "abelian:2,4/1,3,5,7"], 1,
+     "e2ac2f55c0bd85223782c766ee940cd90950b40dedd6e310f4885024a0e320bc"),
     (["aut-map", "--map", "z8:1,3,5,7"], 0,
      "be8972303f196e0693ba0f2a5a2e0b21a2520124e05cfcc834dc9de66b43f840"),
     (["iso-maps", "--map1", "abelian:2,2/1,2", "--map2", "z4:1,3"], 0,

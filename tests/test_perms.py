@@ -23,6 +23,7 @@ from cimlab.perms import (
     regular_subgroups_isomorphic_to,
 )
 from cimlab.ci import _rich_maps_cyclic
+from cimlab.cli import parse_group_spec
 from cimlab.enumeration import cayley_classes, connection_sets, rotations_of
 from cimlab.mapiso import map_automorphism_group, stabilizer_automorphisms
 from cimlab.maps import CayleyMap, is_connected, make_map
@@ -368,6 +369,89 @@ def test_search_matches_the_fpf_growth_oracle(h, max_valency):
     assert nontrivial > 0
 
 
+def regular_subgroups_breadth_first(g, h):
+    """The non-cyclic branch of ``regular_subgroups_isomorphic_to`` as it
+    stood before the search by point cosets, as (elements, generators)
+    pairs; oracle for that search. It adjoins every semiregular candidate
+    to every subgroup found so far, level by level, and keeps the first
+    generators that reach each subgroup."""
+    n = h.order
+    ident = identity_perm(n)
+    candidates = []
+    for p in g.elements:
+        lengths = {len(c) for c in perms.cycles_of(p)}
+        if len(lengths) == 1 and n % lengths.pop() == 0 and p != ident:
+            candidates.append(p)
+    allowed = set(candidates)
+
+    def grow(members, gens):
+        elems, pending = set(members), [gens[-1]]
+        while pending:
+            r = pending.pop()
+            if r in elems:
+                continue
+            if len(elems) + len(members) > n:
+                return None
+            for m in members:
+                c = compose(m, r)
+                if c not in allowed:
+                    return None
+                elems.add(c)
+            pending.extend(compose(r, s) for s in gens)
+        return elems
+
+    start = frozenset({ident})
+    seen, results, frontier = {start}, {}, [(start, ())]
+    while frontier:
+        nxt = []
+        for members, gens in frontier:
+            for p in candidates:
+                if p in members:
+                    continue
+                grown = grow(members, gens + (p,))
+                if grown is None or n % len(grown):
+                    continue
+                key = frozenset(grown)
+                if key in seen:
+                    continue
+                seen.add(key)
+                if len(grown) < n:
+                    nxt.append((key, gens + (p,)))
+                    continue
+                sub = perms.PermutationGroup.listed(n, tuple(sorted(grown)), gens + (p,))
+                if perms._perm_group_isomorphic(sub, h):
+                    results[sub.elements] = sub.generators
+        frontier = nxt
+    return sorted(results.items())
+
+
+@pytest.mark.parametrize("spec", ["abelian:2,6", "semidirect:cyclic:6,2,neg", "semidirect:cyclic:3,4,neg"],
+                         ids=["z2z6", "d6", "z3z4"])
+def test_search_matches_the_breadth_first_search(spec):
+    h = parse_group_spec(spec)
+    nontrivial = 0
+    for g in connected_map_automorphism_groups(h, 6):
+        if g.order == h.order:
+            continue
+        nontrivial += 1
+        assert searched(g, h) == regular_subgroups_breadth_first(g, h)
+    assert nontrivial > 0
+
+
+def test_search_finds_the_normal_klein_group_alone_in_sym4():
+    # Sym(4) is no map's automorphism group; of its Klein four subgroups only
+    # the normal one is regular, and it is the left-regular copy of V4
+    v4 = make_abelian([2, 2])
+    g = closure([(1, 2, 3, 0), (1, 0, 2, 3)])
+    assert g.order == 24
+    found = searched(g, v4)
+    assert found == regular_subgroups_breadth_first(g, v4)
+    assert [elements for elements, _ in found] == [
+        ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))]
+    assert found == [(left_regular_representation(v4).elements,
+                      perms._translations(v4).generators)]
+
+
 def test_cyclic_search_builds_each_subgroup_once(monkeypatch):
     built = []
     cyclic_subgroup = perms._cyclic_subgroup
@@ -557,25 +641,31 @@ def test_shortcut_settles_a_normal_translation_group_of_prime_index():
 
 
 def test_cyclic_translations_decide_cyclicity_once_per_group():
+    # the cached translations carry their search generators for every group,
+    # and these are one least |h|-cycle exactly when h is cyclic
     for h in order8_groups() + [make_cyclic(9), make_abelian([3, 3]), make_cyclic(1)]:
-        translations = perms._cyclic_translations(h)
-        assert (translations is not None) == is_cyclic_group(h)
-        if translations is not None:
-            assert translations.elements == left_regular_representation(h).elements
+        translations = perms._translations(h)
+        hhat = left_regular_representation(h)
+        assert translations.elements == hhat.elements
+        assert (len(translations.generators) == 1) == is_cyclic_group(h)
+        if is_cyclic_group(h):
             assert translations.generators == (min(
                 p for p in translations.elements if len(perms.cycles_of(p)) == 1),)
+        if h.order > 1:
+            assert regular_subgroups_breadth_first(hhat, h) == [
+                (translations.elements, translations.generators)]
     z8 = make_cyclic(8)
-    perms._cyclic_translations.cache_clear()
+    perms._translations.cache_clear()
     for u in (3, 5, 7):
         regular_subgroups_isomorphic_to(with_translations(z8, mult_perm(8, u)), z8)
-    info = perms._cyclic_translations.cache_info()
+    info = perms._translations.cache_info()
     assert (info.misses, info.hits) == (1, 2)
 
 
 def test_cyclic_translations_cache_is_bounded():
     for n in range(1, 3 * perms.REGULAR_REP_CACHE_SIZE):
-        perms._cyclic_translations(make_cyclic(n % 40 + 1))
-    info = perms._cyclic_translations.cache_info()
+        perms._translations(make_cyclic(n % 40 + 1))
+    info = perms._translations.cache_info()
     assert info.maxsize == perms.REGULAR_REP_CACHE_SIZE
     assert info.currsize <= perms.REGULAR_REP_CACHE_SIZE
 
