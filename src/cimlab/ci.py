@@ -16,15 +16,17 @@ the left translations as its whole automorphism group, hence exactly
 one regular subgroup, and is a CI-map for free. The exhaustive strategy
 gets that shortcut from ``regular_subgroups_isomorphic_to``, which
 returns a group of order |H| without an isomorphism test exactly when
-its elements equal those of the left-regular copy of H. For cyclic H it
-has a second shortcut, from Aut(M)'s generators and order alone: when
+its elements equal those of the left-regular copy of H. A second
+shortcut, for every H, reads Aut(M)'s generators and order alone: when
 the translations are normal in Aut(M) with index prime to |H|, they are
-the only regular cyclic subgroup, and Aut(M)'s elements are never
-listed. For other H it searches by point cosets: from a subgroup K it
-adjoins only the elements sending 0 to the least point outside K's orbit
-of 0, so a regular subgroup, which has exactly one element sending 0 to
-each point, is reached by exactly one path. Each subgroup found keeps
-the generators the earlier breadth-first search gave it, which the
+the only regular subgroup of order |H|, and Aut(M)'s elements are never
+listed. Otherwise cyclic H is searched one |H|-cycle at a time, and
+other H by point cosets: from a subgroup K whose non-identity elements
+fix no point it adjoins only the elements sending 0 to the least point
+outside K's orbit of 0, refusing each closure at its first fixed point.
+A regular subgroup has exactly one element sending 0 to each point, so
+it is reached by exactly one path. Each subgroup found keeps the
+generators the earlier breadth-first search gave it, which the
 witnesses print, and the left translations skip the isomorphism test.
 Both strategies are cross-checked against each other by the
 test suite on every group small enough to run both.

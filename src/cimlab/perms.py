@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from math import gcd
+from operator import eq
 from typing import AbstractSet, Callable, Iterable, Optional, Sequence
 
 from .errors import CapacityError
@@ -171,7 +172,9 @@ def left_regular_representation(h: FiniteGroup) -> PermutationGroup:
 def _translations(h: FiniteGroup) -> PermutationGroup:
     """The left translations of h with the generators the search gives
     them (``_search_generators``). Cached per group, beside
-    ``left_regular_representation``.
+    ``left_regular_representation``. The normal-translations shortcut
+    looks for these generators among g's, and the search returns this
+    copy whenever it finds the translations.
 
     The search generators are one permutation, the least |h|-cycle,
     exactly when h is cyclic: a translation by a has every cycle of
@@ -246,43 +249,43 @@ def is_block(g: PermutationGroup, delta: Iterable[int]) -> bool:
 def regular_subgroups_isomorphic_to(g: PermutationGroup, h: FiniteGroup) -> list[PermutationGroup]:
     """All regular subgroups of g isomorphic to h, sorted canonically.
 
-    A regular subgroup has order equal to the degree and consists of the
-    identity plus fixed-point-free elements.
+    A regular subgroup has order equal to the degree, and none of its
+    non-identity elements fixes a point.
 
-    For cyclic h, a cyclic group of degree n is regular exactly when a
-    generator is an n-cycle, that is, when the orbit of point 0 under it
-    has length n. Let t be the least n-cycle of the left-regular copy H^
-    of h. When t is one of g's generators, every generator conjugates t
-    into H^, and |g|/n is prime to n, H^ is the only such subgroup and is
-    returned without listing g: H^ = <t> lies in g and is normal in it, and
-    a normal subgroup N of order n and index prime to n contains every
-    subgroup R of order n, because RN/N has order dividing both |R| = n
-    and |g:N|. Any other g is searched: the search walks g's elements in
-    sorted order, skips those that lie in a subgroup already found, and
+    Let H^ be the left-regular copy of h with the generators the search
+    gives it (``_translations``). When each of those is one of g's
+    generators, every generator of g conjugates each of them into H^, and
+    |g|/n is prime to n, H^ is the only such subgroup and is returned
+    without listing g: H^ lies in g and is normal in it, and a normal
+    subgroup N of order n and index prime to n contains every subgroup R
+    of order n, because RN/N has order dividing both |R| = n and |g:N|.
+
+    Any other g is searched. For cyclic h, a cyclic group of degree n is
+    regular exactly when a generator is an n-cycle, that is, when the
+    orbit of point 0 under it has length n. The search walks g's elements
+    in sorted order, skips those that lie in a subgroup already found, and
     builds <p> once for each n-cycle p left; p is then the least n-cycle
-    of <p> and its generator, as t is for H^.
+    of <p> and its generator, as it is for H^.
 
-    Otherwise the search runs depth first over subgroups K of g whose
-    non-identity elements are all candidates: elements whose own cyclic
-    subgroup is semiregular with order dividing n, which every
-    non-identity element of a regular subgroup of order n is. Such a K is
-    semiregular, so its orbit of 0 has |K| points. From K the search
-    adjoins only the candidates that send 0 to a, the least point outside
+    Otherwise the search runs depth first over the semiregular subgroups
+    K of g, those whose non-identity elements fix no point. The orbit of 0
+    under such a K has |K| points, so |K| divides n. From K the search
+    adjoins only the elements that send 0 to a, the least point outside
     that orbit. Each closure is grown coset by coset from the generators
-    adjoined so far, and is abandoned at its first non-identity element
-    that is not a candidate, or once it exceeds n elements; a closure of n
-    elements is regular. A regular R has exactly one element sending 0 to
-    each point, so from any K inside R exactly one step stays inside R:
-    each R is reached by exactly one path, and no subgroup needs to be
-    remembered.
+    adjoined so far, and is abandoned at its first new element that fixes
+    a point, or once it exceeds n elements; a closure of n elements is
+    regular. A regular R has exactly one element sending 0 to each point,
+    so from any K inside R exactly one step stays inside R: each R is
+    reached by exactly one path, and no subgroup needs to be remembered.
 
     Each R found gets the generators the breadth-first search this one
-    replaced gave it. That search adjoined every candidate to every
-    subgroup found so far, level by level, and kept the first generators
-    that reached each subgroup. On its way to R it passes only through
-    subgroups of R, whose elements are all candidates, so it gives R what
-    the same search over R's own sorted elements gives
-    (``_search_generators``). When R is the left-regular copy of h, it is
+    replaced gave it. That search adjoined every candidate, an element
+    whose own cyclic subgroup is semiregular with order dividing n, to
+    every subgroup found so far, level by level, and kept the first
+    generators that reached each subgroup. On its way to R it passes only
+    through subgroups of R, whose non-identity elements are all
+    candidates, so it gives R what the same search over R's own sorted
+    elements gives (``_search_generators``). When R is H^, it is
     isomorphic to h by Cayley's theorem, and is taken with those
     generators from the per-group cache.
     """
@@ -291,7 +294,6 @@ def regular_subgroups_isomorphic_to(g: PermutationGroup, h: FiniteGroup) -> list
         raise ValueError("degree must equal |h|")
     if g.order > DEFAULT_GROUP_CAP:
         raise CapacityError(f"regular subgroup search capped at {DEFAULT_GROUP_CAP}")
-    ident = identity_perm(n)
 
     if g.order == n:
         # g itself is the only candidate; the left-regular copy of h is
@@ -304,50 +306,41 @@ def regular_subgroups_isomorphic_to(g: PermutationGroup, h: FiniteGroup) -> list
         return []
 
     translations = _translations(h)
+    if (all(t in g.generators for t in translations.generators) and gcd(g.order // n, n) == 1
+            and _normalizes(g.generators, translations.generators, h.table)):
+        return [translations]
+
+    found = []
     if len(translations.generators) == 1:
-        [t] = translations.generators
-        if (t in g.generators and gcd(g.order // n, n) == 1
-                and _normalizes(g.generators, t, h.table)):
-            return [translations]
         covered: set[Perm] = set()
-        found = []
         for p in g.elements:
             if p in covered or _orbit_length_of_0(p) != n:
                 continue
             sub = _cyclic_subgroup(p)
             covered.update(sub)
             found.append(PermutationGroup.listed(n, tuple(sorted(sub)), (p,)))
-        found.sort(key=lambda sub: sub.elements)
-        return found
-
-    # p can lie in a regular subgroup only if <p> is semiregular, that
-    # is, if all cycles of p have one length, and that length divides n;
-    # the candidates are kept by their image of 0
-    sending_0_to: list[list[Perm]] = [[] for _ in range(n)]
-    for p in g.elements:
-        lengths = {len(c) for c in cycles_of(p)}
-        if len(lengths) == 1 and n % lengths.pop() == 0 and p != ident:
+    else:
+        sending_0_to: list[list[Perm]] = [[] for _ in range(n)]
+        for p in g.elements:
             sending_0_to[p[0]].append(p)
-    allowed = {p for ps in sending_0_to for p in ps}
-    found = []
-    stack: list[tuple[AbstractSet[Perm], tuple[Perm, ...]]] = [({ident}, ())]
-    while stack:
-        members, gens = stack.pop()
-        reached = {p[0] for p in members}
-        a = next(x for x in range(n) if x not in reached)
-        for p in sending_0_to[a]:
-            new_gens = gens + (p,)
-            grown = _grow_closure(members, new_gens, allowed, n)
-            if grown is None or n % len(grown):
-                continue
-            if len(grown) < n:
-                stack.append((grown, new_gens))
-                continue
-            elements = tuple(sorted(grown))
-            if elements == translations.elements:
-                found.append(translations)
-            elif _perm_group_isomorphic(PermutationGroup.listed(n, elements, ()), h):
-                found.append(PermutationGroup.listed(n, elements, _search_generators(elements)))
+        stack: list[tuple[AbstractSet[Perm], tuple[Perm, ...]]] = [({identity_perm(n)}, ())]
+        while stack:
+            members, gens = stack.pop()
+            reached = {p[0] for p in members}
+            a = next(x for x in range(n) if x not in reached)
+            for p in sending_0_to[a]:
+                new_gens = gens + (p,)
+                grown = _grow_closure(members, new_gens, n)
+                if grown is None:
+                    continue
+                if len(grown) < n:
+                    stack.append((grown, new_gens))
+                    continue
+                elements = tuple(sorted(grown))
+                if elements == translations.elements:
+                    found.append(translations)
+                elif _perm_group_isomorphic(PermutationGroup.listed(n, elements, ()), h):
+                    found.append(PermutationGroup.listed(n, elements, _search_generators(elements)))
     found.sort(key=lambda sub: sub.elements)
     return found
 
@@ -358,10 +351,11 @@ def _search_generators(elements: tuple[Perm, ...]) -> tuple[Perm, ...]:
     turn to each subgroup reached at the level before, keep the first
     generators that reach each subgroup, and stop at the first that reach
     the whole group. A cyclic group gets its least generator. The trivial
-    group, which no element reaches, is generated by its identity.
+    group, which no element reaches, is generated by its identity. The
+    closures refuse elements with a fixed point, so the group must be
+    semiregular; every group searched here is regular.
     """
     ident, rest = elements[0], elements[1:]
-    allowed = set(rest)
     start = frozenset({ident})
     seen = {start}
     frontier: list[tuple[frozenset[Perm], tuple[Perm, ...]]] = [(start, ())]
@@ -372,7 +366,7 @@ def _search_generators(elements: tuple[Perm, ...]) -> tuple[Perm, ...]:
                 if p in members:
                     continue
                 new_gens = gens + (p,)
-                grown = frozenset(_grow_closure(members, new_gens, allowed, len(elements)))
+                grown = frozenset(_grow_closure(members, new_gens, len(elements)))
                 if len(grown) == len(elements):
                     return new_gens
                 if grown not in seen:
@@ -382,18 +376,20 @@ def _search_generators(elements: tuple[Perm, ...]) -> tuple[Perm, ...]:
     return elements
 
 
-def _normalizes(gens: Sequence[Perm], t: Perm, rows: Sequence[Perm]) -> bool:
-    """Whether every generator conjugates t to one of the left translations
-    ``rows``, where row a is the translation sending 0 to a; for an n-cycle
-    t among them, that is whether <gens> normalizes <t>."""
+def _normalizes(gens: Sequence[Perm], ts: Sequence[Perm], rows: Sequence[Perm]) -> bool:
+    """Whether every permutation in gens conjugates each of ts to one of the
+    left translations ``rows``, where row a is the translation sending 0
+    to a; for ts generating the translations, that is whether <gens>
+    normalizes them."""
     for gamma in gens:
         if rows[gamma[0]] == gamma:
-            continue  # a translation; the translations of a cyclic group commute
-        conj = [0] * len(t)
-        for x, y in zip(gamma, t):
-            conj[x] = gamma[y]  # gamma t gamma^-1 sends gamma(x) to gamma(t(x))
-        if rows[conj[0]] != tuple(conj):
-            return False
+            continue  # a translation normalizes the translations
+        for t in ts:
+            conj = [0] * len(t)
+            for x, y in zip(gamma, t):
+                conj[x] = gamma[y]  # gamma t gamma^-1 sends gamma(x) to gamma(t(x))
+            if rows[conj[0]] != tuple(conj):
+                return False
     return True
 
 
@@ -406,18 +402,19 @@ def _cyclic_subgroup(p: Perm) -> list[Perm]:
     return out
 
 
-def _grow_closure(
-    members: AbstractSet[Perm], gens: tuple[Perm, ...], allowed: set[Perm], limit: int
-) -> Optional[set[Perm]]:
-    """<gens> as a set, where members is the group generated by gens[:-1].
+def _grow_closure(members: AbstractSet[Perm], gens: tuple[Perm, ...], limit: int
+                  ) -> Optional[set[Perm]]:
+    """<gens> as a set, where members is the group generated by gens[:-1]
+    and its non-identity elements fix no point.
 
     The closure is grown one right coset of members at a time from the
-    generators (Dimino's algorithm). Returns None at the first element
-    outside members that is not in allowed, or once the closure would
-    exceed limit elements.
+    generators (Dimino's algorithm). Returns None at the first new element
+    that fixes a point, or once the closure would exceed limit elements.
+    A closure returned is semiregular, so its order divides the degree.
     """
     elems = set(members)
     pending = [gens[-1]]
+    points = range(len(pending[0]))
     while pending:
         r = pending.pop()
         if r in elems:
@@ -426,7 +423,7 @@ def _grow_closure(
             return None
         for m in members:
             c = tuple(map(m.__getitem__, r))
-            if c not in allowed:
+            if any(map(eq, c, points)):
                 return None
             elems.add(c)
         pending.extend(tuple(map(r.__getitem__, s)) for s in gens)

@@ -1,5 +1,6 @@
 import importlib.util
 import pickle
+import random
 import sys
 from pathlib import Path
 
@@ -29,6 +30,7 @@ from cimlab.groups import (
     Subgroup,
     all_subgroups,
     automorphisms,
+    from_table,
     is_isomorphic,
     make_abelian,
     make_cyclic,
@@ -258,6 +260,45 @@ def test_babai_invariant_under_mirror(z8):
     for m in (make_map(z8, (1, 3, 5, 7)), lemma_orbit_map(),
               make_map(z8, (1, 2, 6, 7))):
         assert babai_is_ci_map(m).verdict == babai_is_ci_map(m.mirror()).verdict
+
+
+def relabelled(h, seed):
+    """h with its non-identity elements renamed by a seeded permutation, as
+    the benchmark's workloads rename them, and the renaming itself."""
+    rest = list(range(1, h.order))
+    random.Random(seed).shuffle(rest)
+    new = [0] + rest
+    table = [[0] * h.order for _ in range(h.order)]
+    for a in range(h.order):
+        for b in range(h.order):
+            table[new[a]][new[b]] = new[h.table[a][b]]
+    return from_table(table, h.name), new
+
+
+BABAI_STATS = ("aut_order", "stabilizer_order", "regular_subgroup_count")
+
+
+def test_babai_invariant_under_relabelling():
+    # a relabelled group is the same group, so every connected map over it
+    # gets the verdict and the counts of the canonical map it came from
+    compared = 0
+    for h, max_valency in ([(h, 7) for h in order8_groups()]
+                           + [(make_abelian([3, 3]), 5), (make_abelian([2, 6]), 5)]):
+        canonical = {}
+        for seed in (1, 2):
+            h2, new = relabelled(h, seed)
+            old = inverse_perm(new)
+            for m2 in all_maps(h2, max_valency):
+                if not is_connected(m2):
+                    continue
+                rotation = tuple(old[x] for x in m2.rotation)
+                if rotation not in canonical:
+                    canonical[rotation] = babai_is_ci_map(make_map(h, rotation))
+                base, report = canonical[rotation], babai_is_ci_map(m2)
+                assert report.verdict == base.verdict
+                assert [report.stats[k] for k in BABAI_STATS] == [base.stats[k] for k in BABAI_STATS]
+                compared += 1
+    assert compared == 15484
 
 
 def test_regular_witness_map_properties():

@@ -1,4 +1,5 @@
 import itertools
+from math import gcd
 
 import pytest
 
@@ -425,17 +426,42 @@ def regular_subgroups_breadth_first(g, h):
     return sorted(results.items())
 
 
-@pytest.mark.parametrize("spec", ["abelian:2,6", "semidirect:cyclic:6,2,neg", "semidirect:cyclic:3,4,neg"],
-                         ids=["z2z6", "d6", "z3z4"])
-def test_search_matches_the_breadth_first_search(spec):
+def normal_translations_of_coprime_index(g, h):
+    """Whether g names the search generators of the left translations H^ among
+    its generators, conjugates each of them into H^ by each generator, and
+    has |g|/|h| prime to |h|: checked from g's generators and order alone."""
+    n = h.order
+    hhat = left_regular_representation(h)
+    ts = perms._translations(h).generators
+    return (set(ts) <= set(g.generators) and gcd(g.order // n, n) == 1
+            and all(compose(compose(x, t), perms.inverse_perm(x)) in hhat
+                    for x in g.generators for t in ts))
+
+
+@pytest.mark.parametrize("spec, max_valency, nontrivial, settled", [
+    ("abelian:2,6", 6, 198, 0),
+    ("semidirect:cyclic:6,2,neg", 6, 456, 0),
+    ("semidirect:cyclic:3,4,neg", 6, 186, 0),
+    ("abelian:2,2,2", 7, 314, 272),
+    ("quaternion:8", 7, 90, 24),
+    ("abelian:3,3", 8, 228, 204),
+], ids=["z2z6", "d6", "z3z4", "z2z2z2", "q8", "z3z3"])
+def test_search_matches_the_breadth_first_search(spec, max_valency, nontrivial, settled):
+    # the maps with a nontrivial stabilizer; where H^ is normal of index prime
+    # to |h|, the search returns it without listing Aut(M), and otherwise it
+    # lists Aut(M)
     h = parse_group_spec(spec)
-    nontrivial = 0
-    for g in connected_map_automorphism_groups(h, 6):
+    counts = [0, 0]
+    for g in connected_map_automorphism_groups(h, max_valency):
         if g.order == h.order:
             continue
-        nontrivial += 1
-        assert searched(g, h) == regular_subgroups_breadth_first(g, h)
-    assert nontrivial > 0
+        shortcut = normal_translations_of_coprime_index(g, h)
+        found = searched(g, h)
+        assert ("elements" not in vars(g)) == shortcut
+        counts[0] += 1
+        counts[1] += shortcut
+        assert found == regular_subgroups_breadth_first(g, h)
+    assert counts == [nontrivial, settled]
 
 
 def test_search_finds_the_normal_klein_group_alone_in_sym4():
