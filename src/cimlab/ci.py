@@ -13,10 +13,15 @@ criterion on every connected map. ``stabilizer`` (cyclic groups)
 enumerates only the maps with a nontrivial vertex stabilizer, seeded by
 the skew-morphisms of the group: a map whose stabilizer is trivial has
 the left translations as its whole automorphism group, hence exactly
-one regular subgroup, and is a CI-map for free. The exhaustive strategy
-gets that shortcut from ``regular_subgroups_isomorphic_to``, which
-returns a group of order |H| without an isomorphism test exactly when
-its elements equal those of the left-regular copy of H. A second
+one regular subgroup, and is a CI-map for free. Its rich rotations are
+packed as ``bytes``, one element per byte, sorted once and without
+duplicates; they are walked into classes under Aut(H) and mirror
+reversal, and only the class representatives are decoded to tuples for
+the sweep, so maps, workers and reports never see bytes. The exhaustive
+strategy gets the trivial-stabilizer shortcut from
+``regular_subgroups_isomorphic_to``, which returns a group of order |H|
+without an isomorphism test exactly when its elements equal those of
+the left-regular copy of H. A second
 shortcut, for every H, reads Aut(M)'s generators and order alone: when
 the translations are normal in Aut(M) with index prime to |H|, they are
 the only regular subgroup of order |H|, and Aut(M)'s elements are never
@@ -47,7 +52,7 @@ import time
 from contextlib import closing
 from itertools import chain, combinations, islice, permutations, product
 from math import factorial
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .enumeration import (
     cayley_classes,
@@ -266,19 +271,29 @@ def definitional_is_ci_map(m: CayleyMap) -> CiReport:
     )
 
 
-def _rich_maps_cyclic(h: FiniteGroup, max_valency: int) -> tuple[list[tuple[int, ...]], set]:
+def _rich_maps_cyclic(h: FiniteGroup, max_valency: int) -> tuple[list[bytes], set]:
     """All connected maps over a cyclic group with a nontrivial stabilizer.
 
     Every stabilizer is generated by a skew-morphism psi with S a union
     of psi-orbits of length o(psi) and the rotation a full-cycle root of
-    psi restricted to S. Returns the sorted rotations, each in canonical
-    phase, plus the skew set for the runtime completeness check.
+    psi restricted to S. Returns the rotations, each in canonical phase,
+    sorted and without duplicates, plus the skew set for the runtime
+    completeness check.
+
+    A rotation is packed as ``bytes``, one element per byte, which takes
+    far less memory than a tuple of ints. ``automorphisms`` caps |H| at
+    64, and ``bytes`` raises on an element of 256 or more rather than
+    truncating it. For elements below 256, bytes compare as their tuples
+    do (a prefix first), so the order is the tuples' order. A root that
+    several skew-morphisms reach is gathered once for each of them in one
+    list, which is sorted once and rid of adjacent duplicates in place; no
+    set of every rich rotation and no second list is built.
     """
     n = h.order
     skews = cyclic_skew_morphisms(n)
     skew_set = set(skews)
     ident = identity_perm(n)
-    rich: set[tuple[int, ...]] = set()
+    rich: list[bytes] = []
     for psi in skews:
         if psi == ident:
             continue
@@ -296,26 +311,35 @@ def _rich_maps_cyclic(h: FiniteGroup, max_valency: int) -> tuple[list[tuple[int,
                 continue
             if len(closure_of(h, s)) != n:
                 continue
-            rich.update(_full_cycle_roots(subset, d))
-    return sorted(rich), skew_set
+            rich.extend(_full_cycle_roots(subset, d))
+    rich.sort()
+    # drop adjacent duplicates in place: a second list would cost one more
+    # pointer per rotation at the peak
+    kept = 0
+    for rot in rich:
+        if not kept or rot != rich[kept - 1]:
+            rich[kept] = rot
+            kept += 1
+    del rich[kept:]
+    return rich, skew_set
 
 
-def _full_cycle_roots(orbits: Sequence[tuple[int, ...]], d: int):
-    """All full cycles rho on the union with rho^c equal to the orbit permutation.
+def _full_cycle_roots(orbits: Sequence[tuple[int, ...]], d: int) -> Iterator[bytes]:
+    """All full cycles rho on the union with rho^c equal to the orbit
+    permutation, each packed as ``bytes`` (see ``_rich_maps_cyclic``).
 
     Threads the c orbits in every order and relative offset behind the
-    first. The orbits come from ``cycles_of``, which lists each cycle from
-    its minimum and the cycles in ascending order of minima, and
-    ``combinations`` keeps that order; so orbits[0] leads with the least
-    element, which makes each output already canonically phased.
+    first: each later orbit's d phases are cut once, and a root
+    interleaves the first orbit with one phase of each. The orbits come
+    from ``cycles_of``, which lists each cycle from its minimum and the
+    cycles in ascending order of minima, and ``combinations`` keeps that
+    order; so orbits[0] leads with the least element, which makes each
+    output already canonically phased.
     """
-    c = len(orbits)
-    for ordered in permutations(orbits[1:]):
-        for offs in product(range(d), repeat=c - 1):
-            cycles = [orbits[0]] + [
-                cyc[o:] + cyc[:o] for cyc, o in zip(ordered, offs)
-            ]
-            yield tuple(cycles[j][i] for i in range(d) for j in range(c))
+    phases = [[cyc[o:] + cyc[:o] for o in range(d)] for cyc in orbits[1:]]
+    for ordered in permutations(phases):
+        for cycles in product(*ordered):
+            yield bytes(chain.from_iterable(zip(orbits[0], *cycles)))
 
 
 def _babai_task(
@@ -430,10 +454,13 @@ def verify_connected_cim(
         rich, skews = _rich_maps_cyclic(h, max_valency)
         # Aut(H) and mirror reversal both preserve CI verdicts; an orbit whose
         # least member is not rich has no representative
-        rotations = [rot for rot, orbit in cayley_classes(h, rich, mirror=True)
-                     if min(orbit) == rot]
-        stats = {"maps_rich": len(rich), "rich_classes": len(rotations)}
+        reps = [rot for rot, orbit in cayley_classes(h, rich, mirror=True)
+                if min(orbit) == rot]
+        stats = {"maps_rich": len(rich), "rich_classes": len(reps)}
         del rich  # the sweep needs only the representatives
+        # each is decoded to a tuple as the sweep reads it, so maps, workers
+        # and reports see no bytes
+        rotations = map(tuple, reps)
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
     checked, _, failing = _first_failure(h, rotations, workers, skews)

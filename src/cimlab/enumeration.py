@@ -54,19 +54,25 @@ def total_map_count(h: FiniteGroup, max_valency: int) -> int:
     return sum(math.factorial(len(s) - 1) for s in connection_sets(h, max_valency))
 
 
-def cayley_orbit(h: FiniteGroup, rotation: Sequence[int]) -> set[tuple[int, ...]]:
-    """The canonical-phase rotations of the Aut(H)-orbit of one rotation."""
+def cayley_orbit(h: FiniteGroup, rotation: Sequence[int]) -> set[Sequence[int]]:
+    """The canonical-phase rotations of the Aut(H)-orbit of one rotation.
+
+    Each member has the rotation's own type: a tuple's orbit holds
+    tuples, and a ``bytes`` rotation (as the stabilizer strategy packs
+    them) gives a ``bytes`` orbit.
+    """
     orbit = set()
+    pack = type(rotation)
     for sigma in automorphisms(h):
-        rot = tuple(sigma.images[s] for s in rotation)
+        rot = pack(map(sigma.images.__getitem__, rotation))
         i = rot.index(min(rot))
         orbit.add(rot[i:] + rot[:i])
     return orbit
 
 
 def cayley_classes(
-    h: FiniteGroup, rotations: Sequence[tuple[int, ...]], mirror: bool = False
-) -> Iterator[tuple[tuple[int, ...], set[tuple[int, ...]]]]:
+    h: FiniteGroup, rotations: Sequence[Sequence[int]], mirror: bool = False
+) -> Iterator[tuple[Sequence[int], set[Sequence[int]]]]:
     """One ``(rotation, orbit)`` per Aut(H)-orbit met in sorted ``rotations``.
 
     The orbit is walked from its first member met, so ``rotation`` is its
@@ -74,7 +80,8 @@ def cayley_classes(
     Aut(H) x mirror reversal. Members already covered are skipped. They are
     marked by position, so the walk keeps no rotation that outlives its
     orbit. An orbit may leave ``rotations``; the caller decides whether
-    that is an error.
+    that is an error. The rotations are all tuples or all ``bytes``, and
+    each orbit has their type (see ``cayley_orbit``).
     """
     covered = bytearray(len(rotations))
     for i, rot in enumerate(rotations):

@@ -2,6 +2,7 @@ import importlib.util
 import pickle
 import random
 import sys
+from itertools import chain, combinations, permutations, product
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,7 @@ from cimlab.ci import (
 )
 from cimlab.enumeration import (
     cayley_class_key,
+    cayley_classes,
     cayley_orbit,
     connection_sets,
     rotations_of,
@@ -30,6 +32,7 @@ from cimlab.groups import (
     Subgroup,
     all_subgroups,
     automorphisms,
+    closure_of,
     from_table,
     is_isomorphic,
     make_abelian,
@@ -53,11 +56,14 @@ from cimlab.mapiso import (
 )
 from cimlab.perms import (
     compose,
+    cycles_of,
     identity_perm,
     inverse_perm,
     left_regular_representation,
+    perm_order,
     regular_subgroups_isomorphic_to,
 )
+from cimlab.skew import cyclic_skew_morphisms
 from conftest import order8_groups
 
 WORKLOADS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -190,7 +196,7 @@ def test_orbit_walk_selects_the_per_map_key_representatives(n, seed, counts, mon
 def test_rich_maps_are_closed_and_orbit_sizes_sum_to_maps_rich(n, monkeypatch):
     h = make_cyclic(n)
     rich, _ = _rich_maps_cyclic(h, n - 1)
-    rotations = set(rich)
+    rotations = set(map(tuple, rich))
     orbits = [dihedral_orbit(h, rep) for rep in swept_representatives(h, n - 1, monkeypatch)]
     # distinct orbits are disjoint, so orbits inside the rich set whose sizes
     # sum to its size cover it: every Aut(H) x mirror image of a rich map is rich
@@ -474,12 +480,89 @@ def test_stabilizer_strategy_finds_all_rich_maps():
 
     for n, maxval in ((5, 4), (6, 5), (8, 7), (9, 8), (10, 9), (11, 8), (12, 8)):
         h = make_cyclic(n)
-        rich, _ = _rich_maps_cyclic(h, maxval)
+        rich = [tuple(rot) for rot in _rich_maps_cyclic(h, maxval)[0]]
         expected = set()
         for m in all_maps(h, maxval):
             if is_connected(m) and len(stabilizer_automorphisms(m)) > 1:
                 expected.add(m.rotation)
         assert set(rich) == expected
+
+
+def full_cycle_roots_as_tuples(orbits, d):
+    """``ci._full_cycle_roots`` as it stood while rotations were tuples;
+    oracle for the packed rotations."""
+    c = len(orbits)
+    for ordered in permutations(orbits[1:]):
+        for offs in product(range(d), repeat=c - 1):
+            cycles = [orbits[0]] + [cyc[o:] + cyc[:o] for cyc, o in zip(ordered, offs)]
+            yield tuple(cycles[j][i] for i in range(d) for j in range(c))
+
+
+def rich_maps_as_tuples(h, max_valency):
+    """The sorted rotations of ``ci._rich_maps_cyclic`` as it stood while
+    it gathered tuples in a set; oracle for the packed rotations."""
+    n = h.order
+    ident = identity_perm(n)
+    rich = set()
+    for psi in cyclic_skew_morphisms(n):
+        if psi == ident:
+            continue
+        d = perm_order(psi)
+        orbits = [c for c in cycles_of(psi) if len(c) == d and 0 not in c]
+        if not orbits:
+            continue
+        max_orbits = min(len(orbits), max_valency // d)
+        subsets = chain.from_iterable(
+            combinations(orbits, k) for k in range(1, max_orbits + 1))
+        for subset in subsets:
+            s = [x for orb in subset for x in orb]
+            s_set = set(s)
+            if any(h.inverse[x] not in s_set for x in s):
+                continue
+            if len(closure_of(h, s)) != n:
+                continue
+            rich.update(full_cycle_roots_as_tuples(subset, d))
+    return sorted(rich)
+
+
+@pytest.mark.parametrize("n, max_valency",
+                         [(n, n - 1) for n in range(5, 14)] + [(15, 10), (16, 8)])
+def test_packed_rich_rotations_are_the_sorted_tuples(n, max_valency):
+    h = make_cyclic(n)
+    rich, _ = _rich_maps_cyclic(h, max_valency)
+    assert all(type(rot) is bytes for rot in rich)
+    decoded = [tuple(rot) for rot in rich]
+    assert decoded == rich_maps_as_tuples(h, max_valency)
+    # one sort and no duplicates: the order cayley_classes bisects in
+    assert all(a < b for a, b in zip(decoded, decoded[1:]))
+    assert all(a < b for a, b in zip(rich, rich[1:]))
+
+
+@pytest.mark.parametrize("h, max_valency", [(make_cyclic(16), 5), (make_abelian([2, 4]), 7)],
+                         ids=["cyclic:16", "abelian:2,4"])
+def test_cayley_orbit_keeps_the_rotation_type(h, max_valency):
+    rots = [rot for s in connection_sets(h, max_valency) for rot in rotations_of(s)]
+    for rot in rots:
+        orbit = cayley_orbit(h, rot)
+        assert all(type(member) is tuple for member in orbit)
+        assert cayley_orbit(h, bytes(rot)) == {bytes(r) for r in orbit}
+    # bytes order is tuple order, a proper prefix first
+    ordered = sorted(rots)
+    assert sorted(rots, key=bytes) == ordered
+    assert len({len(rot) for rot in rots}) > 2
+    assert any(a == b[:len(a)] for a, b in zip(ordered, ordered[1:]) if len(a) < len(b))
+    packed = [bytes(rot) for rot in ordered]
+    assert [(tuple(rot), set(map(tuple, orbit)))
+            for rot, orbit in cayley_classes(h, packed, mirror=True)] == list(
+        cayley_classes(h, ordered, mirror=True))
+
+
+@pytest.mark.parametrize("n", [9, 11])
+def test_stabilizer_strategy_sweeps_tuples(n, monkeypatch):
+    # the rich rotations are packed as bytes; maps, workers and reports
+    # must see the representatives as tuples
+    reps = swept_representatives(make_cyclic(n), n - 1, monkeypatch)
+    assert reps and all(type(rot) is tuple for rot in reps)
 
 
 def test_stabilizer_strategy_detects_a_missing_skew_morphism(monkeypatch):

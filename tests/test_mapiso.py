@@ -121,7 +121,7 @@ def test_extending_alignments_are_the_multiples_of_the_least():
     # whose least extending alignment runs from 1 to 6
     h = make_cyclic(13)
     rich, _ = _rich_maps_cyclic(h, 12)
-    reps = [make_map(h, rot)
+    reps = [make_map(h, tuple(rot))
             for rot, orbit in cayley_classes(h, rich, mirror=True) if min(orbit) == rot]
     assert len(reps) == 640
     least = set()

@@ -622,7 +622,7 @@ def test_normal_subgroup_shortcut_agrees_with_the_walk(n, max_valency, classes):
     reps = [rot for rot, orbit in cayley_classes(h, rich, mirror=True) if min(orbit) == rot]
     assert len(reps) == classes
     for rot in reps:
-        m = CayleyMap(h, rot)
+        m = CayleyMap(h, tuple(rot))
         aut = map_automorphism_group(m)
         found = searched(aut, h)
         assert "elements" not in vars(aut)
