@@ -13,7 +13,8 @@ factors p the quotient k/g has; the product of the last automorphism
 found for each p generates the stabilizer. That takes at most one
 breadth-first propagation per prime factor of k counted with
 multiplicity, and exactly one per distinct prime of k when the
-stabilizer is trivial; no alignment is propagated twice.
+stabilizer is trivial; no alignment is propagated twice. A propagation
+checks every dart once, which with n distinct images is the definition.
 
 A disconnected map is translated copies of its identity component, so
 ``map_iso_exists`` decides any two maps through their components. The
@@ -56,9 +57,8 @@ class MapMorphism:
 
 def _verify(m1: CayleyMap, m2: CayleyMap, images) -> bool:
     """Full definition check: bijective, edges to edges, rotations intertwined."""
-    g1, g2 = m1.group, m2.group
-    n = g1.order
-    if g2.order != n or len(images) != n or sorted(images) != list(range(n)):
+    n = m1.group.order
+    if m2.group.order != n or len(images) != n or sorted(images) != list(range(n)):
         return False
     rot1, rot2 = m1.rotation, m2.rotation
     if len(rot1) != len(rot2):
@@ -66,8 +66,7 @@ def _verify(m1: CayleyMap, m2: CayleyMap, images) -> bool:
     k = len(rot1)
     nxt1 = {rot1[i]: rot1[(i + 1) % k] for i in range(k)}
     nxt2 = {rot2[i]: rot2[(i + 1) % k] for i in range(k)}
-    mul1, mul2 = g1.table, g2.table
-    inv2 = g2.inverse
+    mul1, mul2, inv2 = m1.group.table, m2.group.table, m2.group.inverse
     in_s2 = set(rot2)
     for h in range(n):
         fh = images[h]
@@ -83,19 +82,22 @@ def _verify(m1: CayleyMap, m2: CayleyMap, images) -> bool:
 
 
 def _propagate(m1: CayleyMap, m2: CayleyMap, v0: int, a0: int) -> Optional[tuple[int, ...]]:
-    """Extend phi(e) = v0, Delta_e(rot1[i]) = rot2[(a0+i) % k] over a connected m1."""
-    g1, g2 = m1.group, m2.group
-    n = g1.order
+    """Extend phi(e) = v0, Delta_e(rot1[i]) = rot2[(a0+i) % k] over a connected m1.
+
+    m2 has m1's order and valency. Popping each vertex h once, it checks
+    all k darts, phi(h rot1[i]) = phi(h) rot2[(a_h+i) % k]: Delta_h(s) is in
+    S2 and Delta_h(rho1 s) = rho2(Delta_h s) for all h and s, ``_verify``
+    but for bijectivity. That needs n distinct images, since onto a
+    disconnected m2 an 8-cycle can wind twice round a 4-cycle.
+    """
     rot1, rot2 = m1.rotation, m2.rotation
-    k = len(rot1)
+    k, n = len(rot1), m1.group.order
     pos1 = {s: i for i, s in enumerate(rot1)}
     pos2 = {s: i for i, s in enumerate(rot2)}
-    mul1, mul2 = g1.table, g2.table
-    inv1, inv2 = g1.inverse, g2.inverse
-    images = [-1] * n
-    align = [0] * n
-    images[0] = v0
-    align[0] = a0
+    mul1, mul2 = m1.group.table, m2.group.table
+    inv1, inv2 = m1.group.inverse, m2.group.inverse
+    images, align = [-1] * n, [0] * n
+    images[0], align[0] = v0, a0
     queue = [0]
     while queue:
         h = queue.pop()
@@ -115,12 +117,9 @@ def _propagate(m1: CayleyMap, m2: CayleyMap, v0: int, a0: int) -> Optional[tuple
                 queue.append(v)
             elif images[v] != w:
                 return None
-    if -1 in images:
-        return None  # m1 was not connected
-    out = tuple(images)
-    if not _verify(m1, m2, out):
-        return None
-    return out
+    if -1 in images or len(set(images)) != n:
+        return None  # m1 was not connected, or phi is not one-to-one
+    return tuple(images)
 
 
 def _prime_divisors(k: int) -> list[int]:
@@ -148,10 +147,10 @@ def stabilizer_automorphisms(m: CayleyMap) -> list[Perm]:
     is the largest power of p dividing k/g. The product of the kept
     automorphisms has alignment g times a number prime to k/g, so it
     generates the stabilizer, whose k/g powers are returned. Every power
-    is a product of automorphisms `_propagate` has verified, and no
-    alignment is propagated twice: a trivial stabilizer takes one
-    propagation per distinct prime of k, and any stabilizer at most one
-    per prime factor of k counted with multiplicity.
+    is a product of automorphisms `_propagate` found bijective with every
+    dart checked, and no alignment is propagated twice: a trivial
+    stabilizer takes one propagation per distinct prime of k, and any
+    stabilizer at most one per prime factor of k counted with multiplicity.
     """
     if not is_connected(m):
         raise DisconnectedMapError("map automorphisms need a connected map")

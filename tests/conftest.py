@@ -1,7 +1,10 @@
+import random
+
 import pytest
 
 from cimlab.groups import (
     GroupIsomorphism,
+    from_table,
     make_abelian,
     make_cyclic,
     make_generalized_quaternion,
@@ -18,6 +21,19 @@ def order8_groups():
     z4 = make_cyclic(4)
     return [make_cyclic(8), make_abelian([2, 4]), make_abelian([2, 2, 2]),
             make_generalized_quaternion(8), make_semidirect(z4, 2, negation_action(z4))]
+
+
+def relabelled(h, seed):
+    """h with its non-identity elements renamed by a seeded permutation, as
+    the benchmark's workloads rename them, and the renaming itself."""
+    rest = list(range(1, h.order))
+    random.Random(seed).shuffle(rest)
+    new = [0] + rest
+    table = [[0] * h.order for _ in range(h.order)]
+    for a in range(h.order):
+        for b in range(h.order):
+            table[new[a]][new[b]] = new[h.table[a][b]]
+    return from_table(table, h.name), new
 
 
 def two_step_formula(n):

@@ -1,6 +1,5 @@
 import importlib.util
 import pickle
-import random
 import sys
 from itertools import chain, combinations, permutations, product
 from pathlib import Path
@@ -33,7 +32,6 @@ from cimlab.groups import (
     all_subgroups,
     automorphisms,
     closure_of,
-    from_table,
     is_isomorphic,
     make_abelian,
     make_cyclic,
@@ -64,7 +62,7 @@ from cimlab.perms import (
     regular_subgroups_isomorphic_to,
 )
 from cimlab.skew import cyclic_skew_morphisms
-from conftest import order8_groups
+from conftest import order8_groups, relabelled
 
 WORKLOADS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
@@ -266,19 +264,6 @@ def test_babai_invariant_under_mirror(z8):
     for m in (make_map(z8, (1, 3, 5, 7)), lemma_orbit_map(),
               make_map(z8, (1, 2, 6, 7))):
         assert babai_is_ci_map(m).verdict == babai_is_ci_map(m.mirror()).verdict
-
-
-def relabelled(h, seed):
-    """h with its non-identity elements renamed by a seeded permutation, as
-    the benchmark's workloads rename them, and the renaming itself."""
-    rest = list(range(1, h.order))
-    random.Random(seed).shuffle(rest)
-    new = [0] + rest
-    table = [[0] * h.order for _ in range(h.order)]
-    for a in range(h.order):
-        for b in range(h.order):
-            table[new[a]][new[b]] = new[h.table[a][b]]
-    return from_table(table, h.name), new
 
 
 BABAI_STATS = ("aut_order", "stabilizer_order", "regular_subgroup_count")

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -31,7 +32,7 @@ from cimlab.perms import (
     left_regular_representation,
     point_stabilizer,
 )
-from conftest import negation_action, order8_groups
+from conftest import negation_action, order8_groups, relabelled
 
 
 def unit_map(z8):
@@ -107,6 +108,11 @@ def test_automorphisms_match_every_alignment_propagated(h):
             k = m.valency
             stab = sorted(p for j in range(k) if (p := _propagate(m, m, 0, j)) is not None)
             assert stabilizer_automorphisms(m) == stab
+            # the relation defines an automorphism without the engine; the
+            # identity preserves it, so a trivial stabilizer is skipped
+            if len(stab) > 1:
+                relation = ternary_relation(m)
+                assert all(preserves_relation(relation, p) for p in stab)
             aut, expected = map_automorphism_group(m), explicit_automorphism_group(m, stab)
             assert aut.elements == expected.elements
             assert aut.generators == expected.generators
@@ -133,7 +139,10 @@ def test_extending_alignments_are_the_multiples_of_the_least():
         least.add(g)
         orders.add(len(found))
         assert sorted(found) == list(range(0, k, g))
-        assert stabilizer_automorphisms(m) == sorted(found.values())
+        stab = stabilizer_automorphisms(m)
+        assert stab == sorted(found.values())
+        relation = ternary_relation(m)
+        assert all(preserves_relation(relation, p) for p in stab)
     assert least == {1, 2, 3, 4, 5, 6}
     # a stabilizer order with two primes makes the walk compose two automorphisms
     assert any(len(prime_divisors(order)) >= 2 for order in orders)
@@ -179,6 +188,92 @@ def test_stabilizer_walks_prime_powers_without_repeats(monkeypatch):
             assert sorted(calls) == sorted(k // p for p in prime_divisors(k))
             trivial += 1
     assert trivial > 1000
+
+
+def propagated_darts(m1, m2, v0, a0):
+    """`_propagate`'s first pass, frozen from when `_verify` checked every
+    extension a second time: the images its walk assigns when every dart it
+    compares matches and every vertex is reached, or None."""
+    g1, g2 = m1.group, m2.group
+    n = g1.order
+    rot1, rot2 = m1.rotation, m2.rotation
+    k = len(rot1)
+    pos1 = {s: i for i, s in enumerate(rot1)}
+    pos2 = {s: i for i, s in enumerate(rot2)}
+    mul1, mul2 = g1.table, g2.table
+    inv1, inv2 = g1.inverse, g2.inverse
+    images = [-1] * n
+    align = [0] * n
+    images[0] = v0
+    align[0] = a0
+    queue = [0]
+    while queue:
+        h = queue.pop()
+        fh = images[h]
+        a = align[h]
+        row1 = mul1[h]
+        row2 = mul2[fh]
+        for i in range(k):
+            s = rot1[i]
+            d = rot2[(a + i) % k]
+            v = row1[s]
+            w = row2[d]
+            if images[v] == -1:
+                images[v] = w
+                align[v] = (pos2[inv2[d]] - pos1[inv1[s]]) % k
+                queue.append(v)
+            elif images[v] != w:
+                return None
+    if -1 in images:
+        return None
+    return tuple(images)
+
+
+def test_one_pass_extension_equals_the_two_pass_check():
+    # every connected map, propagated at every alignment onto itself, onto
+    # its own relabelled copy and onto a relabelled map of its valency drawn
+    # by seed, connected or not; the rotations are carried through the
+    # renaming, so the relabelled copy is isomorphic to the map. In 86 of
+    # them a disconnected target matches every dart of a map that is not
+    # one to one, which only the count of distinct images turns down
+    z3, z5 = make_cyclic(3), make_cyclic(5)
+    small = [make_cyclic(9), make_cyclic(10), make_cyclic(12), make_abelian([3, 3]),
+             make_abelian([2, 6]), make_semidirect(z3, 2, negation_action(z3)),
+             make_semidirect(z5, 2, negation_action(z5))]
+    propagations = extensions = not_one_to_one = 0
+    for seed, (h, max_valency) in enumerate([(h, h.order - 1) for h in order8_groups()]
+                                            + [(h, 5) for h in small]):
+        h2, new = relabelled(h, seed)
+        draw = random.Random(seed)
+        by_valency = {}
+        for s in connection_sets(h, max_valency):
+            by_valency.setdefault(len(s), []).extend(rotations_of(s))
+        for k, rotations in by_valency.items():
+            for rot in rotations:
+                m = make_map(h, rot)
+                if not is_connected(m):
+                    continue
+                drawn = draw.choice(rotations)
+                for target in (m, make_map(h2, tuple(new[x] for x in rot)),
+                               make_map(h2, tuple(new[x] for x in drawn))):
+                    for a in range(k):
+                        darts = propagated_darts(m, target, 0, a)
+                        verified = darts is not None and mapiso._verify(m, target, darts)
+                        images = _propagate(m, target, 0, a)
+                        assert images == (darts if verified else None)
+                        propagations += 1
+                        extensions += images is not None
+                        not_one_to_one += images is None and darts is not None
+    assert (propagations, extensions, not_one_to_one) == (160896, 22321, 86)
+
+
+def test_extension_onto_a_disconnected_map_is_one_to_one(z8):
+    # the 8-cycle's darts all match when it winds twice round each 4-cycle
+    # of <2>, so only the count of distinct images turns these down
+    cycle, two_cycles = make_map(z8, (1, 7)), make_map(z8, (2, 6))
+    for a in (0, 1):
+        assert _propagate(cycle, two_cycles, 0, a) is None
+    assert _propagate(cycle, cycle, 0, 0) == tuple(range(8))
 
 
 def test_translations_always_automorphisms(z8, k4):
