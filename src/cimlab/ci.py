@@ -17,7 +17,12 @@ one regular subgroup, and is a CI-map for free. Its rich rotations are
 packed as ``bytes``, one element per byte, sorted once and without
 duplicates; they are walked into classes under Aut(H) and mirror
 reversal, and only the class representatives are decoded to tuples for
-the sweep, so maps, workers and reports never see bytes. The exhaustive
+the sweep, so maps, workers and reports never see bytes. The skews that
+are skew-morphisms of the group's own table seed each representative's
+stabilizer search: an alignment one of them realises is taken from it,
+not propagated. On a relabelled or product-labelled cyclic group most
+canonical skews fail that check and are not seeded, so a seed is always
+an automorphism of the map it realises an alignment of. The exhaustive
 strategy gets the trivial-stabilizer shortcut from
 ``regular_subgroups_isomorphic_to``, which returns a group of order |H|
 without an isomorphism test exactly when its elements equal those of
@@ -79,6 +84,7 @@ from .maps import (
     face_profile,
     identity_component,
     is_connected,
+    is_skew_morphism,
     make_map,
 )
 from .mapiso import (
@@ -343,57 +349,65 @@ def _full_cycle_roots(orbits: Sequence[tuple[int, ...]], d: int) -> Iterator[byt
 
 
 def _babai_task(
-    h: FiniteGroup, rotation: tuple[int, ...]
+    h: FiniteGroup, rotation: tuple[int, ...], seeds: Sequence[Perm] = ()
 ) -> tuple[Optional[CiReport], tuple[Perm, ...]]:
     """One map's verdict, decided through its identity component (a
     connected map is its own), and that component's identity-vertex
     stabilizer, from a single stabilizer computation that Aut is built on;
     Aut's elements are listed only if the verdict reads them. The sweeps
     pass only enumerated rotations, valid and in canonical phase, so none
-    is validated again.
+    is validated again. ``seeds`` are checked skew-morphisms of h, handed
+    to the stabilizer search only when the component is the map itself:
+    a component over K != H is labelled by K's member ranks.
 
     Only what the sweeps read crosses the pipe: the report when the map is
     not a CI-map and None when it is, and the stabilizer's elements, so a
     CI-map with a trivial stabilizer replies in a few dozen pickled bytes.
     """
     component, _ = identity_component(CayleyMap(h, rotation))
-    stab = stabilizer_automorphisms(component)
+    stab = stabilizer_automorphisms(component, seeds if component.group is h else ())
     report = babai_is_ci_map(component, aut=map_automorphism_group(component, stab))
     return (None if report.verdict else report), tuple(stab)
 
 
 _POOL_GROUP: Optional[FiniteGroup] = None
+_POOL_SEEDS: Sequence[Perm] = ()
 
 
-def _set_pool_group(h: FiniteGroup) -> None:
-    """Pool initializer: each worker receives the group once, not per chunk."""
-    global _POOL_GROUP
-    _POOL_GROUP = h
+def _set_pool_group(h: FiniteGroup, seeds: Sequence[Perm]) -> None:
+    """Pool initializer: each worker receives the group and the seeds once,
+    not per chunk."""
+    global _POOL_GROUP, _POOL_SEEDS
+    _POOL_GROUP, _POOL_SEEDS = h, seeds
 
 
 def _pool_task(rotation: tuple[int, ...]) -> tuple[Optional[CiReport], tuple[Perm, ...]]:
-    return _babai_task(_POOL_GROUP, rotation)
+    return _babai_task(_POOL_GROUP, rotation, _POOL_SEEDS)
 
 
-def _sweep(h: FiniteGroup, rotations: Iterable[tuple[int, ...]], workers: int):
+def _sweep(h: FiniteGroup, rotations: Iterable[tuple[int, ...]], workers: int,
+           seeds: Sequence[Perm] = ()):
     """Each rotation, in order, with ``_babai_task``'s reply for its map:
     the report if the map is not a CI-map (else None) and its component's
-    stabilizer elements.
+    stabilizer elements. ``seeds``, skew-morphisms of h that the caller
+    has checked, go to every ``_babai_task``.
 
     Worker counts are clamped to [1, cpu_count]. One pool serves the whole
-    sweep and gets the group once per worker, so the group's caches stay
-    warm in each worker; rotations go to it in bounded batches so memory
-    stays flat, and a sweep that fits in one batch of fewer than four maps
-    runs inline. Close the generator to stop early: that also closes the
-    pool.
+    sweep and gets the group and the seeds once per worker, so the group's
+    caches stay warm in each worker; rotations go to it in bounded batches
+    so memory stays flat, and a sweep that fits in one batch of fewer than
+    four maps runs inline. Close the generator to stop early: that also
+    closes the pool.
     """
     workers = max(1, min(workers, os.cpu_count() or 1))
     rotations = iter(rotations)
     batch = list(islice(rotations, 512 * workers))
     if workers == 1 or len(batch) < 4:
-        yield from ((rotation, _babai_task(h, rotation)) for rotation in chain(batch, rotations))
+        yield from ((rotation, _babai_task(h, rotation, seeds))
+                    for rotation in chain(batch, rotations))
         return
-    with multiprocessing.Pool(workers, initializer=_set_pool_group, initargs=(h,)) as pool:
+    with multiprocessing.Pool(workers, initializer=_set_pool_group,
+                              initargs=(h, seeds)) as pool:
         while batch:
             yield from zip(batch, pool.map(_pool_task, batch,
                                            chunksize=max(1, len(batch) // (workers * 8))))
@@ -406,12 +420,18 @@ def _first_failure(h: FiniteGroup, rotations: Iterable[tuple[int, ...]], workers
 
     Returns the number of maps checked, then the failing map's rotation
     and report, both None when every map is a CI-map. Given ``skews``,
-    every stabilizer element must lie in it. Only the failing map's place
-    in the canonical order is reported: how far enumeration read ahead
-    depends on the batching, so it must stay out.
+    every stabilizer element must lie in it, and the members that pass
+    ``is_skew_morphism(h, psi)`` seed the sweep's stabilizer searches: an
+    alignment one of them realises is not propagated. The stabilizers
+    come out the same, so the check keeps its strength; an element missing
+    from ``skews`` sits at an alignment no seed covers and is still found.
+    Only the failing map's place in the canonical order is reported: how
+    far enumeration read ahead depends on the batching, so it must stay out.
     """
     checked = 0
-    with closing(_sweep(h, rotations, workers)) as results:
+    seeds = () if skews is None else tuple(sorted(
+        psi for psi in skews if is_skew_morphism(h, psi)))
+    with closing(_sweep(h, rotations, workers, seeds)) as results:
         for checked, (rotation, (failing, stab)) in enumerate(results, 1):
             if skews is not None and not skews.issuperset(stab):
                 raise RuntimeError(

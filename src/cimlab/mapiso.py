@@ -13,8 +13,10 @@ factors p the quotient k/g has; the product of the last automorphism
 found for each p generates the stabilizer. That takes at most one
 breadth-first propagation per prime factor of k counted with
 multiplicity, and exactly one per distinct prime of k when the
-stabilizer is trivial; no alignment is propagated twice. A propagation
-checks every dart once, which with n distinct images is the definition.
+stabilizer is trivial; no alignment is propagated twice, and none that
+a skew-morphism handed to ``stabilizer_automorphisms`` already realises
+is propagated at all. A propagation checks every dart once, which with n
+distinct images is the definition.
 
 A disconnected map is translated copies of its identity component, so
 ``map_iso_exists`` decides any two maps through their components. The
@@ -136,7 +138,7 @@ def _prime_divisors(k: int) -> list[int]:
     return primes
 
 
-def stabilizer_automorphisms(m: CayleyMap) -> list[Perm]:
+def stabilizer_automorphisms(m: CayleyMap, skews: Sequence[Perm] = ()) -> list[Perm]:
     """All automorphisms fixing the identity vertex, for a connected map, sorted.
 
     The alignments that extend form a subgroup gZ_k of Z_k (k the
@@ -151,15 +153,33 @@ def stabilizer_automorphisms(m: CayleyMap) -> list[Perm]:
     dart checked, and no alignment is propagated twice: a trivial
     stabilizer takes one propagation per distinct prime of k, and any
     stabilizer at most one per prime factor of k counted with multiplicity.
+
+    ``skews`` are skew-morphisms of m's group, in m's labels; the caller
+    vouches for them. One scan keeps each psi that sends rot[i] to
+    rot[(i+j) % k] for every i as the automorphism of alignment j, which
+    the walk then takes instead of propagating j. That is exact: the skew
+    law gives psi(h s_i) = psi(h) psi^pi(h)(s_i) = psi(h) s_(i + j pi(h)),
+    so every Delta_h lies in S and intertwines rho, which is ``_verify``'s
+    definition, and psi is a bijection fixing 0. A connected map has one
+    automorphism per alignment, so psi is the one `_propagate` would find,
+    and the returned list is the same with or without the skews.
     """
     if not is_connected(m):
         raise DisconnectedMapError("map automorphisms need a connected map")
-    k = m.valency
+    rot, k = m.rotation, m.valency
+    known = {}
+    if skews:
+        pos = {s: i for i, s in enumerate(rot)}
+        for psi in skews:
+            j = pos.get(psi[rot[0]])
+            # alignment 0 is the identity, which the walk never asks for
+            if j and tuple(map(psi.__getitem__, rot)) == rot[j:] + rot[:j]:
+                known[j] = psi
     generator = tuple(range(m.group.order))
     for p in _prime_divisors(k):
         kept = None
         j = k // p
-        while (found := _propagate(m, m, 0, j)) is not None:
+        while (found := known.get(j) or _propagate(m, m, 0, j)) is not None:
             kept = found
             if j % p:
                 break

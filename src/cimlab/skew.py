@@ -16,8 +16,11 @@ For a cyclic group the defining law collapses to a recurrence: with
 so pi(g+1) depends on pi(g) alone. The pi-sequence is therefore purely
 periodic with period q dividing n, and the increment sequence
 ``psi(g+1) - psi(g)`` repeats with period q as well. Enumerating the
-q-long increment vectors for every proper divisor q of n is complete;
-each candidate is admitted only after the verbatim skew-morphism check.
+q-long increment vectors for every proper divisor q of n is complete.
+The recurrence also puts every increment in psi's orbit of 1 (it is some
+w_i), so a candidate with an increment outside that orbit is dropped at
+once; each one left is admitted only after the verbatim skew-morphism
+check.
 Exponent arithmetic above is modulo the orbit length of 1, which equals
 the order of the skew-morphism; the test suite checks the resulting
 lists against a full Sym(H) scan at small orders, and the CI pipeline
@@ -126,6 +129,14 @@ def _cyclic_skews(n: int) -> tuple[Perm, ...]:
                     break
                 psi[g] = acc
             if not ok or len(set(psi)) != n:
+                continue
+            # the skew law at y = 1: psi(g+1) - psi(g) = psi^pi(g)(1), so
+            # every increment lies in psi's orbit of 1
+            orbit, x = {1}, psi[1]
+            while x != 1:
+                orbit.add(x)
+                x = psi[x]
+            if not orbit.issuperset(u):
                 continue
             phi = tuple(psi)
             if phi not in results and is_skew_morphism(h, phi):

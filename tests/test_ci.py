@@ -43,6 +43,7 @@ from cimlab.maps import (
     face_profile,
     identity_component,
     is_connected,
+    is_skew_morphism,
     make_map,
 )
 from cimlab.mapiso import (
@@ -86,7 +87,7 @@ def swept_rotations(monkeypatch, verify, h, *args, **kwargs):
     stand-in ``_sweep`` that decides no map."""
     swept = []
 
-    def record(h, rotations, workers):
+    def record(h, rotations, workers, seeds=()):
         swept.extend(rotations)
         yield from ()
 
@@ -565,6 +566,41 @@ def test_stabilizer_strategy_detects_a_missing_skew_morphism(monkeypatch):
             verify_connected_cim(make_cyclic(7), 6, strategy="stabilizer")
 
 
+def stabilizer_outcome(h, max_valency, workers=1):
+    """The stabilizer strategy's report as JSON, or the RuntimeError it raises."""
+    try:
+        return verify_connected_cim(h, max_valency, strategy="stabilizer",
+                                    workers=workers).to_json_dict()
+    except RuntimeError as exc:
+        return repr(exc)
+
+
+@pytest.mark.parametrize("h, passing", [
+    (make_cyclic(9), 10), (make_abelian([3, 5]), 1), (make_abelian([2, 7]), 1),
+    *[(relabelled(make_cyclic(n), seed)[0], 1) for n in (9, 11) for seed in (1, 2)],
+], ids=["cyclic:9", "abelian:3,5", "abelian:2,7", "z9-seed1", "z9-seed2", "z11-seed1",
+        "z11-seed2"])
+def test_stabilizer_sweep_is_seeded_only_with_checked_skews(h, passing, monkeypatch):
+    # the canonical Z_n skews seed the stabilizer searches only where they
+    # are skew-morphisms of h's own table; on a relabelled or product-labelled
+    # group that leaves the identity alone, and the outcome, right or wrong,
+    # is the unseeded one
+    real, handed = ci._sweep, []
+
+    def recording(h, rotations, workers, seeds=()):
+        handed.append(seeds)
+        return real(h, rotations, workers, seeds)
+
+    monkeypatch.setattr(ci, "_sweep", recording)
+    seeded = stabilizer_outcome(h, h.order - 1)
+    checked = tuple(psi for psi in cyclic_skew_morphisms(h.order) if is_skew_morphism(h, psi))
+    assert len(checked) == passing
+    assert handed == [checked]
+    monkeypatch.setattr(ci, "is_skew_morphism", lambda h, psi: False)
+    assert stabilizer_outcome(h, h.order - 1) == seeded
+    assert handed == [checked, ()]
+
+
 def test_stabilizer_strategy_rejects_noncyclic(k4):
     with pytest.raises(CapacityError):
         verify_connected_cim(k4, 3, strategy="stabilizer")
@@ -693,9 +729,9 @@ def test_babai_task_finds_the_stabilizer_once_and_leaves_aut_unlisted(monkeypatc
     rotation = (1, 4, 11, 14)
     calls, auts = [], []
 
-    def counted(m):
+    def counted(m, skews=()):
         calls.append(m)
-        return stabilizer_automorphisms(m)
+        return stabilizer_automorphisms(m, skews)
 
     def recorded(m, stabilizer=None):
         auts.append(map_automorphism_group(m, stabilizer))
@@ -786,7 +822,9 @@ def counting_pool(monkeypatch):
 
     fake = CountingMultiprocessing()
     monkeypatch.setattr(ci, "multiprocessing", fake)
-    monkeypatch.setattr(ci, "_POOL_GROUP", None)  # the initializer sets it in this process
+    # the initializer sets these in this process
+    monkeypatch.setattr(ci, "_POOL_GROUP", None)
+    monkeypatch.setattr(ci, "_POOL_SEEDS", ())
     monkeypatch.setattr(ci.os, "cpu_count", lambda: 4)
     return fake
 
@@ -843,6 +881,19 @@ def test_worker_reply_carries_the_failing_report(counting_pool):
     assert first.subject["rotation"] == report.notes["first_failing_map"]
     rot = first.subject["rotation"]
     assert first.to_json_dict() == babai_is_ci_map(make_map(h, rot)).to_json_dict()
+
+
+def test_seeds_reach_each_worker_through_the_initializer(counting_pool):
+    h = make_cyclic(13)
+    report = verify_connected_cim(h, 12, strategy="stabilizer", workers=2)
+    assert counting_pool.pool_sizes == [2]
+    assert ci._POOL_SEEDS == tuple(cyclic_skew_morphisms(13))
+    assert report.to_json_dict() == stabilizer_outcome(h, 12)
+
+
+def test_seeded_stabilizer_sweep_is_the_same_on_two_workers():
+    h = make_cyclic(13)
+    assert stabilizer_outcome(h, 12, workers=2) == stabilizer_outcome(h, 12)
 
 
 @pytest.mark.parametrize("workers, pool_sizes", [(64, [4]), (3, [3]), (1, []), (0, []), (-3, [])])

@@ -14,7 +14,14 @@ from cimlab.groups import (
     make_cyclic,
     make_semidirect,
 )
-from cimlab.maps import is_connected, make_map, preserves_relation, ternary_relation
+from cimlab.maps import (
+    CayleyMap,
+    is_connected,
+    is_skew_morphism,
+    make_map,
+    preserves_relation,
+    ternary_relation,
+)
 from cimlab.mapiso import (
     MapMorphism,
     _propagate,
@@ -265,6 +272,56 @@ def test_one_pass_extension_equals_the_two_pass_check():
                         extensions += images is not None
                         not_one_to_one += images is None and darts is not None
     assert (propagations, extensions, not_one_to_one) == (160896, 22321, 86)
+
+
+def seeded_corpus():
+    """(map, checked skew-morphisms of its group) for every rich map of
+    Z7-Z14 at full valency, the rich class representatives of Z15 and
+    every rich map of Z16 up to valency 8."""
+    for n, max_valency in [(n, n - 1) for n in range(7, 16)] + [(16, 8)]:
+        h = make_cyclic(n)
+        rich, skews = _rich_maps_cyclic(h, max_valency)
+        if n == 15:
+            rich = [rot for rot, orbit in cayley_classes(h, rich, mirror=True)
+                    if min(orbit) == rot]
+        seeds = tuple(sorted(psi for psi in skews if is_skew_morphism(h, psi)))
+        assert len(seeds) == len(skews)
+        for rot in rich:
+            yield CayleyMap(h, tuple(rot)), seeds
+
+
+def test_seeded_stabilizer_equals_the_propagated_one(monkeypatch):
+    # a skew-morphism that rotates S by j is the automorphism of alignment
+    # j, so the walk takes it instead of propagating j; the list must come
+    # out the same, and each such skew must preserve the map's relation,
+    # which defines an automorphism without the propagation engine
+    calls = []
+
+    def counting_propagate(m1, m2, v0, a0):
+        calls.append(a0)
+        return _propagate(m1, m2, v0, a0)
+
+    monkeypatch.setattr(mapiso, "_propagate", counting_propagate)
+    maps = propagated = served = rotating = 0
+    for m, seeds in seeded_corpus():
+        calls.clear()
+        plain = stabilizer_automorphisms(m)
+        unseeded = len(calls)
+        calls.clear()
+        assert stabilizer_automorphisms(m, seeds) == plain
+        propagated += len(calls)
+        served += unseeded - len(calls)
+        rot, relation = m.rotation, None
+        turns = {rot[j:] + rot[:j] for j in range(1, len(rot))}
+        for psi in seeds:
+            if tuple(psi[s] for s in rot) in turns:
+                relation = relation or ternary_relation(m)
+                assert psi in plain and preserves_relation(relation, psi)
+                rotating += 1
+        maps += 1
+    # alignments the seeds served, alignments still propagated, and the
+    # skews that rotate some map's S
+    assert (maps, served, propagated, rotating) == (30080, 30306, 41433, 31406)
 
 
 def test_extension_onto_a_disconnected_map_is_one_to_one(z8):

@@ -1,3 +1,5 @@
+from math import gcd
+
 import pytest
 
 from cimlab import skew
@@ -83,3 +85,65 @@ def test_skew_list_is_a_fresh_list():
 def test_bruteforce_cap():
     with pytest.raises(CapacityError):
         brute_force_skew_morphisms(make_cyclic(12))
+
+
+def unfiltered_increment_vectors(n, q):
+    """``skew._increment_vectors`` frozen from before the orbit prefilter."""
+    totals = [d for d in range(1, n) if gcd(d, n) == q]
+    prefix = []
+
+    def grow(s, used_residues):
+        if len(prefix) == q - 1:
+            for d in totals:
+                if (d - s) % n:
+                    yield prefix + [(d - s) % n]
+            return
+        for u in range(1, n):
+            s2 = (s + u) % n
+            bit = 1 << (s2 % q)
+            if used_residues & bit:
+                continue
+            prefix.append(u)
+            yield from grow(s2, used_residues | bit)
+            prefix.pop()
+
+    yield from grow(0, 1)
+
+
+def unfiltered_cyclic_skews(n):
+    """The period-q increment search as it stood before the orbit
+    prefilter: every bijective candidate goes to ``is_skew_morphism``.
+    Returns the sorted list and the number of candidates checked."""
+    h = make_cyclic(n)
+    results, checked = {tuple(range(n))}, 0
+    for q in (q for q in range(1, n) if n % q == 0):
+        for u in unfiltered_increment_vectors(n, q):
+            psi, acc = [0] * n, 0
+            for g in range(1, n):
+                acc = (acc + u[(g - 1) % q]) % n
+                if acc == 0:
+                    break
+                psi[g] = acc
+            else:
+                phi = tuple(psi)
+                if len(set(phi)) == n and phi not in results:
+                    checked += 1
+                    if is_skew_morphism(h, phi):
+                        results.add(phi)
+    return sorted(results), checked
+
+
+def test_orbit_prefilter_keeps_the_unfiltered_list(monkeypatch):
+    # every increment psi(g+1) - psi(g) = psi^pi(g)(1) lies in psi's orbit
+    # of 1; a candidate that leaves it is turned down before the law check,
+    # which stays the only admission
+    checked = []
+    monkeypatch.setattr(skew, "is_skew_morphism", lambda h, phi: checked.append(phi)
+                        or is_skew_morphism(h, phi))
+    unfiltered = 0
+    for n in range(1, 16):
+        expected, count = unfiltered_cyclic_skews(n)
+        # past the cache, so every candidate is searched again
+        assert list(skew._cyclic_skews.__wrapped__(n)) == expected, n
+        unfiltered += count
+    assert (len(checked), unfiltered) == (8452, 54937)
