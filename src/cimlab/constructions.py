@@ -2,20 +2,23 @@
 
 Each constructor returns the map together with the claimed subgroup of
 its automorphism group and the regular rival subgroup, so the objects
-can be revalidated bit for bit instead of rediscovered by search.
+can be revalidated bit for bit instead of rediscovered by search. The
+witnesses are built from the library's own machinery: subgroups are
+``closure``s of explicit generators, orbits are ``cycles_of`` a
+permutation, and Q_16's rotation automorphism is read off
+``automorphisms`` of its quaternion subgroup.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .errors import InvalidOrderError, PreconditionError
 from .groups import (
     FiniteGroup,
     GroupIsomorphism,
     Subgroup,
-    _hom_on_generated,
+    automorphisms,
     closure_of,
     make_abelian,
     make_cyclic,
@@ -30,11 +33,11 @@ from .perms import (
     closure,
     compose,
     cycles_of,
-    identity_perm,
     inverse_perm,
     is_regular,
     left_regular_representation,
     _perm_group_isomorphic,
+    _search_generators,
     perm_order,
 )
 
@@ -93,7 +96,7 @@ def odd_square_map(p: int, kind: str = "cyclic") -> WitnessedMap:
     if kind == "cyclic":
         k_group = make_cyclic(p * p)
         alpha = _perm_of(k_group, lambda x: (-(1 + p) * x) % (p * p))
-        rival_gen = _perm_of(k_group, lambda x: ((1 + p) * x + 1) % (p * p))
+        rival_gens = [_perm_of(k_group, lambda x: ((1 + p) * x + 1) % (p * p))]
     elif kind == "elementary":
         k_group = make_abelian([p, p])
         # index = x * p + y
@@ -110,7 +113,7 @@ def odd_square_map(p: int, kind: str = "cyclic") -> WitnessedMap:
                 lambda i: ((i // p + a * (i % p) + b) % p) * p + ((i % p) + a) % p,
             )
 
-        rival_gen = None  # rival is the full tau family, built below
+        rival_gens = [tau(1, 0), tau(0, 1)]  # the full tau family
     else:
         raise ValueError(f"unknown kind {kind!r}")
 
@@ -122,14 +125,10 @@ def odd_square_map(p: int, kind: str = "cyclic") -> WitnessedMap:
     ambient = closure(
         [tuple(k_group.table[a]) for a in range(1, k_group.order)] + [alpha]
     )
-    if kind == "cyclic":
-        rival = closure([rival_gen])
-    else:
-        rival = closure([tau(1, 0), tau(0, 1)])
     return WitnessedMap(
         map=m,
         ambient=ambient,
-        rival=rival,
+        rival=closure(rival_gens),
         notes=f"order-{p * p} {kind} witness; balanced orbit map of valency {2 * p}",
     )
 
@@ -204,10 +203,12 @@ def quaternion16_witness() -> QuaternionCyclicWitness:
     """The balanced quaternion map and its cyclic relabelling inside Q_16.
 
     In Q_16 = <c, a>, the subgroup <a, c^2> is quaternion of order 8 and
-    carries the balanced map with rotation (a, c^2, a^-1, c^-2). The
-    composite of translation by a with the rotation automorphism acts
-    regularly with order 8, and relabelling the vertices along its orbit
-    produces an isomorphic map over the cyclic subgroup <c>.
+    carries the balanced map with rotation (a, c^2, a^-1, c^-2). Its
+    rotation automorphism alpha is the member of ``automorphisms`` of that
+    subgroup with a -> c^2 and c^2 -> a^-1; {a, c^2} generates it, so
+    there is exactly one. The composite of translation by a with alpha is
+    a single 8-cycle, and relabelling the vertices along it produces an
+    isomorphic map over the cyclic subgroup <c>.
     """
     q16 = make_generalized_quaternion(16)
     half = 8
@@ -221,27 +222,16 @@ def quaternion16_witness() -> QuaternionCyclicWitness:
     a_inv_i, c2_inv_i = q8.inverse[a_i], q8.inverse[c2_i]
     m_q = make_map(q8, (a_i, c2_i, a_inv_i, c2_inv_i))
 
-    # alpha: a -> c^2 -> a^-1 -> c^-2 -> a extends to an automorphism of q8
-    alpha_images = _automorphism_from_generators(
-        q8, {a_i: c2_i, c2_i: a_inv_i}
-    )
-    if alpha_images is None:
-        raise RuntimeError("rotation does not extend to an automorphism")
-    hat_a = tuple(q8.table[a_i])
-    regular_gen = compose(hat_a, alpha_images)
-    if perm_order(regular_gen) != 8:
-        raise RuntimeError("translation-rotation composite does not have order 8")
+    # alpha: a -> c^2 -> a^-1 -> c^-2 -> a
+    alpha = next(f for f in automorphisms(q8) if f(a_i) == c2_i and f(c2_i) == a_inv_i)
+    regular_gen = compose(tuple(q8.table[a_i]), alpha.images)
 
     cyc_members = closure_of(q16, [c])
     cyc_sub = Subgroup(q16, cyc_members)
 
     # relabel the quaternion map along the regular orbit of the composite
-    lam = [0] * 8
-    v = 0
-    for k in range(8):
-        lam[k] = v
-        v = regular_gen[v]
-    if sorted(lam) != list(range(8)):
+    lam = cycles_of(regular_gen)[0]
+    if len(lam) != 8:
         raise RuntimeError("composite does not act regularly")
     lam_inv = {v: k for k, v in enumerate(lam)}
     z8 = cyc_sub.as_group("Z8<c>")
@@ -249,7 +239,7 @@ def quaternion16_witness() -> QuaternionCyclicWitness:
     iso_images = map_iso_exists(m_c, m_q)
     if iso_images is None:
         raise RuntimeError("relabelled map is not isomorphic to the original")
-    morphism = MapMorphism(m_c, m_q, tuple(lam))
+    morphism = MapMorphism(m_c, m_q, lam)
     morphism.validate()
     return QuaternionCyclicWitness(
         q16=q16,
@@ -261,17 +251,6 @@ def quaternion16_witness() -> QuaternionCyclicWitness:
     )
 
 
-def _automorphism_from_generators(
-    h: FiniteGroup, gen_images: dict[int, int]
-) -> Optional[Perm]:
-    gens = sorted(gen_images)
-    imgs = [gen_images[g] for g in gens]
-    phi = _hom_on_generated(h, h, gens, imgs)
-    if phi is None or len(phi) != h.order:
-        return None
-    return tuple(phi[x] for x in range(h.order))
-
-
 def frobenius_map(
     c_order: int,
     k_group: FiniteGroup,
@@ -281,11 +260,15 @@ def frobenius_map(
     """Non-CI map over K x| Z_m from a faithful orbit of the complement.
 
     The connection set is cO together with its inverses, where O is the
-    conjugation orbit of the seed; the rotation interleaves cO with the
-    inverses at offset (m+1)/2, which makes its square equal conjugation
-    by c on the connection set. The rival is the graph of the projection
-    onto the complement, pulled back through the product decomposition
-    of the ambient group.
+    conjugation orbit of the seed, the cycle of sigma (conjugation by c)
+    through it; the rotation interleaves cO with the inverses at offset
+    (m+1)/2, which makes its square equal conjugation by c on the
+    connection set. The rival is the set of permutations hat(g) sigma^(-j),
+    where c^j is g's complement part: sigma^(-j) carries translations to
+    translations and j adds up along the quotient by K, so the set is a
+    group, generated by K's translations and hat(c) sigma^(-1). It carries
+    the generators the regular-subgroup search gives every regular
+    subgroup (``_search_generators``).
     """
     m_ord = c_order
     if m_ord < 3 or m_ord % 2 == 0:
@@ -295,18 +278,14 @@ def frobenius_map(
     n = h.order
     c = nk  # the element (0, c^1)
     c_inv = h.inverse[c]
-
-    def conj_by_c(x: int) -> int:
-        return h.table[h.table[c_inv][x]][c]
+    sigma = _perm_of(h, lambda x: h.table[h.table[c_inv][x]][c])
 
     # the conjugation orbit of the seed, inside K
     if not (1 <= seed < nk):
         raise PreconditionError("orbit-not-faithful", "seed must be a nontrivial element of K")
-    orbit = [seed]
-    x = conj_by_c(seed)
-    while x != seed:
-        orbit.append(x)
-        x = conj_by_c(x)
+    cycle = next(cyc for cyc in cycles_of(sigma) if seed in cyc)
+    start = cycle.index(seed)
+    orbit = cycle[start:] + cycle[:start]
     if len(orbit) != m_ord:
         raise PreconditionError(
             "orbit-not-faithful",
@@ -327,41 +306,20 @@ def frobenius_map(
             "the connection set does not generate the group, the map is disconnected",
         )
     m = make_map(h, tuple(rotation))
-    sigma = _perm_of(h, conj_by_c)
     ambient = closure([tuple(h.table[g]) for g in range(1, n)] + [sigma])
-    # rival: elements hat(h) sigma^(-j) where h has complement part c^j
-    sigma_inv = inverse_perm(sigma)
-    sigma_pows = [identity_perm(n)]
-    for _ in range(m_ord - 1):
-        sigma_pows.append(compose(sigma_pows[-1], sigma_inv))
-    rival_elems = []
-    for g in range(n):
-        j = g // nk
-        rival_elems.append(compose(tuple(h.table[g]), sigma_pows[j]))
-    rival = PermutationGroup.listed(n, tuple(sorted(rival_elems)),
-                                    _small_generating_set(rival_elems, n))
+    rival_elems = closure(
+        [tuple(h.table[k]) for k in range(1, nk)]
+        + [compose(tuple(h.table[c]), inverse_perm(sigma))]
+    ).elements
     return WitnessedMap(
         map=m,
         ambient=ambient,
-        rival=rival,
+        rival=PermutationGroup.listed(n, rival_elems, _search_generators(rival_elems)),
         notes=(
             f"frobenius-style witness over {h.name}: rotation squares to "
             "conjugation by the complement generator"
         ),
     )
-
-
-def _small_generating_set(elems: list[Perm], degree: int) -> tuple[Perm, ...]:
-    elems_sorted = sorted(elems)
-    gens: list[Perm] = []
-    have = {identity_perm(degree)}
-    for p in elems_sorted:
-        if p not in have:
-            gens.append(p)
-            have = set(closure(gens, cap=len(elems) + 1).elements)
-            if len(have) == len(elems):
-                break
-    return tuple(gens) if gens else (identity_perm(degree),)
 
 
 def z8_cim_maps() -> list[CayleyMap]:

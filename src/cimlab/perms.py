@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, lcm
 from operator import eq
 from typing import AbstractSet, Callable, Iterable, Optional, Sequence
 
@@ -54,11 +54,7 @@ def perm_order(p: Perm) -> int:
             seen[j] = True
             j = p[j]
             length += 1
-        # lcm accumulate
-        a, b = order, length
-        while b:
-            a, b = b, a % b
-        order = order * length // a
+        order = lcm(order, length)
     return order
 
 

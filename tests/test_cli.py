@@ -249,6 +249,16 @@ GOLDEN = [
      "540fdcabfc1aa9fffa8fbf28611e6b23bedc32f6209c3339ac8363314facbdc6"),
     (["counterexample", "--family", "q16"], 1,
      "238cfd2223953c4987049dd68972f9572cc30b87a5e2e3ee8366d69e4b7714e5"),
+    # a Frobenius rival over Z13 x| Z3, a p = 5 elementary witness and the
+    # n = 5 two-power witness; 5 and both family names are already ids,
+    # so the last two end in their family and in the option's = form
+    (["counterexample", "--family", "frobenius", "--k-group", "cyclic:13", "--c-order", "3",
+      "--action", "mult:3"], 1,
+     "084d7c297bf59415ccb4b43ac866a94ff7993bbad863ff8ab2313336ed52f777"),
+    (["counterexample", "--p", "5", "--kind", "elementary", "--family", "odd-square"], 1,
+     "bb0dd17eca6e8a610fdd25b348f10a2398977507c28f9680b05e8fe6a64e4db3"),
+    (["counterexample", "--family", "cyclic-2power", "--n=5"], 1,
+     "34348a0c6efb9ced6922a7b58ed1210306e5604d14fe696f3e14fb959563ac1b"),
     # Babai witnesses over non-cyclic groups, with the rival subgroups'
     # generators: three regular subgroups of a D4 map, each conjugate to the
     # translations, and a Z2 x Z4 map with a rival that is not

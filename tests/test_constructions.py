@@ -9,12 +9,15 @@ from cimlab.constructions import (
     quaternion16_witness,
     z8_cim_maps,
 )
-from cimlab.errors import InvalidOrderError, PreconditionError
+from cimlab.errors import CimlabError, InvalidOrderError, PreconditionError
 from cimlab.groups import (
     GroupIsomorphism,
+    _hom_on_generated,
+    closure_of,
     is_isomorphic,
     make_abelian,
     make_cyclic,
+    make_generalized_quaternion,
 )
 from cimlab.maps import is_antibalanced, is_balanced, is_connected
 from cimlab.mapiso import (
@@ -24,6 +27,10 @@ from cimlab.mapiso import (
 )
 from cimlab.perms import (
     are_conjugate_subgroups,
+    closure,
+    compose,
+    identity_perm,
+    inverse_perm,
     is_regular,
     left_regular_representation,
     perm_order,
@@ -138,6 +145,34 @@ def test_quaternion16_witness_objects(q16):
     q.isomorphism.validate()
 
 
+def _frozen_automorphism_from_generators(h, gen_images):
+    # reference: gen_images extended to an automorphism of h through the
+    # homomorphism walk, without enumerating automorphisms(h)
+    gens = sorted(gen_images)
+    phi = _hom_on_generated(h, h, gens, [gen_images[g] for g in gens])
+    if phi is None or len(phi) != h.order:
+        return None
+    return tuple(phi[x] for x in range(h.order))
+
+
+def test_quaternion16_alpha_is_the_extension_of_its_generator_images():
+    # rebuild the composite from the extended alpha and walk its orbit of
+    # 0; the witness's relabelling is that walk, which fixes alpha
+    q = quaternion16_witness()
+    members = q.quaternion_subgroup.members
+    assert members == closure_of(q.q16, [8, 2])  # <a, c^2>
+    q8 = q.quaternion_subgroup.as_group()
+    a_i, c2_i = members.index(8), members.index(2)
+    alpha = _frozen_automorphism_from_generators(q8, {a_i: c2_i, c2_i: q8.inverse[a_i]})
+    regular_gen = compose(tuple(q8.table[a_i]), alpha)
+    lam, v = [], 0
+    for _ in range(8):
+        lam.append(v)
+        v = regular_gen[v]
+    assert sorted(lam) == list(range(8))
+    assert q.isomorphism.images == tuple(lam)
+
+
 # -------------------------------------------------------------- frobenius
 
 def test_frobenius_z7_z3():
@@ -191,6 +226,63 @@ def test_frobenius_z2cubed_z3():
     assert w.map.group.order == 24
     assert is_connected(w.map)
     assert babai_is_ci_map(w.map).verdict is False
+
+
+def _frozen_small_generating_set(elems, degree):
+    # reference: the first generators a greedy walk over the sorted
+    # elements keeps, each one outside the closure of those before it
+    gens = []
+    have = {identity_perm(degree)}
+    for p in sorted(elems):
+        if p not in have:
+            gens.append(p)
+            have = set(closure(gens, cap=len(elems) + 1).elements)
+            if len(have) == len(elems):
+                break
+    return tuple(gens) if gens else (identity_perm(degree),)
+
+
+def _frozen_frobenius_rival(h, nk, m_ord):
+    # reference: the rival listed element by element as hat(g) sigma^(-j),
+    # j = g // |K|, with the greedy generators
+    n = h.order
+    c_inv = h.inverse[nk]
+    sigma = tuple(h.table[h.table[c_inv][x]][nk] for x in range(n))
+    sigma_inv = inverse_perm(sigma)
+    sigma_pows = [identity_perm(n)]
+    for _ in range(m_ord - 1):
+        sigma_pows.append(compose(sigma_pows[-1], sigma_inv))
+    elems = [compose(tuple(h.table[g]), sigma_pows[g // nk]) for g in range(n)]
+    return tuple(sorted(elems)), _frozen_small_generating_set(elems, n)
+
+
+FROBENIUS_K_GROUPS = [make_cyclic(n) for n in range(2, 22)] + [
+    make_abelian(orders) for orders in ([2, 2], [3, 3], [2, 4], [2, 2, 2], [5, 5])
+] + [make_generalized_quaternion(8)]
+
+
+def test_frobenius_rival_equals_the_listed_one():
+    # every valid input over these K, odd m >= 3 with |K| m <= 64, every
+    # mult:u action (u x on element indices) and every seed
+    valid = 0
+    for k in FROBENIUS_K_GROUPS:
+        nk = k.order
+        for m_ord in range(3, 64 // nk + 1, 2):
+            for u in range(1, nk):
+                images = tuple(u * x % nk for x in range(nk))
+                if sorted(images) != list(range(nk)):
+                    continue
+                action = GroupIsomorphism(k, k, images)
+                for seed in range(1, nk):
+                    try:
+                        w = frobenius_map(m_ord, k, action, seed)
+                    except (CimlabError, ValueError):
+                        continue
+                    valid += 1
+                    elems, gens = _frozen_frobenius_rival(w.map.group, nk, m_ord)
+                    assert w.rival.elements == elems
+                    assert w.rival.generators == gens
+    assert valid == 124
 
 
 def test_frobenius_unfaithful_orbit_rejected():
