@@ -80,11 +80,10 @@ from .maps import (
     CayleyMap,
     _component_group,
     _generated_subgroup,
-    connection_subgroup,
-    face_profile,
     identity_component,
     is_connected,
     is_skew_morphism,
+    isomorphism_code,
     make_map,
 )
 from .mapiso import (
@@ -205,7 +204,8 @@ def _valency_classes(h: FiniteGroup, valency: int) -> tuple[dict, dict]:
     Returns each rotation's class key, the least rotation of its Cayley
     class, and each key's mates: the sorted keys of the Cayley classes in
     its isomorphism class, the key itself included. The map is a CI-map
-    exactly when its key has no other mate.
+    exactly when its key has no other mate. One dict pass groups the keys
+    by ``isomorphism_code``, which is a complete invariant.
     """
     rotations = sorted(
         rot for s in connection_sets(h, valency) if len(s) == valency
@@ -219,30 +219,21 @@ def _valency_classes(h: FiniteGroup, valency: int) -> tuple[dict, dict]:
             "a Cayley class leaves its valency batch; the batch must be "
             "closed under Aut(H)"
         )
-    # isomorphism is an equivalence, so one leader per class found suffices;
-    # the invariant (connection subgroup order, face lengths) prefilters them
-    leaders: dict[tuple, list[tuple[CayleyMap, list]]] = {}
+    classes: dict[tuple, list] = {}
     mates: dict[tuple, list] = {}
     for k in dict.fromkeys(key.values()):
-        m = CayleyMap(h, k)
-        invariant = (len(connection_subgroup(m)), face_profile(m))
-        classes = leaders.setdefault(invariant, [])
-        keys = next((keys for leader, keys in classes
-                     if map_iso_exists(leader, m) is not None), None)
-        if keys is None:
-            keys = []
-            classes.append((m, keys))
-        keys.append(k)
-        mates[k] = keys
+        mates[k] = classes.setdefault(isomorphism_code(CayleyMap(h, k)), [])
+        mates[k].append(k)
     return key, mates
 
 
 def definitional_is_ci_map(m: CayleyMap) -> CiReport:
     """CI verdict straight from the definition, by exhausting same-valency maps.
 
-    The map itself may be disconnected: class representatives are compared
-    by ``map_iso_exists``, which decides disconnected maps through their
-    identity components.
+    The map itself may be disconnected: ``isomorphism_code`` reads the
+    identity component and its order. A false verdict's witness pair is
+    checked by ``map_iso_exists``, the engine behind Aut(M), and by
+    ``are_cayley_isomorphic``; a disagreement raises RuntimeError.
     """
     t0 = time.perf_counter()
     h = m.group
@@ -255,7 +246,10 @@ def definitional_is_ci_map(m: CayleyMap) -> CiReport:
     other = next((k for k in mates[my_key] if k != my_key), None)
     witnesses = []
     if other is not None:
-        if are_cayley_isomorphic(m, CayleyMap(h, other)) is not None:
+        mate = CayleyMap(h, other)
+        if map_iso_exists(m, mate) is None:
+            raise RuntimeError("definitional witness is not isomorphic after all")
+        if are_cayley_isomorphic(m, mate) is not None:
             raise RuntimeError("definitional witness is Cayley isomorphic after all")
         witnesses.append(
             {

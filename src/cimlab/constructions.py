@@ -122,9 +122,8 @@ def odd_square_map(p: int, kind: str = "cyclic") -> WitnessedMap:
     # the connection set is the 2p-element alpha-orbit with the least seed
     rotation = next(c for c in cycles_of(alpha) if len(c) == 2 * p)
     m = make_map(k_group, rotation)
-    ambient = closure(
-        [tuple(k_group.table[a]) for a in range(1, k_group.order)] + [alpha]
-    )
+    # the map is connected, so the translations by S generate all of them
+    ambient = closure([tuple(k_group.table[a]) for a in rotation] + [alpha])
     return WitnessedMap(
         map=m,
         ambient=ambient,
@@ -306,7 +305,7 @@ def frobenius_map(
             "the connection set does not generate the group, the map is disconnected",
         )
     m = make_map(h, tuple(rotation))
-    ambient = closure([tuple(h.table[g]) for g in range(1, n)] + [sigma])
+    ambient = closure([tuple(h.table[g]) for g in rotation] + [sigma])
     rival_elems = closure(
         [tuple(h.table[k]) for k in range(1, nk)]
         + [compose(tuple(h.table[c]), inverse_perm(sigma))]

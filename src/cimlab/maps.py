@@ -181,30 +181,30 @@ def skew_power_function(h: FiniteGroup, phi: Perm) -> Optional[tuple[int, ...]]:
     return tuple(out)
 
 
-def face_profile(m: CayleyMap) -> tuple[int, ...]:
-    """Sorted multiset of face lengths of the embedded map.
+def isomorphism_code(m: CayleyMap) -> tuple[int, tuple[int, ...]]:
+    """|K| for K = <S>, and the least label sequence of the identity
+    component over the k darts at the identity vertex; two maps of one
+    order and valency are isomorphic exactly when their codes are equal.
 
-    Faces are the orbits of the arc permutation (h, s) -> (h s, rho(s^-1)).
-    The profile is invariant under map isomorphism, which makes it a cheap
-    prefilter for isomorphism searches.
+    Each sequence is one breadth-first walk that labels vertices in the
+    order met and reads each vertex's neighbours in rotation order, from
+    the dart back to the vertex it was reached from. The translations act
+    transitively, so an isomorphism can be taken to fix the identity
+    vertex, and the image of one dart then fixes it.
     """
-    g = m.group
-    rot = m.rotation
-    k = len(rot)
-    nxt = {rot[i]: rot[(i + 1) % k] for i in range(k)}
-    inv = g.inverse
-    seen = set()
-    lengths = []
-    for h in g.elements():
-        for s in rot:
-            arc = (h, s)
-            if arc in seen:
-                continue
-            length = 0
-            while arc not in seen:
-                seen.add(arc)
-                hh, ss = arc
-                arc = (g.table[hh][ss], nxt[inv[ss]])
-                length += 1
-            lengths.append(length)
-    return tuple(sorted(lengths))
+    rot, mul = m.rotation, m.group.table
+    back = {s: rot.index(m.group.inverse[s]) for s in rot}
+
+    def walk(first: int) -> tuple[int, ...]:
+        label, out = {0: 0}, []
+        queue = [(0, first)]
+        for v, j in queue:  # grows as vertices are met
+            for s in rot[j:] + rot[:j]:
+                w = mul[v][s]
+                if w not in label:
+                    label[w] = len(label)
+                    queue.append((w, back[s]))
+                out.append(label[w])
+        return tuple(out)
+
+    return len(connection_subgroup(m)), min(map(walk, range(len(rot))))

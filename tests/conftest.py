@@ -36,6 +36,32 @@ def relabelled(h, seed):
     return from_table(table, h.name), new
 
 
+def face_profile(m):
+    """Sorted multiset of face lengths of the embedded map: the orbits of
+    the arc permutation (h, s) -> (h s, rho(s^-1)). A frozen copy of the
+    invariant the definitional oracle once prefiltered its isomorphism
+    searches with, kept for the reference oracles in the tests."""
+    g = m.group
+    rot = m.rotation
+    k = len(rot)
+    nxt = {rot[i]: rot[(i + 1) % k] for i in range(k)}
+    seen = set()
+    lengths = []
+    for h in g.elements():
+        for s in rot:
+            arc = (h, s)
+            if arc in seen:
+                continue
+            length = 0
+            while arc not in seen:
+                seen.add(arc)
+                hh, ss = arc
+                arc = (g.table[hh][ss], nxt[g.inverse[ss]])
+                length += 1
+            lengths.append(length)
+    return tuple(sorted(lengths))
+
+
 def two_step_formula(n):
     """{2, -2, 2 + 2^(n-1), -2 + 2^(n-1)} mod 2^n: the six-overlap set of
     the valency-8 witness over Z_(2^n), for n >= 5."""

@@ -40,7 +40,6 @@ from cimlab.maps import (
     CayleyMap,
     apply_group_automorphism,
     connection_subgroup,
-    face_profile,
     identity_component,
     is_connected,
     is_skew_morphism,
@@ -63,7 +62,7 @@ from cimlab.perms import (
     regular_subgroups_isomorphic_to,
 )
 from cimlab.skew import cyclic_skew_morphisms
-from conftest import order8_groups, relabelled
+from conftest import face_profile, order8_groups, relabelled
 
 WORKLOADS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
@@ -366,10 +365,48 @@ def test_definitional_detects_disconnected_witness():
     assert report.verdict is False
 
 
+def leader_classes(h, valency):
+    """A frozen copy of the isomorphism-class search ``_valency_classes`` ran
+    before it grouped by ``isomorphism_code``: one leader per class found,
+    prefiltered by (connection subgroup order, face lengths), each new key
+    tested against the leaders with ``map_iso_exists``."""
+    rotations = sorted(rot for s in connection_sets(h, valency) if len(s) == valency
+                       for rot in rotations_of(s))
+    key = {}
+    for rot, orbit in cayley_classes(h, rotations):
+        key.update(dict.fromkeys(orbit, rot))
+    leaders, mates = {}, {}
+    for k in dict.fromkeys(key.values()):
+        m = CayleyMap(h, k)
+        classes = leaders.setdefault((len(connection_subgroup(m)), face_profile(m)), [])
+        keys = next((keys for leader, keys in classes
+                     if map_iso_exists(leader, m) is not None), None)
+        if keys is None:
+            keys = []
+            classes.append((m, keys))
+        keys.append(k)
+        mates[k] = keys
+    return key, mates
+
+
+@pytest.mark.parametrize("h", order8_groups() + [make_cyclic(7), make_cyclic(9),
+                                                 make_abelian([3, 3]), make_cyclic(10),
+                                                 make_cyclic(12)],
+                         ids=lambda h: h.name)
+def test_code_classes_equal_the_leader_search(h):
+    for table in [h] + [relabelled(h, seed)[0] for seed in (0, 1, 2)]:
+        for valency in range(1, min(h.order, DEFINITIONAL_CAP // h.order + 1)):
+            key, mates = _valency_classes.__wrapped__(table, valency)
+            frozen_key, frozen_mates = leader_classes(table, valency)
+            assert key == frozen_key
+            # the keys in one order, and each mates list in one order
+            assert list(mates.items()) == list(frozen_mates.items())
+
+
 class UnionFindBatch:
     """The definitional oracle as a union-find over Cayley class keys: every
     pair of class representatives with equal invariants is tested unless
-    already joined. Kept as the reference the per-leader partition of
+    already joined. Kept as the reference the code grouping of
     ``_valency_classes`` must reproduce."""
 
     def __init__(self, h, valency):

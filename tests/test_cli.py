@@ -213,6 +213,10 @@ GOLDEN = [
      "5bb47d7aa9c1dcbc0bf856b29425cb1c6e6aeb3b0f6a4c4346dcdda9ee49e6e2"),
     (["is-ci-map", "--method", "definitional", "--map", "abelian:2,4/2,6"], 1,
      "ef14d23a81976e4fbfd0153ca0b6d3e372ab341e615a8f8d28d56dc79fab06a3"),
+    # a false verdict over a non-cyclic group past order 8: the witness is
+    # the least other key in the map's isomorphism class
+    (["is-ci-map", "--method", "definitional", "--map", "abelian:3,3/1,2,3,6,8,4"], 1,
+     "974e475c74d7976bfef2f2d7b3e4a2a88b637317ed5e108c1ae580b809a8472a"),
     # the disconnected reduction, over several connection subgroups each
     (["verify-cim", "--group", "cyclic:18", "--max-valency", "4"], 0,
      "15af5afb49277a8375699c6c561ef079bdc64c7b0ae8b282868dbd9b692605d1"),
@@ -552,6 +556,19 @@ def test_internal_error_exit_code(monkeypatch, capsys):
     assert captured.out == ""
     assert captured.err == (
         "internal error: left-regular copy missing from regular subgroup search\n")
+
+
+def test_refuted_definitional_witness_is_an_internal_error(monkeypatch, capsys):
+    # the code grouping and the propagation engine must agree on every
+    # false definitional verdict; a disagreement is a bug, not a verdict
+    import cimlab.ci
+
+    monkeypatch.setattr(cimlab.ci, "map_iso_exists", lambda m1, m2: None)
+    rc = run(["is-ci-map", "--method", "definitional", "--map", "z9:1,5,7,8,4,2"])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert captured.err == "internal error: definitional witness is not isomorphic after all\n"
 
 
 def test_bundle_that_fails_its_own_check_is_an_internal_error(monkeypatch, capsys):

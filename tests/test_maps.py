@@ -10,18 +10,19 @@ from cimlab.groups import GroupIsomorphism, automorphisms, make_abelian, make_cy
 from cimlab.maps import (
     apply_group_automorphism,
     connection_subgroup,
-    face_profile,
     identity_component,
     is_antibalanced,
     is_balanced,
     is_connected,
     is_skew_morphism,
+    isomorphism_code,
     make_map,
     preserves_relation,
     skew_power_function,
     ternary_relation,
 )
 from cimlab.perms import left_regular_representation
+from conftest import face_profile
 
 
 def lemma_orbit_map():
@@ -318,15 +319,19 @@ def test_random_non_multiplicative_permutation_not_skew(z8):
     assert found_false >= 15  # nearly all random permutations fail
 
 
-# ------------------------------------------------------------ face profile
+# ------------------------------------------------------- isomorphism code
 
-def test_face_profile_invariant_under_cayley_iso(z8):
-    m = make_map(z8, (1, 3, 5, 7))
-    for sigma in automorphisms(z8):
-        assert face_profile(apply_group_automorphism(m, sigma)) == face_profile(m)
+def test_isomorphism_code_invariant_under_cayley_iso(z8):
+    for m in (make_map(z8, (1, 3, 5, 7)), make_map(z8, (1, 2, 7, 6)), make_map(z8, (2, 6))):
+        code = isomorphism_code(m)
+        assert code[0] == len(connection_subgroup(m))
+        assert len(code[1]) == code[0] * m.valency
+        for sigma in automorphisms(z8):
+            assert isomorphism_code(apply_group_automorphism(m, sigma)) == code
 
 
 def test_face_lengths_sum_to_arc_count(z8, k4):
+    # the reference oracles' frozen prefilter counts every arc once
     for m in (make_map(z8, (1, 3, 5, 7)), make_map(k4, (1, 2)),
               make_map(z8, (2, 6))):
         profile = face_profile(m)
