@@ -20,9 +20,18 @@ reversal, and only the class representatives are decoded to tuples for
 the sweep, so maps, workers and reports never see bytes. The skews that
 are skew-morphisms of the group's own table seed each representative's
 stabilizer search: an alignment one of them realises is taken from it,
-not propagated. On a relabelled or product-labelled cyclic group most
-canonical skews fail that check and are not seeded, so a seed is always
-an automorphism of the map it realises an alignment of. The exhaustive
+not propagated. All three steps apply a permutation to a packed
+rotation in C, as one ``bytes.translate`` by a 256-byte table
+(``perms.translate_table``): a full-cycle root is a power of psi on each
+later orbit of one interleaved base (``_full_cycle_roots``), a class
+member is an automorphism's image (``enumeration.cayley_orbit``), and a
+seed is psi's image compared with the turned rotation
+(``mapiso.stabilizer_automorphisms``). Packing or tabling an element of
+256 or more raises ValueError rather than truncating it; ``automorphisms``
+caps |H| at 64, so no reachable input does. On a relabelled or
+product-labelled cyclic group most canonical skews fail the skew check
+and are not seeded, so a seed is always an automorphism of the map it
+realises an alignment of. The exhaustive
 strategy gets the trivial-stabilizer shortcut from
 ``regular_subgroups_isomorphic_to``, which returns a group of order |H|
 without an isomorphism test exactly when its elements equal those of
@@ -55,7 +64,7 @@ import multiprocessing
 import os
 import time
 from contextlib import closing
-from itertools import chain, combinations, islice, permutations, product
+from itertools import chain, combinations, islice, permutations
 from math import factorial
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -106,6 +115,7 @@ from .perms import (
     perm_group_as_finite_group,
     perm_order,
     regular_subgroups_isomorphic_to,
+    translate_table,
 )
 from .reports import CiReport
 from .skew import cyclic_skew_morphisms
@@ -329,17 +339,32 @@ def _full_cycle_roots(orbits: Sequence[tuple[int, ...]], d: int) -> Iterator[byt
     permutation, each packed as ``bytes`` (see ``_rich_maps_cyclic``).
 
     Threads the c orbits in every order and relative offset behind the
-    first: each later orbit's d phases are cut once, and a root
-    interleaves the first orbit with one phase of each. The orbits come
-    from ``cycles_of``, which lists each cycle from its minimum and the
-    cycles in ascending order of minima, and ``combinations`` keeps that
-    order; so orbits[0] leads with the least element, which makes each
-    output already canonically phased.
+    first. Each orbit is a cycle of psi, so turning a later orbit o steps
+    is applying psi^o to its elements. One base interleaves the first
+    orbit with the later ones at offset 0, once per order of the later
+    orbits; each offset choice (o_1, ..., o_(c-1)) is then one
+    ``base.translate(T)`` in C, where T applies psi^(o_r) on orbit r and
+    fixes every other byte. The d^(c-1) tables are built once per call by
+    composing per-orbit tables, and never outnumber the (c-1)! d^(c-1)
+    roots. Packing raises ValueError on an element of 256 or more rather
+    than truncating it. The orbits come from ``cycles_of``, which lists
+    each cycle from its minimum and the cycles in ascending order of
+    minima, and ``combinations`` keeps that order; so orbits[0] leads with
+    the least element, which makes each output already canonically phased.
     """
-    phases = [[cyc[o:] + cyc[:o] for o in range(d)] for cyc in orbits[1:]]
-    for ordered in permutations(phases):
-        for cycles in product(*ordered):
-            yield bytes(chain.from_iterable(zip(orbits[0], *cycles)))
+    degree = max(map(max, orbits)) + 1
+    tables = [translate_table(range(degree))]
+    for cyc in orbits[1:]:
+        turns = []
+        for o in range(d):
+            img = list(range(degree))
+            for x, y in zip(cyc, cyc[o:] + cyc[:o]):
+                img[x] = y
+            turns.append(translate_table(img))
+        tables = [t.translate(turn) for t in tables for turn in turns]
+    for ordered in permutations(orbits[1:]):
+        base = bytes(chain.from_iterable(zip(orbits[0], *ordered)))
+        yield from map(base.translate, tables)
 
 
 def _babai_task(

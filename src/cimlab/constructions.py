@@ -18,6 +18,7 @@ from .groups import (
     FiniteGroup,
     GroupIsomorphism,
     Subgroup,
+    action_powers,
     automorphisms,
     closure_of,
     make_abelian,
@@ -272,24 +273,28 @@ def frobenius_map(
     m_ord = c_order
     if m_ord < 3 or m_ord % 2 == 0:
         raise InvalidOrderError(f"complement order must be odd and >= 3, got {m_ord}")
-    h = make_semidirect(k_group, m_ord, action)
+    action_powers(k_group, m_ord, action)  # make_semidirect's checks, before the seed's
     nk = k_group.order
+    if not (1 <= seed < nk):
+        raise PreconditionError("orbit-not-faithful", "seed must be a nontrivial element of K")
+    # sigma is the action's inverse on K, so its cycle through the seed has
+    # the length of the action's: a rejected seed builds no table
+    size = len(next(cyc for cyc in cycles_of(action.images) if seed in cyc))
+    if size != m_ord:
+        raise PreconditionError(
+            "orbit-not-faithful",
+            f"conjugation orbit of seed has size {size}, expected {m_ord}",
+        )
+    h = make_semidirect(k_group, m_ord, action)
     n = h.order
     c = nk  # the element (0, c^1)
     c_inv = h.inverse[c]
     sigma = _perm_of(h, lambda x: h.table[h.table[c_inv][x]][c])
 
     # the conjugation orbit of the seed, inside K
-    if not (1 <= seed < nk):
-        raise PreconditionError("orbit-not-faithful", "seed must be a nontrivial element of K")
     cycle = next(cyc for cyc in cycles_of(sigma) if seed in cyc)
     start = cycle.index(seed)
     orbit = cycle[start:] + cycle[:start]
-    if len(orbit) != m_ord:
-        raise PreconditionError(
-            "orbit-not-faithful",
-            f"conjugation orbit of seed has size {len(orbit)}, expected {m_ord}",
-        )
     s_fwd = [h.table[c][k] for k in orbit]
     s_inv = [h.inverse[v] for v in s_fwd]
     if set(s_fwd) & set(s_inv):

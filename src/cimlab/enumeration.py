@@ -3,6 +3,14 @@
 A connection set is a union of inversion cells {x, x^-1}; every set is
 paired with all (|S|-1)! rotations in canonical phase (the smallest
 element leads).
+
+Cayley classes are orbits under Aut(H), and with ``mirror`` under mirror
+reversal too. A rotation is packed into ``bytes``, one element per byte,
+and each automorphism is applied to it in C by ``bytes.translate`` with a
+256-byte table (``perms.translate_table``); the image is then cut back to
+canonical phase. Packing an element of 256 or more, or tabling an
+automorphism of a group of order above 256, raises ValueError rather than
+truncating; ``automorphisms`` caps |H| at 64, so no reachable input does.
 """
 
 from __future__ import annotations
@@ -14,6 +22,7 @@ from typing import Iterator, Sequence
 
 from .groups import FiniteGroup, automorphisms
 from .maps import CayleyMap
+from .perms import translate_table
 
 
 def inversion_cells(h: FiniteGroup) -> list[tuple[int, ...]]:
@@ -54,20 +63,42 @@ def total_map_count(h: FiniteGroup, max_valency: int) -> int:
     return sum(math.factorial(len(s) - 1) for s in connection_sets(h, max_valency))
 
 
+def _aut_tables(h: FiniteGroup) -> list[bytes]:
+    """One ``bytes.translate`` table per automorphism of h, in the order
+    ``automorphisms`` lists them."""
+    return [translate_table(sigma.images) for sigma in automorphisms(h)]
+
+
+def _orbit(rotation: Sequence[int], tables: Sequence[bytes], mirror: bool = False
+           ) -> set[Sequence[int]]:
+    """The canonical-phase images of one rotation under each table, and
+    their mirror reversals when ``mirror`` is set.
+
+    The rotation is packed once; each image is one ``translate`` of it
+    followed by the phase cut. Packing raises ValueError on an element of
+    256 or more rather than truncating it. A ``bytes`` rotation gives a
+    ``bytes`` orbit and a tuple gives tuples.
+    """
+    packed = rotation if type(rotation) is bytes else bytes(rotation)
+    orbit = set()
+    for table in tables:
+        rot = packed.translate(table)
+        i = rot.index(min(rot))
+        orbit.add(rot[i:] + rot[:i])
+    if mirror:
+        orbit |= {r[:1] + r[:0:-1] for r in orbit}
+    return orbit if packed is rotation else set(map(tuple, orbit))
+
+
 def cayley_orbit(h: FiniteGroup, rotation: Sequence[int]) -> set[Sequence[int]]:
     """The canonical-phase rotations of the Aut(H)-orbit of one rotation.
 
     Each member has the rotation's own type: a tuple's orbit holds
     tuples, and a ``bytes`` rotation (as the stabilizer strategy packs
-    them) gives a ``bytes`` orbit.
+    them) gives a ``bytes`` orbit. Each automorphism is applied as a
+    ``bytes.translate`` table (see ``_orbit``).
     """
-    orbit = set()
-    pack = type(rotation)
-    for sigma in automorphisms(h):
-        rot = pack(map(sigma.images.__getitem__, rotation))
-        i = rot.index(min(rot))
-        orbit.add(rot[i:] + rot[:i])
-    return orbit
+    return _orbit(rotation, _aut_tables(h))
 
 
 def cayley_classes(
@@ -81,15 +112,15 @@ def cayley_classes(
     marked by position, so the walk keeps no rotation that outlives its
     orbit. An orbit may leave ``rotations``; the caller decides whether
     that is an error. The rotations are all tuples or all ``bytes``, and
-    each orbit has their type (see ``cayley_orbit``).
+    each orbit has their type (see ``cayley_orbit``). The automorphisms'
+    translate tables are built once per walk.
     """
+    tables = _aut_tables(h)
     covered = bytearray(len(rotations))
     for i, rot in enumerate(rotations):
         if covered[i]:
             continue
-        orbit = cayley_orbit(h, rot)
-        if mirror:
-            orbit |= {r[:1] + r[:0:-1] for r in orbit}
+        orbit = _orbit(rot, tables, mirror)
         for member in orbit:
             j = bisect_left(rotations, member)
             if j < len(rotations) and rotations[j] == member:

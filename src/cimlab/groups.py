@@ -185,19 +185,17 @@ def make_generalized_quaternion(order: int) -> FiniteGroup:
     return from_table(tbl, f"Q{order}")
 
 
-def make_semidirect(k_group: FiniteGroup, c_order: int, action: GroupIsomorphism) -> FiniteGroup:
-    """Semidirect product K x| Z_c, elements encoded as (k, c^i) -> i*|K| + k.
-
-    ``action`` must be an automorphism of ``k_group`` whose order divides
-    ``c_order``; c acts on K by ``action``.
-    """
+def action_powers(k_group: FiniteGroup, c_order: int, action: GroupIsomorphism
+                  ) -> list[tuple[int, ...]]:
+    """The powers of ``action``, identity first, once ``make_semidirect``'s
+    checks on it pass: ``c_order`` is at least 1 and ``action`` is an
+    automorphism of ``k_group`` whose order divides ``c_order``."""
     if c_order < 1:
         raise InvalidOrderError(f"complement order must be >= 1, got {c_order}")
     if action.source is not k_group or action.target is not k_group:
         raise InvalidActionError("action must be an automorphism of k_group")
     action.validate()
-    nk = k_group.order
-    powers = [tuple(range(nk))]
+    powers = [tuple(range(k_group.order))]
     cur = action.images
     while cur != powers[0]:
         powers.append(cur)
@@ -206,6 +204,17 @@ def make_semidirect(k_group: FiniteGroup, c_order: int, action: GroupIsomorphism
         raise InvalidActionError(
             f"action order {len(powers)} does not divide complement order {c_order}"
         )
+    return powers
+
+
+def make_semidirect(k_group: FiniteGroup, c_order: int, action: GroupIsomorphism) -> FiniteGroup:
+    """Semidirect product K x| Z_c, elements encoded as (k, c^i) -> i*|K| + k.
+
+    ``action`` must be an automorphism of ``k_group`` whose order divides
+    ``c_order``; c acts on K by ``action``.
+    """
+    powers = action_powers(k_group, c_order, action)
+    nk = k_group.order
     pow_of = [powers[i % len(powers)] for i in range(c_order)]
     n = nk * c_order
     tbl = []

@@ -38,6 +38,7 @@ from .perms import (
     _cyclic_subgroup,
     compose,
     left_regular_representation,
+    translate_table,
 )
 
 BRUTE_FORCE_CAP = 10
@@ -138,6 +139,28 @@ def _prime_divisors(k: int) -> list[int]:
     return primes
 
 
+def _seed_alignments(rot: Sequence[int], skews: Sequence[Perm]) -> dict[int, Perm]:
+    """Each psi in ``skews`` that sends rot[i] to rot[(i+j) % k] for every
+    i, keyed by its alignment j != 0.
+
+    The rotation is packed into ``bytes`` once, and each psi whose image of
+    rot[0] lies in the rotation is applied to it in C, as one
+    ``translate`` by psi's 256-byte table, and compared with the packed
+    rotation turned by j. An element of 256 or more raises ValueError
+    rather than being truncated.
+    """
+    known = {}
+    if skews:
+        pos = {s: i for i, s in enumerate(rot)}
+        packed = bytes(rot)
+        for psi in skews:
+            j = pos.get(psi[rot[0]])
+            # alignment 0 is the identity, which the walk never asks for
+            if j and packed.translate(translate_table(psi)) == packed[j:] + packed[:j]:
+                known[j] = psi
+    return known
+
+
 def stabilizer_automorphisms(m: CayleyMap, skews: Sequence[Perm] = ()) -> list[Perm]:
     """All automorphisms fixing the identity vertex, for a connected map, sorted.
 
@@ -155,26 +178,23 @@ def stabilizer_automorphisms(m: CayleyMap, skews: Sequence[Perm] = ()) -> list[P
     stabilizer at most one per prime factor of k counted with multiplicity.
 
     ``skews`` are skew-morphisms of m's group, in m's labels; the caller
-    vouches for them. One scan keeps each psi that sends rot[i] to
-    rot[(i+j) % k] for every i as the automorphism of alignment j, which
-    the walk then takes instead of propagating j. That is exact: the skew
-    law gives psi(h s_i) = psi(h) psi^pi(h)(s_i) = psi(h) s_(i + j pi(h)),
-    so every Delta_h lies in S and intertwines rho, which is ``_verify``'s
-    definition, and psi is a bijection fixing 0. A connected map has one
-    automorphism per alignment, so psi is the one `_propagate` would find,
-    and the returned list is the same with or without the skews.
+    vouches for them. One scan (``_seed_alignments``) keeps each psi that
+    sends rot[i] to rot[(i+j) % k] for every i as the automorphism of
+    alignment j, which the walk then takes instead of propagating j. The
+    scan packs the rotation into ``bytes`` and applies each psi to it in
+    C, as one ``bytes.translate`` by psi's 256-byte table
+    (``perms.translate_table``); an element of 256 or more raises
+    ValueError rather than being truncated. That is exact: the skew law gives psi(h s_i) = psi(h) psi^pi(h)(s_i) =
+    psi(h) s_(i + j pi(h)), so every Delta_h lies in S and intertwines rho,
+    which is ``_verify``'s definition, and psi is a bijection fixing 0. A
+    connected map has one automorphism per alignment, so psi is the one
+    `_propagate` would find, and the returned list is the same with or
+    without the skews.
     """
     if not is_connected(m):
         raise DisconnectedMapError("map automorphisms need a connected map")
-    rot, k = m.rotation, m.valency
-    known = {}
-    if skews:
-        pos = {s: i for i, s in enumerate(rot)}
-        for psi in skews:
-            j = pos.get(psi[rot[0]])
-            # alignment 0 is the identity, which the walk never asks for
-            if j and tuple(map(psi.__getitem__, rot)) == rot[j:] + rot[:j]:
-                known[j] = psi
+    k = m.valency
+    known = _seed_alignments(m.rotation, skews)
     generator = tuple(range(m.group.order))
     for p in _prime_divisors(k):
         kept = None

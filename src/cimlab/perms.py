@@ -76,6 +76,16 @@ def cycles_of(p: Perm) -> list[tuple[int, ...]]:
     return out
 
 
+_BYTES = bytes(range(256))
+
+
+def translate_table(p: Perm) -> bytes:
+    """p as a ``bytes.translate`` table: byte x goes to p[x], and each byte
+    from len(p) on is fixed. An image of 256 or more raises ValueError
+    rather than being truncated."""
+    return bytes(p) + _BYTES[len(p):]
+
+
 def is_permutation(images: Sequence[int], degree: int) -> bool:
     return len(images) == degree and sorted(images) == list(range(degree))
 

@@ -1,6 +1,7 @@
 import importlib.util
 import pickle
 import sys
+from bisect import bisect_left
 from itertools import chain, combinations, permutations, product
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from cimlab.ci import (
     verify_connected_cim,
 )
 from cimlab.enumeration import (
+    _orbit,
     cayley_class_key,
     cayley_classes,
     cayley_orbit,
@@ -60,6 +62,7 @@ from cimlab.perms import (
     left_regular_representation,
     perm_order,
     regular_subgroups_isomorphic_to,
+    translate_table,
 )
 from cimlab.skew import cyclic_skew_morphisms
 from conftest import face_profile, order8_groups, relabelled
@@ -549,7 +552,7 @@ def rich_maps_as_tuples(h, max_valency):
 
 
 @pytest.mark.parametrize("n, max_valency",
-                         [(n, n - 1) for n in range(5, 14)] + [(15, 10), (16, 8)])
+                         [(n, n - 1) for n in range(5, 16)] + [(15, 10), (16, 8)])
 def test_packed_rich_rotations_are_the_sorted_tuples(n, max_valency):
     h = make_cyclic(n)
     rich, _ = _rich_maps_cyclic(h, max_valency)
@@ -578,6 +581,74 @@ def test_cayley_orbit_keeps_the_rotation_type(h, max_valency):
     assert [(tuple(rot), set(map(tuple, orbit)))
             for rot, orbit in cayley_classes(h, packed, mirror=True)] == list(
         cayley_classes(h, ordered, mirror=True))
+
+
+def frozen_cayley_orbit(h, rotation):
+    """``enumeration.cayley_orbit`` as it stood while it mapped each
+    automorphism over the rotation one element at a time; oracle for the
+    translate tables."""
+    orbit = set()
+    pack = type(rotation)
+    for sigma in automorphisms(h):
+        rot = pack(map(sigma.images.__getitem__, rotation))
+        i = rot.index(min(rot))
+        orbit.add(rot[i:] + rot[:i])
+    return orbit
+
+
+def frozen_cayley_classes(h, rotations, mirror=False):
+    """``enumeration.cayley_classes`` over ``frozen_cayley_orbit``, as it
+    stood before the translate tables."""
+    covered = bytearray(len(rotations))
+    for i, rot in enumerate(rotations):
+        if covered[i]:
+            continue
+        orbit = frozen_cayley_orbit(h, rot)
+        if mirror:
+            orbit |= {r[:1] + r[:0:-1] for r in orbit}
+        for member in orbit:
+            j = bisect_left(rotations, member)
+            if j < len(rotations) and rotations[j] == member:
+                covered[j] = 1
+        yield rot, orbit
+
+
+# full valency on the order-8 groups except Z2^3, whose 168 automorphisms
+# make the oracle slow; Z3^2 and Z15 up to valency 6
+ORBIT_GROUPS = [(h, 7 if h.name != "Z2xZ2xZ2" else 4) for h in order8_groups()] + [
+    (make_abelian([3, 3]), 6), (make_cyclic(15), 6)]
+
+
+@pytest.mark.parametrize("h, max_valency", ORBIT_GROUPS,
+                         ids=[h.name for h, _ in ORBIT_GROUPS])
+def test_translated_orbits_equal_the_element_map(h, max_valency):
+    # canonical and relabelled tables, tuples and bytes: every orbit, and
+    # the mirror walk's (rotation, orbit) pairs in walk order
+    for g in [h] + [relabelled(h, seed)[0] for seed in (0, 1, 2)]:
+        tuples = sorted(rot for s in connection_sets(g, max_valency)
+                        for rot in rotations_of(s))
+        for rotations in (tuples, [bytes(rot) for rot in tuples]):
+            for rot in rotations:
+                assert cayley_orbit(g, rot) == frozen_cayley_orbit(g, rot)
+            walk = list(cayley_classes(g, rotations, mirror=True))
+            assert walk == list(frozen_cayley_classes(g, rotations, mirror=True))
+            assert all(type(member) is type(rotations[0])
+                       for _, orbit in walk for member in orbit)
+
+
+def test_translate_kernels_raise_on_an_element_of_256():
+    # a rotation or permutation entry past one byte is refused, never
+    # truncated to its low byte
+    table = translate_table(range(8))
+    for rotation in ((1, 256), [3, 300]):
+        with pytest.raises(ValueError):
+            _orbit(rotation, [table])
+    with pytest.raises(ValueError):
+        translate_table(tuple(range(257)))
+    with pytest.raises(ValueError):
+        list(ci._full_cycle_roots([(1, 2), (256, 257)], 2))
+    with pytest.raises(ValueError):
+        mapiso._seed_alignments((1, 256), [tuple(range(257))])
 
 
 @pytest.mark.parametrize("n", [9, 11])

@@ -9,6 +9,7 @@ from cimlab.enumeration import cayley_classes, connection_sets, rotations_of
 from cimlab.errors import DisconnectedMapError
 from cimlab.groups import (
     GroupIsomorphism,
+    automorphisms,
     closure_of,
     make_abelian,
     make_cyclic,
@@ -26,6 +27,7 @@ from cimlab.maps import (
 from cimlab.mapiso import (
     MapMorphism,
     _propagate,
+    _seed_alignments,
     are_cayley_isomorphic,
     bruteforce_map_isomorphism,
     map_automorphism_group,
@@ -323,6 +325,52 @@ def test_seeded_stabilizer_equals_the_propagated_one(monkeypatch):
     # alignments the seeds served, alignments still propagated, and the
     # skews that rotate some map's S
     assert (maps, served, propagated, rotating) == (30080, 30306, 41433, 31406)
+
+
+def frozen_seed_scan(rot, skews):
+    """The seed scan of ``stabilizer_automorphisms`` as it stood while it
+    mapped each psi over the rotation as a tuple; oracle for the translate
+    scan in ``_seed_alignments``."""
+    known = {}
+    pos = {s: i for i, s in enumerate(rot)}
+    for psi in skews:
+        j = pos.get(psi[rot[0]])
+        if j and tuple(map(psi.__getitem__, rot)) == rot[j:] + rot[:j]:
+            known[j] = psi
+    return known
+
+
+def seed_scan_cases():
+    """(rotations, permutations): the canonical skews of Z9-Z15 over their
+    rich maps at full valency (Z15: the class representatives), and the
+    automorphisms of relabelled Z9 and Z11 (seeds 0-2) over the relabelled
+    images of the canonical rich maps."""
+    for n in range(9, 16):
+        h = make_cyclic(n)
+        rich, skews = _rich_maps_cyclic(h, n - 1)
+        if n == 15:
+            rich = [rot for rot, orbit in cayley_classes(h, rich, mirror=True)
+                    if min(orbit) == rot]
+        yield [tuple(rot) for rot in rich], sorted(skews)
+    for n in (9, 11):
+        rich, _ = _rich_maps_cyclic(make_cyclic(n), n - 1)
+        for seed in (0, 1, 2):
+            g, new = relabelled(make_cyclic(n), seed)
+            images = [tuple(new[x] for x in rot) for rot in rich]
+            rotations = [rot[i:] + rot[:i] for rot in images for i in [rot.index(min(rot))]]
+            yield rotations, [sigma.images for sigma in automorphisms(g)]
+
+
+def test_translate_seed_scan_equals_the_tuple_scan():
+    scans = hits = 0
+    for rotations, perms in seed_scan_cases():
+        for rot in rotations:
+            known = _seed_alignments(rot, perms)
+            assert known == frozen_seed_scan(rot, perms)
+            scans += 1
+            hits += len(known)
+    # maps scanned, and alignments a permutation realised
+    assert (scans, hits) == (30131, 31613)
 
 
 def test_extension_onto_a_disconnected_map_is_one_to_one(z8):
