@@ -24,9 +24,10 @@ not propagated. All three steps apply a permutation to a packed
 rotation in C, as one ``bytes.translate`` by a 256-byte table
 (``perms.translate_table``): a full-cycle root is a power of psi on each
 later orbit of one interleaved base (``_full_cycle_roots``), a class
-member is an automorphism's image (``enumeration.cayley_orbit``), and a
-seed is psi's image compared with the turned rotation
-(``mapiso.stabilizer_automorphisms``). Packing or tabling an element of
+member is an automorphism's image (``enumeration.cayley_classes``, one
+table per automorphism per walk), and a seed is psi's image compared
+with the turned rotation (``mapiso.stabilizer_automorphisms``, one table
+per seed per sweep). Packing or tabling an element of
 256 or more raises ValueError rather than truncating it; ``automorphisms``
 caps |H| at 64, so no reachable input does. On a relabelled or
 product-labelled cyclic group most canonical skews fail the skew check
@@ -213,15 +214,16 @@ def _valency_classes(h: FiniteGroup, valency: int) -> tuple[dict, dict]:
 
     Returns each rotation's class key, the least rotation of its Cayley
     class, and each key's mates: the sorted keys of the Cayley classes in
-    its isomorphism class, the key itself included. The map is a CI-map
+    its isomorphism class, the key itself included. Rotations and keys are
+    packed as ``bytes``, as the class walk takes them. The map is a CI-map
     exactly when its key has no other mate. One dict pass groups the keys
     by ``isomorphism_code``, which is a complete invariant.
     """
     rotations = sorted(
-        rot for s in connection_sets(h, valency) if len(s) == valency
+        bytes(rot) for s in connection_sets(h, valency) if len(s) == valency
         for rot in rotations_of(s)
     )
-    key: dict[tuple, tuple] = {}
+    key: dict[bytes, bytes] = {}
     for rot, orbit in cayley_classes(h, rotations):
         key.update(dict.fromkeys(orbit, rot))
     if len(key) != len(rotations):
@@ -230,9 +232,9 @@ def _valency_classes(h: FiniteGroup, valency: int) -> tuple[dict, dict]:
             "closed under Aut(H)"
         )
     classes: dict[tuple, list] = {}
-    mates: dict[tuple, list] = {}
+    mates: dict[bytes, list] = {}
     for k in dict.fromkeys(key.values()):
-        mates[k] = classes.setdefault(isomorphism_code(CayleyMap(h, k)), [])
+        mates[k] = classes.setdefault(isomorphism_code(CayleyMap(h, tuple(k))), [])
         mates[k].append(k)
     return key, mates
 
@@ -252,11 +254,11 @@ def definitional_is_ci_map(m: CayleyMap) -> CiReport:
             f"definitional oracle capped at |H|*|S| <= {DEFINITIONAL_CAP}"
         )
     key, mates = _valency_classes(h, m.valency)
-    my_key = key[m.rotation]
+    my_key = key[bytes(m.rotation)]
     other = next((k for k in mates[my_key] if k != my_key), None)
     witnesses = []
     if other is not None:
-        mate = CayleyMap(h, other)
+        mate = CayleyMap(h, tuple(other))
         if map_iso_exists(m, mate) is None:
             raise RuntimeError("definitional witness is not isomorphic after all")
         if are_cayley_isomorphic(m, mate) is not None:
@@ -368,16 +370,17 @@ def _full_cycle_roots(orbits: Sequence[tuple[int, ...]], d: int) -> Iterator[byt
 
 
 def _babai_task(
-    h: FiniteGroup, rotation: tuple[int, ...], seeds: Sequence[Perm] = ()
+    h: FiniteGroup, rotation: tuple[int, ...], seeds: Sequence[bytes] = ()
 ) -> tuple[Optional[CiReport], tuple[Perm, ...]]:
     """One map's verdict, decided through its identity component (a
     connected map is its own), and that component's identity-vertex
     stabilizer, from a single stabilizer computation that Aut is built on;
     Aut's elements are listed only if the verdict reads them. The sweeps
     pass only enumerated rotations, valid and in canonical phase, so none
-    is validated again. ``seeds`` are checked skew-morphisms of h, handed
-    to the stabilizer search only when the component is the map itself:
-    a component over K != H is labelled by K's member ranks.
+    is validated again. ``seeds`` are the translate tables of checked
+    skew-morphisms of h, handed to the stabilizer search only when the
+    component is the map itself: a component over K != H is labelled by
+    K's member ranks.
 
     Only what the sweeps read crosses the pipe: the report when the map is
     not a CI-map and None when it is, and the stabilizer's elements, so a
@@ -390,10 +393,10 @@ def _babai_task(
 
 
 _POOL_GROUP: Optional[FiniteGroup] = None
-_POOL_SEEDS: Sequence[Perm] = ()
+_POOL_SEEDS: Sequence[bytes] = ()
 
 
-def _set_pool_group(h: FiniteGroup, seeds: Sequence[Perm]) -> None:
+def _set_pool_group(h: FiniteGroup, seeds: Sequence[bytes]) -> None:
     """Pool initializer: each worker receives the group and the seeds once,
     not per chunk."""
     global _POOL_GROUP, _POOL_SEEDS
@@ -405,11 +408,11 @@ def _pool_task(rotation: tuple[int, ...]) -> tuple[Optional[CiReport], tuple[Per
 
 
 def _sweep(h: FiniteGroup, rotations: Iterable[tuple[int, ...]], workers: int,
-           seeds: Sequence[Perm] = ()):
+           seeds: Sequence[bytes] = ()):
     """Each rotation, in order, with ``_babai_task``'s reply for its map:
     the report if the map is not a CI-map (else None) and its component's
-    stabilizer elements. ``seeds``, skew-morphisms of h that the caller
-    has checked, go to every ``_babai_task``.
+    stabilizer elements. ``seeds``, the translate tables of skew-morphisms
+    of h that the caller has checked, go to every ``_babai_task``.
 
     Worker counts are clamped to [1, cpu_count]. One pool serves the whole
     sweep and gets the group and the seeds once per worker, so the group's
@@ -441,15 +444,16 @@ def _first_failure(h: FiniteGroup, rotations: Iterable[tuple[int, ...]], workers
     and report, both None when every map is a CI-map. Given ``skews``,
     every stabilizer element must lie in it, and the members that pass
     ``is_skew_morphism(h, psi)`` seed the sweep's stabilizer searches: an
-    alignment one of them realises is not propagated. The stabilizers
+    alignment one of them realises is not propagated. Each seed is turned
+    into its translate table once per sweep, here. The stabilizers
     come out the same, so the check keeps its strength; an element missing
     from ``skews`` sits at an alignment no seed covers and is still found.
     Only the failing map's place in the canonical order is reported: how
     far enumeration read ahead depends on the batching, so it must stay out.
     """
     checked = 0
-    seeds = () if skews is None else tuple(sorted(
-        psi for psi in skews if is_skew_morphism(h, psi)))
+    seeds = () if skews is None else tuple(
+        translate_table(psi) for psi in sorted(skews) if is_skew_morphism(h, psi))
     with closing(_sweep(h, rotations, workers, seeds)) as results:
         for checked, (rotation, (failing, stab)) in enumerate(results, 1):
             if skews is not None and not skews.issuperset(stab):
@@ -546,22 +550,24 @@ def _group_report(
 def _check_reduction_conditions(h: FiniteGroup, k: Subgroup, k_group: FiniteGroup) -> bool:
     """Equal-order subgroups conjugate to k under Aut(h), and every
     automorphism of k (as ``k_group``, member rank i as element i) extends
-    to h; exactly what the disconnected-case reduction consumes."""
-    auts = automorphisms(h)
-    k_set = set(k.members)
-    for other in all_subgroups(h):
-        if other.order != k.order:
-            continue
-        if not any({a.images[x] for x in other.members} == k_set for a in auts):
-            return False
+    to h; exactly what the disconnected-case reduction consumes.
+
+    One pass over Aut(h) counts both. The images of k are subgroups of its
+    order, so they are all of them exactly when they number as many. The
+    automorphisms that fix k restrict to automorphisms of k, so every one
+    extends exactly when the distinct restrictions number |Aut(k)|.
+    """
     ms = k.members
-    for beta in automorphisms(k_group):
-        if not any(
-            all(a.images[ms[r]] == ms[beta.images[r]] for r in range(k.order))
-            for a in auts
-        ):
-            return False
-    return True
+    k_set = frozenset(ms)
+    rank = {x: r for r, x in enumerate(ms)}
+    images, restrictions = set(), set()
+    for a in automorphisms(h):
+        image = frozenset(a.images[x] for x in ms)
+        images.add(image)
+        if image == k_set:
+            restrictions.add(tuple(rank[a.images[x]] for x in ms))
+    return (len(images) == sum(other.order == k.order for other in all_subgroups(h))
+            and len(restrictions) == len(automorphisms(k_group)))
 
 
 def verify_cim_group(
@@ -675,7 +681,7 @@ def cross_validate(h: FiniteGroup, workers: int = 1) -> CiReport:
     results = _sweep(h, _connected_rotations(h, h.order - 1), workers)
     for checked, (rot, (failing, _)) in enumerate(results, 1):
         key, mates = _valency_classes(h, len(rot))
-        def_verdict = len(mates[key[rot]]) == 1
+        def_verdict = len(mates[key[bytes(rot)]]) == 1
         if def_verdict != (failing is None):
             discrepancies.append({"kind": "oracle-discrepancy", "rotation": list(rot),
                                   "babai": failing is None, "definitional": def_verdict})

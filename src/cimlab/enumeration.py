@@ -5,10 +5,12 @@ paired with all (|S|-1)! rotations in canonical phase (the smallest
 element leads).
 
 Cayley classes are orbits under Aut(H), and with ``mirror`` under mirror
-reversal too. A rotation is packed into ``bytes``, one element per byte,
-and each automorphism is applied to it in C by ``bytes.translate`` with a
-256-byte table (``perms.translate_table``); the image is then cut back to
-canonical phase. Packing an element of 256 or more, or tabling an
+reversal too. The class walk takes and returns only rotations packed into
+``bytes``, one element per byte; its callers pack a rotation with
+``bytes(rotation)`` and decode one with ``tuple(rotation)``. Each
+automorphism is applied to a packed rotation in C by ``bytes.translate``
+with a 256-byte table (``perms.translate_table``); the image is then cut
+back to canonical phase. Packing an element of 256 or more, or tabling an
 automorphism of a group of order above 256, raises ValueError rather than
 truncating; ``automorphisms`` caps |H| at 64, so no reachable input does.
 """
@@ -69,51 +71,36 @@ def _aut_tables(h: FiniteGroup) -> list[bytes]:
     return [translate_table(sigma.images) for sigma in automorphisms(h)]
 
 
-def _orbit(rotation: Sequence[int], tables: Sequence[bytes], mirror: bool = False
-           ) -> set[Sequence[int]]:
-    """The canonical-phase images of one rotation under each table, and
-    their mirror reversals when ``mirror`` is set.
+def _orbit(rotation: bytes, tables: Sequence[bytes], mirror: bool = False) -> set[bytes]:
+    """The canonical-phase images of one packed rotation under each table,
+    and their mirror reversals when ``mirror`` is set.
 
-    The rotation is packed once; each image is one ``translate`` of it
-    followed by the phase cut. Packing raises ValueError on an element of
-    256 or more rather than truncating it. A ``bytes`` rotation gives a
-    ``bytes`` orbit and a tuple gives tuples.
+    Each image is one ``translate`` of the rotation followed by the phase
+    cut.
     """
-    packed = rotation if type(rotation) is bytes else bytes(rotation)
     orbit = set()
     for table in tables:
-        rot = packed.translate(table)
+        rot = rotation.translate(table)
         i = rot.index(min(rot))
         orbit.add(rot[i:] + rot[:i])
     if mirror:
         orbit |= {r[:1] + r[:0:-1] for r in orbit}
-    return orbit if packed is rotation else set(map(tuple, orbit))
-
-
-def cayley_orbit(h: FiniteGroup, rotation: Sequence[int]) -> set[Sequence[int]]:
-    """The canonical-phase rotations of the Aut(H)-orbit of one rotation.
-
-    Each member has the rotation's own type: a tuple's orbit holds
-    tuples, and a ``bytes`` rotation (as the stabilizer strategy packs
-    them) gives a ``bytes`` orbit. Each automorphism is applied as a
-    ``bytes.translate`` table (see ``_orbit``).
-    """
-    return _orbit(rotation, _aut_tables(h))
+    return orbit
 
 
 def cayley_classes(
-    h: FiniteGroup, rotations: Sequence[Sequence[int]], mirror: bool = False
-) -> Iterator[tuple[Sequence[int], set[Sequence[int]]]]:
-    """One ``(rotation, orbit)`` per Aut(H)-orbit met in sorted ``rotations``.
+    h: FiniteGroup, rotations: Sequence[bytes], mirror: bool = False
+) -> Iterator[tuple[bytes, set[bytes]]]:
+    """One ``(rotation, orbit)`` per Aut(H)-orbit met in sorted packed
+    ``rotations``.
 
     The orbit is walked from its first member met, so ``rotation`` is its
     least member inside ``rotations``; with ``mirror`` it is the orbit under
     Aut(H) x mirror reversal. Members already covered are skipped. They are
     marked by position, so the walk keeps no rotation that outlives its
     orbit. An orbit may leave ``rotations``; the caller decides whether
-    that is an error. The rotations are all tuples or all ``bytes``, and
-    each orbit has their type (see ``cayley_orbit``). The automorphisms'
-    translate tables are built once per walk.
+    that is an error. The automorphisms' translate tables are built once
+    per walk.
     """
     tables = _aut_tables(h)
     covered = bytearray(len(rotations))
@@ -130,4 +117,4 @@ def cayley_classes(
 
 def cayley_class_key(m: CayleyMap) -> tuple[int, ...]:
     """Lexicographically least canonical rotation in the Aut(H)-orbit of m."""
-    return min(cayley_orbit(m.group, m.rotation))
+    return tuple(min(_orbit(bytes(m.rotation), _aut_tables(m.group))))

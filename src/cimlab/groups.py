@@ -370,19 +370,21 @@ def _isomorphisms_iter(g: FiniteGroup, h: FiniteGroup):
 
     n = g.order
 
-    def extend(i: int, imgs: list[int]):
+    def extend(phi: dict[int, int], imgs: list[int]):
+        # phi is the map forced by the images so far; each node extends once
+        i = len(imgs)
         if i == len(gens):
-            phi = _hom_on_generated(g, h, gens, imgs)
-            if phi is not None and len(phi) == n:
+            if len(phi) == n:
                 yield tuple(phi[x] for x in range(n))
             return
         for cand in by_order.get(orders[i], ()):
             imgs.append(cand)
-            if _hom_on_generated(g, h, gens[: i + 1], imgs) is not None:
-                yield from extend(i + 1, imgs)
+            grown = _hom_on_generated(g, h, gens[: i + 1], imgs)
+            if grown is not None:
+                yield from extend(grown, imgs)
             imgs.pop()
 
-    yield from extend(0, [])
+    yield from extend({0: 0}, [])
 
 
 def is_isomorphic(g1: FiniteGroup, g2: FiniteGroup) -> Optional[GroupIsomorphism]:

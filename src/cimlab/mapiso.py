@@ -14,8 +14,8 @@ found for each p generates the stabilizer. That takes at most one
 breadth-first propagation per prime factor of k counted with
 multiplicity, and exactly one per distinct prime of k when the
 stabilizer is trivial; no alignment is propagated twice, and none that
-a skew-morphism handed to ``stabilizer_automorphisms`` already realises
-is propagated at all. A propagation checks every dart once, which with n
+a skew-morphism handed to ``stabilizer_automorphisms`` as its translate
+table already realises is propagated at all. A propagation checks every dart once, which with n
 distinct images is the definition.
 
 A disconnected map is translated copies of its identity component, so
@@ -38,7 +38,6 @@ from .perms import (
     _cyclic_subgroup,
     compose,
     left_regular_representation,
-    translate_table,
 )
 
 BRUTE_FORCE_CAP = 10
@@ -139,29 +138,31 @@ def _prime_divisors(k: int) -> list[int]:
     return primes
 
 
-def _seed_alignments(rot: Sequence[int], skews: Sequence[Perm]) -> dict[int, Perm]:
-    """Each psi in ``skews`` that sends rot[i] to rot[(i+j) % k] for every
-    i, keyed by its alignment j != 0.
+def _seed_alignments(m: CayleyMap, tables: Sequence[bytes]) -> dict[int, Perm]:
+    """Each psi, given as its ``bytes.translate`` table, that sends rot[i]
+    to rot[(i+j) % k] for every i, decoded and keyed by its alignment j != 0.
 
-    The rotation is packed into ``bytes`` once, and each psi whose image of
-    rot[0] lies in the rotation is applied to it in C, as one
-    ``translate`` by psi's 256-byte table, and compared with the packed
-    rotation turned by j. An element of 256 or more raises ValueError
-    rather than being truncated.
+    The rotation is packed into ``bytes`` once, and each table whose image
+    of rot[0] lies in the rotation is applied to it in C, as one
+    ``translate``, and compared with the packed rotation turned by j. Only
+    a psi that realises an alignment is decoded, as ``tuple(table[:n])``.
+    An element of 256 or more raises ValueError rather than being
+    truncated.
     """
     known = {}
-    if skews:
+    if tables:
+        rot = m.rotation
         pos = {s: i for i, s in enumerate(rot)}
         packed = bytes(rot)
-        for psi in skews:
-            j = pos.get(psi[rot[0]])
+        for table in tables:
+            j = pos.get(table[rot[0]])
             # alignment 0 is the identity, which the walk never asks for
-            if j and packed.translate(translate_table(psi)) == packed[j:] + packed[:j]:
-                known[j] = psi
+            if j and packed.translate(table) == packed[j:] + packed[:j]:
+                known[j] = tuple(table[:m.group.order])
     return known
 
 
-def stabilizer_automorphisms(m: CayleyMap, skews: Sequence[Perm] = ()) -> list[Perm]:
+def stabilizer_automorphisms(m: CayleyMap, tables: Sequence[bytes] = ()) -> list[Perm]:
     """All automorphisms fixing the identity vertex, for a connected map, sorted.
 
     The alignments that extend form a subgroup gZ_k of Z_k (k the
@@ -177,14 +178,15 @@ def stabilizer_automorphisms(m: CayleyMap, skews: Sequence[Perm] = ()) -> list[P
     stabilizer takes one propagation per distinct prime of k, and any
     stabilizer at most one per prime factor of k counted with multiplicity.
 
-    ``skews`` are skew-morphisms of m's group, in m's labels; the caller
-    vouches for them. One scan (``_seed_alignments``) keeps each psi that
-    sends rot[i] to rot[(i+j) % k] for every i as the automorphism of
-    alignment j, which the walk then takes instead of propagating j. The
-    scan packs the rotation into ``bytes`` and applies each psi to it in
-    C, as one ``bytes.translate`` by psi's 256-byte table
-    (``perms.translate_table``); an element of 256 or more raises
-    ValueError rather than being truncated. That is exact: the skew law gives psi(h s_i) = psi(h) psi^pi(h)(s_i) =
+    ``tables`` are skew-morphisms of m's group, in m's labels, each as its
+    256-byte ``bytes.translate`` table (``perms.translate_table``), which
+    the caller builds once per sweep; the caller vouches for them. One
+    scan (``_seed_alignments``) keeps each psi that sends rot[i] to
+    rot[(i+j) % k] for every i as the automorphism of alignment j, which
+    the walk then takes instead of propagating j. The scan packs the
+    rotation into ``bytes`` and applies each table to it in C; an element
+    of 256 or more raises ValueError rather than being truncated. That is
+    exact: the skew law gives psi(h s_i) = psi(h) psi^pi(h)(s_i) =
     psi(h) s_(i + j pi(h)), so every Delta_h lies in S and intertwines rho,
     which is ``_verify``'s definition, and psi is a bijection fixing 0. A
     connected map has one automorphism per alignment, so psi is the one
@@ -194,7 +196,7 @@ def stabilizer_automorphisms(m: CayleyMap, skews: Sequence[Perm] = ()) -> list[P
     if not is_connected(m):
         raise DisconnectedMapError("map automorphisms need a connected map")
     k = m.valency
-    known = _seed_alignments(m.rotation, skews)
+    known = _seed_alignments(m, tables)
     generator = tuple(range(m.group.order))
     for p in _prime_divisors(k):
         kept = None

@@ -19,10 +19,10 @@ from cimlab.ci import (
     verify_connected_cim,
 )
 from cimlab.enumeration import (
+    _aut_tables,
     _orbit,
     cayley_class_key,
     cayley_classes,
-    cayley_orbit,
     connection_sets,
     rotations_of,
     total_map_count,
@@ -37,6 +37,8 @@ from cimlab.groups import (
     is_isomorphic,
     make_abelian,
     make_cyclic,
+    make_generalized_quaternion,
+    make_semidirect,
 )
 from cimlab.maps import (
     CayleyMap,
@@ -65,7 +67,7 @@ from cimlab.perms import (
     translate_table,
 )
 from cimlab.skew import cyclic_skew_morphisms
-from conftest import face_profile, order8_groups, relabelled
+from conftest import face_profile, negation_action, order8_groups, relabelled
 
 WORKLOADS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
@@ -104,9 +106,14 @@ def swept_representatives(h, max_valency, monkeypatch):
                            strategy="stabilizer")
 
 
+def aut_orbit(h, rotation):
+    """The canonical-phase rotations of a rotation's Aut(h)-orbit, as tuples."""
+    return set(map(tuple, _orbit(bytes(rotation), _aut_tables(h))))
+
+
 def dihedral_orbit(h, rotation):
     """The orbit of a rotation under Aut(h) and mirror reversal."""
-    orbit = cayley_orbit(h, rotation)
+    orbit = aut_orbit(h, rotation)
     return orbit | {make_map(h, rot).mirror().rotation for rot in orbit}
 
 
@@ -210,9 +217,9 @@ def test_valency_batch_keys_are_the_per_map_keys(h):
     for valency in range(1, h.order):
         key, mates = _valency_classes(h, valency)
         maps = [m for m in all_maps(h, valency) if m.valency == valency]
-        assert key == {m.rotation: cayley_class_key(m) for m in maps}
+        assert key == {bytes(m.rotation): bytes(cayley_class_key(m)) for m in maps}
         assert list(mates) == sorted(
-            m.rotation for m in maps if cayley_class_key(m) == m.rotation)
+            bytes(m.rotation) for m in maps if cayley_class_key(m) == m.rotation)
         assert all(k in keys for k, keys in mates.items())
 
 
@@ -221,7 +228,7 @@ def test_valency_batch_detects_a_class_leaving_it(monkeypatch):
     # it; dropping one member of a class of two or more must be noticed
     h = make_cyclic(7)
     rotations = [rot for s in connection_sets(h, 4) if len(s) == 4 for rot in rotations_of(s)]
-    dropped = [rot for rot in rotations if len(cayley_orbit(h, rot)) > 1]
+    dropped = [rot for rot in rotations if len(aut_orbit(h, rot)) > 1]
     assert dropped
     for gone in dropped:
         monkeypatch.setattr(ci, "rotations_of",
@@ -373,14 +380,14 @@ def leader_classes(h, valency):
     before it grouped by ``isomorphism_code``: one leader per class found,
     prefiltered by (connection subgroup order, face lengths), each new key
     tested against the leaders with ``map_iso_exists``."""
-    rotations = sorted(rot for s in connection_sets(h, valency) if len(s) == valency
+    rotations = sorted(bytes(rot) for s in connection_sets(h, valency) if len(s) == valency
                        for rot in rotations_of(s))
     key = {}
     for rot, orbit in cayley_classes(h, rotations):
         key.update(dict.fromkeys(orbit, rot))
     leaders, mates = {}, {}
     for k in dict.fromkeys(key.values()):
-        m = CayleyMap(h, k)
+        m = CayleyMap(h, tuple(k))
         classes = leaders.setdefault((len(connection_subgroup(m)), face_profile(m)), [])
         keys = next((keys for leader, keys in classes
                      if map_iso_exists(leader, m) is not None), None)
@@ -418,7 +425,7 @@ class UnionFindBatch:
         key_of, self.reps = {}, {}
         for m in sorted(self.maps, key=lambda m: m.rotation):
             if m.rotation not in key_of:
-                key_of.update(dict.fromkeys(cayley_orbit(h, m.rotation), m.rotation))
+                key_of.update(dict.fromkeys(aut_orbit(h, m.rotation), m.rotation))
                 self.reps[m.rotation] = m
         self.class_key = {m.rotation: key_of[m.rotation] for m in self.maps}
         self.root = {k: k for k in self.reps}
@@ -564,33 +571,13 @@ def test_packed_rich_rotations_are_the_sorted_tuples(n, max_valency):
     assert all(a < b for a, b in zip(rich, rich[1:]))
 
 
-@pytest.mark.parametrize("h, max_valency", [(make_cyclic(16), 5), (make_abelian([2, 4]), 7)],
-                         ids=["cyclic:16", "abelian:2,4"])
-def test_cayley_orbit_keeps_the_rotation_type(h, max_valency):
-    rots = [rot for s in connection_sets(h, max_valency) for rot in rotations_of(s)]
-    for rot in rots:
-        orbit = cayley_orbit(h, rot)
-        assert all(type(member) is tuple for member in orbit)
-        assert cayley_orbit(h, bytes(rot)) == {bytes(r) for r in orbit}
-    # bytes order is tuple order, a proper prefix first
-    ordered = sorted(rots)
-    assert sorted(rots, key=bytes) == ordered
-    assert len({len(rot) for rot in rots}) > 2
-    assert any(a == b[:len(a)] for a, b in zip(ordered, ordered[1:]) if len(a) < len(b))
-    packed = [bytes(rot) for rot in ordered]
-    assert [(tuple(rot), set(map(tuple, orbit)))
-            for rot, orbit in cayley_classes(h, packed, mirror=True)] == list(
-        cayley_classes(h, ordered, mirror=True))
-
-
 def frozen_cayley_orbit(h, rotation):
-    """``enumeration.cayley_orbit`` as it stood while it mapped each
-    automorphism over the rotation one element at a time; oracle for the
-    translate tables."""
+    """The Aut(h)-orbit of a packed rotation as ``enumeration`` built it
+    while it mapped each automorphism over the rotation one element at a
+    time; oracle for the translate tables."""
     orbit = set()
-    pack = type(rotation)
     for sigma in automorphisms(h):
-        rot = pack(map(sigma.images.__getitem__, rotation))
+        rot = bytes(map(sigma.images.__getitem__, rotation))
         i = rot.index(min(rot))
         orbit.add(rot[i:] + rot[:i])
     return orbit
@@ -622,33 +609,36 @@ ORBIT_GROUPS = [(h, 7 if h.name != "Z2xZ2xZ2" else 4) for h in order8_groups()] 
 @pytest.mark.parametrize("h, max_valency", ORBIT_GROUPS,
                          ids=[h.name for h, _ in ORBIT_GROUPS])
 def test_translated_orbits_equal_the_element_map(h, max_valency):
-    # canonical and relabelled tables, tuples and bytes: every orbit, and
-    # the mirror walk's (rotation, orbit) pairs in walk order
+    # canonical and relabelled tables: every orbit, and the mirror walk's
+    # (rotation, orbit) pairs in walk order
     for g in [h] + [relabelled(h, seed)[0] for seed in (0, 1, 2)]:
-        tuples = sorted(rot for s in connection_sets(g, max_valency)
-                        for rot in rotations_of(s))
-        for rotations in (tuples, [bytes(rot) for rot in tuples]):
-            for rot in rotations:
-                assert cayley_orbit(g, rot) == frozen_cayley_orbit(g, rot)
-            walk = list(cayley_classes(g, rotations, mirror=True))
-            assert walk == list(frozen_cayley_classes(g, rotations, mirror=True))
-            assert all(type(member) is type(rotations[0])
-                       for _, orbit in walk for member in orbit)
+        rotations = sorted(bytes(rot) for s in connection_sets(g, max_valency)
+                           for rot in rotations_of(s))
+        # bytes order is tuple order, a proper prefix first
+        assert list(map(tuple, rotations)) == sorted(map(tuple, rotations))
+        assert any(a == b[:len(a)] for a, b in zip(rotations, rotations[1:]) if len(a) < len(b))
+        tables = _aut_tables(g)
+        for rot in rotations:
+            assert _orbit(rot, tables) == frozen_cayley_orbit(g, rot)
+        walk = list(cayley_classes(g, rotations, mirror=True))
+        assert walk == list(frozen_cayley_classes(g, rotations, mirror=True))
+        assert all(type(member) is bytes for _, orbit in walk for member in orbit)
 
 
 def test_translate_kernels_raise_on_an_element_of_256():
     # a rotation or permutation entry past one byte is refused, never
-    # truncated to its low byte
-    table = translate_table(range(8))
-    for rotation in ((1, 256), [3, 300]):
+    # truncated to its low byte: when a class key or a seed scan packs the
+    # rotation, and when a permutation is tabled
+    z8 = make_cyclic(8)
+    for rotation in ((1, 256), (3, 300)):
         with pytest.raises(ValueError):
-            _orbit(rotation, [table])
+            cayley_class_key(CayleyMap(z8, rotation))
+        with pytest.raises(ValueError):
+            mapiso._seed_alignments(CayleyMap(z8, rotation), [translate_table(range(8))])
     with pytest.raises(ValueError):
         translate_table(tuple(range(257)))
     with pytest.raises(ValueError):
         list(ci._full_cycle_roots([(1, 2), (256, 257)], 2))
-    with pytest.raises(ValueError):
-        mapiso._seed_alignments((1, 256), [tuple(range(257))])
 
 
 @pytest.mark.parametrize("n", [9, 11])
@@ -701,12 +691,26 @@ def test_stabilizer_sweep_is_seeded_only_with_checked_skews(h, passing, monkeypa
 
     monkeypatch.setattr(ci, "_sweep", recording)
     seeded = stabilizer_outcome(h, h.order - 1)
-    checked = tuple(psi for psi in cyclic_skew_morphisms(h.order) if is_skew_morphism(h, psi))
+    checked = tuple(translate_table(psi) for psi in cyclic_skew_morphisms(h.order)
+                    if is_skew_morphism(h, psi))
     assert len(checked) == passing
     assert handed == [checked]
     monkeypatch.setattr(ci, "is_skew_morphism", lambda h, psi: False)
     assert stabilizer_outcome(h, h.order - 1) == seeded
     assert handed == [checked, ()]
+
+
+def test_seed_tables_are_built_once_per_sweep(monkeypatch):
+    # a sweep hands every map the same seeds, so each seed's translate table
+    # is built once per sweep, not once per map scanned
+    calls = []
+    real = translate_table
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("cimlab") and getattr(mod, "translate_table", None) is real:
+            monkeypatch.setattr(mod, "translate_table", lambda p: calls.append(p) or real(p))
+    report = verify_connected_cim(make_cyclic(13), 12, strategy="stabilizer")
+    assert report.stats["maps_checked"] == 640
+    assert 0 < len(calls) < report.stats["maps_checked"]
 
 
 def test_stabilizer_strategy_rejects_noncyclic(k4):
@@ -795,6 +799,45 @@ def test_refused_reduction_ends_the_sweep_before_its_first_set(monkeypatch):
     }
 
 
+def nested_reduction_conditions(h, k, k_group):
+    """``ci._check_reduction_conditions`` as it stood while it searched
+    Aut(h) once for each subgroup of k's order and once for each
+    automorphism of k; oracle for the counting check."""
+    auts = automorphisms(h)
+    k_set = set(k.members)
+    for other in all_subgroups(h):
+        if other.order != k.order:
+            continue
+        if not any({a.images[x] for x in other.members} == k_set for a in auts):
+            return False
+    ms = k.members
+    for beta in automorphisms(k_group):
+        if not any(all(a.images[ms[r]] == ms[beta.images[r]] for r in range(k.order))
+                   for a in auts):
+            return False
+    return True
+
+
+def test_counted_reduction_conditions_equal_the_nested_searches():
+    z3, z6 = make_cyclic(3), make_cyclic(6)
+    groups = order8_groups() + [
+        make_cyclic(9), make_abelian([3, 3]), make_cyclic(12), make_abelian([2, 6]),
+        make_semidirect(z6, 2, negation_action(z6)), make_semidirect(z3, 4, negation_action(z3)),
+        make_cyclic(16), make_abelian([2, 8]), make_abelian([4, 4]),
+        make_generalized_quaternion(16), make_abelian([3, 2, 2])]
+    subgroups = refused = 0
+    for h in groups:
+        for k in all_subgroups(h):
+            if 1 < k.order < h.order:
+                k_group = k.as_group()
+                holds = ci._check_reduction_conditions(h, k, k_group)
+                assert holds is nested_reduction_conditions(h, k, k_group), (h.name, k.members)
+                subgroups += 1
+                refused += not holds
+    # every proper nontrivial subgroup of the 16 groups, and those refused
+    assert (subgroups, refused) == (113, 51)
+
+
 def test_each_connection_subgroup_is_built_once(monkeypatch):
     built = []
     as_group = Subgroup.as_group
@@ -837,9 +880,9 @@ def test_babai_task_finds_the_stabilizer_once_and_leaves_aut_unlisted(monkeypatc
     rotation = (1, 4, 11, 14)
     calls, auts = [], []
 
-    def counted(m, skews=()):
+    def counted(m, tables=()):
         calls.append(m)
-        return stabilizer_automorphisms(m, skews)
+        return stabilizer_automorphisms(m, tables)
 
     def recorded(m, stabilizer=None):
         auts.append(map_automorphism_group(m, stabilizer))
@@ -995,7 +1038,7 @@ def test_seeds_reach_each_worker_through_the_initializer(counting_pool):
     h = make_cyclic(13)
     report = verify_connected_cim(h, 12, strategy="stabilizer", workers=2)
     assert counting_pool.pool_sizes == [2]
-    assert ci._POOL_SEEDS == tuple(cyclic_skew_morphisms(13))
+    assert ci._POOL_SEEDS == tuple(map(translate_table, cyclic_skew_morphisms(13)))
     assert report.to_json_dict() == stabilizer_outcome(h, 12)
 
 

@@ -314,6 +314,60 @@ def test_is_isomorphic_finds_witness():
     iso.validate()
 
 
+def frozen_isomorphisms(g, h):
+    """``groups._isomorphisms_iter`` as it stood while it extended each
+    complete candidate twice, as the last prefix and again at the leaf;
+    oracle for the single extension."""
+    if g.order != h.order or groups.element_order_profile(g) != groups.element_order_profile(h):
+        return
+    gens = groups.minimal_generating_sequence(g)
+    orders = [element_order(g, s) for s in gens]
+    by_order = {}
+    for x in h.elements():
+        by_order.setdefault(element_order(h, x), []).append(x)
+    n = g.order
+
+    def extend(i, imgs):
+        if i == len(gens):
+            phi = groups._hom_on_generated(g, h, gens, imgs)
+            if phi is not None and len(phi) == n:
+                yield tuple(phi[x] for x in range(n))
+            return
+        for cand in by_order.get(orders[i], ()):
+            imgs.append(cand)
+            if groups._hom_on_generated(g, h, gens[: i + 1], imgs) is not None:
+                yield from extend(i + 1, imgs)
+            imgs.pop()
+
+    yield from extend(0, [])
+
+
+def test_each_isomorphism_candidate_is_extended_once(monkeypatch):
+    # every isomorphism, in order, between equal-order groups, the trivial
+    # group included, and no partial map is extended twice
+    z3, z6 = make_cyclic(3), make_cyclic(6)
+    dihedral = [make_semidirect(z, 2, GroupIsomorphism(z, z, tuple(z.inverse)))
+                for z in (z3, make_cyclic(4), z6)]
+    gs = [make_cyclic(n) for n in (1, 2, 4, 6, 8, 9, 12, 16)] + dihedral + [
+        make_abelian(orders) for orders in
+        ([2, 2], [2, 4], [2, 2, 2], [3, 3], [2, 6], [3, 2, 2], [2, 8], [4, 4], [2, 2, 4])] + [
+        make_generalized_quaternion(8), make_generalized_quaternion(16),
+        make_semidirect(z3, 4, GroupIsomorphism(z3, z3, tuple(z3.inverse)))]
+    pairs = [(g, h) for g in gs for h in gs if g.order == h.order]
+    expected = [list(frozen_isomorphisms(g, h)) for g, h in pairs]
+    real, seen = groups._hom_on_generated, []
+
+    def recorded(g, h, gens, imgs):
+        seen.append((id(g), id(h), tuple(gens), tuple(imgs)))
+        return real(g, h, gens, imgs)
+
+    monkeypatch.setattr(groups, "_hom_on_generated", recorded)
+    assert [list(groups._isomorphisms_iter(g, h)) for g, h in pairs] == expected
+    assert len(set(seen)) == len(seen)
+    assert list(groups._isomorphisms_iter(gs[0], gs[0])) == [(0,)]
+    assert sum(map(len, expected)) == 704
+
+
 # -------------------------------------------------------------- class M
 
 def test_class_m_membership(q8, k4, z8, z9, s3, d4):

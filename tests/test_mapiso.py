@@ -41,6 +41,7 @@ from cimlab.perms import (
     is_cyclic_permgroup,
     left_regular_representation,
     point_stabilizer,
+    translate_table,
 )
 from conftest import negation_action, order8_groups, relabelled
 
@@ -278,9 +279,9 @@ def test_one_pass_extension_equals_the_two_pass_check():
 
 
 def seeded_corpus():
-    """(map, checked skew-morphisms of its group) for every rich map of
-    Z7-Z14 at full valency, the rich class representatives of Z15 and
-    every rich map of Z16 up to valency 8."""
+    """(map, checked skew-morphisms of its group, their translate tables)
+    for every rich map of Z7-Z14 at full valency, the rich class
+    representatives of Z15 and every rich map of Z16 up to valency 8."""
     for n, max_valency in [(n, n - 1) for n in range(7, 16)] + [(16, 8)]:
         h = make_cyclic(n)
         rich, skews = _rich_maps_cyclic(h, max_valency)
@@ -289,8 +290,9 @@ def seeded_corpus():
                     if min(orbit) == rot]
         seeds = tuple(sorted(psi for psi in skews if is_skew_morphism(h, psi)))
         assert len(seeds) == len(skews)
+        tables = tuple(map(translate_table, seeds))
         for rot in rich:
-            yield CayleyMap(h, tuple(rot)), seeds
+            yield CayleyMap(h, tuple(rot)), seeds, tables
 
 
 def test_seeded_stabilizer_equals_the_propagated_one(monkeypatch):
@@ -306,12 +308,12 @@ def test_seeded_stabilizer_equals_the_propagated_one(monkeypatch):
 
     monkeypatch.setattr(mapiso, "_propagate", counting_propagate)
     maps = propagated = served = rotating = 0
-    for m, seeds in seeded_corpus():
+    for m, seeds, tables in seeded_corpus():
         calls.clear()
         plain = stabilizer_automorphisms(m)
         unseeded = len(calls)
         calls.clear()
-        assert stabilizer_automorphisms(m, seeds) == plain
+        assert stabilizer_automorphisms(m, tables) == plain
         propagated += len(calls)
         served += unseeded - len(calls)
         rot, relation = m.rotation, None
@@ -341,31 +343,32 @@ def frozen_seed_scan(rot, skews):
 
 
 def seed_scan_cases():
-    """(rotations, permutations): the canonical skews of Z9-Z15 over their
-    rich maps at full valency (Z15: the class representatives), and the
-    automorphisms of relabelled Z9 and Z11 (seeds 0-2) over the relabelled
-    images of the canonical rich maps."""
+    """(group, rotations, permutations): the canonical skews of Z9-Z15 over
+    their rich maps at full valency (Z15: the class representatives), and
+    the automorphisms of relabelled Z9 and Z11 (seeds 0-2) over the
+    relabelled images of the canonical rich maps."""
     for n in range(9, 16):
         h = make_cyclic(n)
         rich, skews = _rich_maps_cyclic(h, n - 1)
         if n == 15:
             rich = [rot for rot, orbit in cayley_classes(h, rich, mirror=True)
                     if min(orbit) == rot]
-        yield [tuple(rot) for rot in rich], sorted(skews)
+        yield h, [tuple(rot) for rot in rich], sorted(skews)
     for n in (9, 11):
         rich, _ = _rich_maps_cyclic(make_cyclic(n), n - 1)
         for seed in (0, 1, 2):
             g, new = relabelled(make_cyclic(n), seed)
             images = [tuple(new[x] for x in rot) for rot in rich]
             rotations = [rot[i:] + rot[:i] for rot in images for i in [rot.index(min(rot))]]
-            yield rotations, [sigma.images for sigma in automorphisms(g)]
+            yield g, rotations, [sigma.images for sigma in automorphisms(g)]
 
 
 def test_translate_seed_scan_equals_the_tuple_scan():
     scans = hits = 0
-    for rotations, perms in seed_scan_cases():
+    for h, rotations, perms in seed_scan_cases():
+        tables = [translate_table(psi) for psi in perms]
         for rot in rotations:
-            known = _seed_alignments(rot, perms)
+            known = _seed_alignments(CayleyMap(h, rot), tables)
             assert known == frozen_seed_scan(rot, perms)
             scans += 1
             hits += len(known)
@@ -512,7 +515,7 @@ def disconnected_class_keys(h):
     """Valency -> one map per Cayley class of the disconnected maps over h."""
     out = {}
     for k in range(1, h.order):
-        rotations = sorted(rot for s in connection_sets(h, k) if len(s) == k
+        rotations = sorted(bytes(rot) for s in connection_sets(h, k) if len(s) == k
                            for rot in rotations_of(s))
         out[k] = [m for m in (make_map(h, rot) for rot, _ in cayley_classes(h, rotations))
                   if not is_connected(m)]
