@@ -10,13 +10,19 @@ The automorphisms fixing a vertex compose by adding their alignments
 mod k = |S|, so the alignments that extend form a subgroup gZ_k with
 g | k. For each prime p | k a walk down k/p, k/p^2, ... finds how many
 factors p the quotient k/g has; the product of the last automorphism
-found for each p generates the stabilizer. That takes at most one
-breadth-first propagation per prime factor of k counted with
-multiplicity, and exactly one per distinct prime of k when the
-stabilizer is trivial; no alignment is propagated twice, and none that
-a skew-morphism handed to ``stabilizer_automorphisms`` as its translate
-table already realises is propagated at all. A propagation checks every dart once, which with n
+found for each p generates the stabilizer, unless skew-morphism seeds
+already give one automorphism at every alignment in gZ_k, which then are
+the stabilizer. That takes at most one breadth-first propagation per
+prime factor of k counted with multiplicity, and exactly one per
+distinct prime of k when the stabilizer is trivial; no alignment is
+propagated twice, and none that a skew-morphism handed to
+``stabilizer_automorphisms`` as its translate table already realises is
+propagated at all. A propagation checks every dart once, which with n
 distinct images is the definition.
+
+Aut(M) is the left translations times the identity-vertex stabilizer, so
+it depends on M only through its group and that stabilizer; it is built
+once per such pair and shared by every map that has them.
 
 A disconnected map is translated copies of its identity component, so
 ``map_iso_exists`` decides any two maps through their components. The
@@ -26,11 +32,13 @@ tests compare that path against.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from math import gcd
 from typing import Optional, Sequence
 
 from .errors import CapacityError, DisconnectedMapError
-from .groups import GroupIsomorphism, automorphisms, is_isomorphic
+from .groups import FiniteGroup, GroupIsomorphism, automorphisms, is_isomorphic
 from .maps import CayleyMap, identity_component, is_connected
 from .perms import (
     Perm,
@@ -41,6 +49,7 @@ from .perms import (
 )
 
 BRUTE_FORCE_CAP = 10
+AUT_GROUP_CACHE_SIZE = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,10 +103,9 @@ def _propagate(m1: CayleyMap, m2: CayleyMap, v0: int, a0: int) -> Optional[tuple
     """
     rot1, rot2 = m1.rotation, m2.rotation
     k, n = len(rot1), m1.group.order
-    pos1 = {s: i for i, s in enumerate(rot1)}
-    pos2 = {s: i for i, s in enumerate(rot2)}
+    back1 = _inverse_positions(m1)
+    back2 = back1 if m2 is m1 else _inverse_positions(m2)
     mul1, mul2 = m1.group.table, m2.group.table
-    inv1, inv2 = m1.group.inverse, m2.group.inverse
     images, align = [-1] * n, [0] * n
     images[0], align[0] = v0, a0
     queue = [0]
@@ -108,20 +116,26 @@ def _propagate(m1: CayleyMap, m2: CayleyMap, v0: int, a0: int) -> Optional[tuple
         row1 = mul1[h]
         row2 = mul2[fh]
         for i in range(k):
-            s = rot1[i]
-            d = rot2[(a + i) % k]
-            v = row1[s]
-            w = row2[d]
+            j = (a + i) % k
+            v = row1[rot1[i]]
+            w = row2[rot2[j]]
             if images[v] == -1:
                 images[v] = w
                 # Delta_v(s^-1) = (Delta_h(s))^-1 pins the alignment at v
-                align[v] = (pos2[inv2[d]] - pos1[inv1[s]]) % k
+                align[v] = (back2[j] - back1[i]) % k
                 queue.append(v)
             elif images[v] != w:
                 return None
     if -1 in images or len(set(images)) != n:
         return None  # m1 was not connected, or phi is not one-to-one
     return tuple(images)
+
+
+def _inverse_positions(m: CayleyMap) -> list[int]:
+    """Where each dart's inverse sits in the rotation: rot[back[i]] is rot[i]^-1."""
+    pos = {s: i for i, s in enumerate(m.rotation)}
+    inv = m.group.inverse
+    return [pos[inv[s]] for s in m.rotation]
 
 
 def _prime_divisors(k: int) -> list[int]:
@@ -192,23 +206,37 @@ def stabilizer_automorphisms(m: CayleyMap, tables: Sequence[bytes] = ()) -> list
     connected map has one automorphism per alignment, so psi is the one
     `_propagate` would find, and the returned list is the same with or
     without the skews.
+
+    The walk also keeps g, the gcd of k and every alignment that extended.
+    A seed's alignment extends, so the seeds sit at nonzero multiples of g;
+    when they fill all k/g - 1 of them, the identity and the seeds are the
+    whole stabilizer, one automorphism per alignment, and are returned
+    without composing the kept automorphisms or taking their powers.
+    Alignments that do not extend are still propagated, whatever the seeds,
+    so g is the map's own, and an automorphism no seed realises is still
+    found by the powers.
     """
     if not is_connected(m):
         raise DisconnectedMapError("map automorphisms need a connected map")
     k = m.valency
     known = _seed_alignments(m, tables)
-    generator = tuple(range(m.group.order))
+    ident = tuple(range(m.group.order))
+    g, kept = k, []
     for p in _prime_divisors(k):
-        kept = None
+        last = None
         j = k // p
         while (found := known.get(j) or _propagate(m, m, 0, j)) is not None:
-            kept = found
+            last, g = found, gcd(g, j)
             if j % p:
                 break
             j //= p
-        if kept is not None:
-            generator = compose(generator, kept)
-    return sorted(_cyclic_subgroup(generator))
+        if last is not None:
+            kept.append(last)
+    if len(known) == k // g - 1:
+        # the seeds hold every nonzero multiple of g, each the one automorphism
+        # of its alignment
+        return sorted([ident, *known.values()])
+    return sorted(_cyclic_subgroup(functools.reduce(compose, kept, ident)))
 
 
 def map_automorphism_group(m: CayleyMap, stabilizer: Optional[Sequence[Perm]] = None
@@ -220,13 +248,25 @@ def map_automorphism_group(m: CayleyMap, stabilizer: Optional[Sequence[Perm]] = 
     its generators are the translations and the stabilizer, and its
     elements are listed only when read. ``stabilizer`` is
     ``stabilizer_automorphisms(m)`` when the caller already has it.
+
+    The group is a function of m's group and the stabilizer alone, so it
+    is built once per such pair and shared (``_automorphism_group``): maps
+    with one stabilizer get the same object, elements listed at most once,
+    and ``regular_subgroups_isomorphic_to`` searches it at most once.
     """
     stab = stabilizer_automorphisms(m) if stabilizer is None else stabilizer
+    return _automorphism_group(m.group, tuple(stab))
+
+
+@functools.lru_cache(maxsize=AUT_GROUP_CACHE_SIZE)
+def _automorphism_group(h: FiniteGroup, stab: tuple[Perm, ...]) -> PermutationGroup:
+    """H^ G_1 from the group and the stabilizer's elements; cached, and safe
+    to share because ``PermutationGroup`` is frozen."""
     if len(stab) == 1:
-        return left_regular_representation(m.group)
-    table = m.group.table
-    n = m.group.order
-    gens = [tuple(table[h]) for h in range(1, n)] + [p for p in stab if p != tuple(range(n))]
+        return left_regular_representation(h)
+    table = h.table
+    n = h.order
+    gens = [tuple(table[x]) for x in range(1, n)] + [p for p in stab if p != tuple(range(n))]
     return PermutationGroup(n, tuple(gens), n * len(stab), lambda: (
         tuple(row[x] for x in phi) for row in table for phi in stab))
 

@@ -24,6 +24,7 @@ Perm = tuple[int, ...]
 
 DEFAULT_GROUP_CAP = 20000
 REGULAR_REP_CACHE_SIZE = 32
+REGULAR_SUBGROUPS_CACHE_SIZE = 64
 
 
 def identity_perm(degree: int) -> Perm:
@@ -294,7 +295,19 @@ def regular_subgroups_isomorphic_to(g: PermutationGroup, h: FiniteGroup) -> list
     elements gives (``_search_generators``). When R is H^, it is
     isomorphic to h by Cayley's theorem, and is taken with those
     generators from the per-group cache.
+
+    The search's answer is a function of g and h, so it runs once per pair
+    (``_regular_subgroups``) and each call returns a fresh list of the
+    shared subgroups. Groups compare by identity, so the search is reused
+    exactly when the same g comes back, as ``map_automorphism_group`` hands
+    every map with one stabilizer the same Aut(M).
     """
+    return list(_regular_subgroups(g, h))
+
+
+@functools.lru_cache(maxsize=REGULAR_SUBGROUPS_CACHE_SIZE)
+def _regular_subgroups(g: PermutationGroup, h: FiniteGroup) -> tuple[PermutationGroup, ...]:
+    """The search behind ``regular_subgroups_isomorphic_to``, cached per (g, h)."""
     n = h.order
     if g.degree != n:
         raise ValueError("degree must equal |h|")
@@ -306,15 +319,15 @@ def regular_subgroups_isomorphic_to(g: PermutationGroup, h: FiniteGroup) -> list
         # regular and isomorphic to h by Cayley's theorem, so element
         # equality with it settles both checks
         if g.elements == left_regular_representation(h).elements:
-            return [g]
+            return (g,)
         if is_regular(g) and _perm_group_isomorphic(g, h):
-            return [g]
-        return []
+            return (g,)
+        return ()
 
     translations = _translations(h)
     if (all(t in g.generators for t in translations.generators) and gcd(g.order // n, n) == 1
             and _normalizes(g.generators, translations.generators, h.table)):
-        return [translations]
+        return (translations,)
 
     found = []
     if len(translations.generators) == 1:
@@ -348,7 +361,7 @@ def regular_subgroups_isomorphic_to(g: PermutationGroup, h: FiniteGroup) -> list
                 elif _perm_group_isomorphic(PermutationGroup.listed(n, elements, ()), h):
                     found.append(PermutationGroup.listed(n, elements, _search_generators(elements)))
     found.sort(key=lambda sub: sub.elements)
-    return found
+    return tuple(found)
 
 
 def _search_generators(elements: tuple[Perm, ...]) -> tuple[Perm, ...]:

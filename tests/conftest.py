@@ -10,6 +10,8 @@ from cimlab.groups import (
     make_generalized_quaternion,
     make_semidirect,
 )
+from cimlab.mapiso import _prime_divisors, _propagate, _seed_alignments
+from cimlab.perms import _cyclic_subgroup, compose, identity_perm
 
 
 def negation_action(g):
@@ -60,6 +62,27 @@ def face_profile(m):
                 length += 1
             lengths.append(length)
     return tuple(sorted(lengths))
+
+
+def composed_stabilizer(m, tables=()):
+    """The identity-vertex stabilizer of a connected map as
+    ``stabilizer_automorphisms`` found it before it assembled seeded
+    stabilizers: the last automorphism of each prime's walk is composed
+    into one generator, whose powers are listed. A frozen copy, the oracle
+    for the seed assembly."""
+    known = _seed_alignments(m, tables)
+    k = m.valency
+    generator = identity_perm(m.group.order)
+    for p in _prime_divisors(k):
+        kept, j = None, k // p
+        while (found := known.get(j) or _propagate(m, m, 0, j)) is not None:
+            kept = found
+            if j % p:
+                break
+            j //= p
+        if kept is not None:
+            generator = compose(generator, kept)
+    return sorted(_cyclic_subgroup(generator))
 
 
 def two_step_formula(n):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from cimlab import ci, mapiso
+from cimlab import ci, mapiso, perms
 from cimlab.ci import (
     DEFINITIONAL_CAP,
     _rich_maps_cyclic,
@@ -57,6 +57,7 @@ from cimlab.mapiso import (
     stabilizer_automorphisms,
 )
 from cimlab.perms import (
+    PermutationGroup,
     compose,
     cycles_of,
     identity_perm,
@@ -67,7 +68,13 @@ from cimlab.perms import (
     translate_table,
 )
 from cimlab.skew import cyclic_skew_morphisms
-from conftest import face_profile, negation_action, order8_groups, relabelled
+from conftest import (
+    composed_stabilizer,
+    face_profile,
+    negation_action,
+    order8_groups,
+    relabelled,
+)
 
 WORKLOADS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
@@ -86,18 +93,24 @@ def benchmark_relabel(h, seed):
     return workloads.relabel(h, seed)
 
 
-def swept_rotations(monkeypatch, verify, h, *args, **kwargs):
-    """Every rotation a verification hands to its sweeps, read through a
-    stand-in ``_sweep`` that decides no map."""
-    swept = []
+def swept_batches(monkeypatch, verify, h, *args, **kwargs):
+    """Each sweep a verification starts, as its rotations and its seed
+    tables, read through a stand-in ``_sweep`` that decides no map."""
+    batches = []
 
     def record(h, rotations, workers, seeds=()):
-        swept.extend(rotations)
+        batches.append((list(rotations), seeds))
         yield from ()
 
     monkeypatch.setattr(ci, "_sweep", record)
     verify(h, *args, **kwargs)
-    return swept
+    return batches
+
+
+def swept_rotations(monkeypatch, verify, h, *args, **kwargs):
+    """Every rotation a verification hands to its sweeps."""
+    return [rot for rotations, _ in swept_batches(monkeypatch, verify, h, *args, **kwargs)
+            for rot in rotations]
 
 
 def swept_representatives(h, max_valency, monkeypatch):
@@ -899,6 +912,100 @@ def test_babai_task_finds_the_stabilizer_once_and_leaves_aut_unlisted(monkeypatc
     assert len(stab) == 2
     [aut] = auts
     assert aut.order == 30 and "elements" not in vars(aut)
+
+
+def uncached_automorphism_group(m, stab):
+    """``map_automorphism_group`` as it stood before its cache: a new group
+    for every call. A frozen copy, the oracle for the shared groups."""
+    if len(stab) == 1:
+        return left_regular_representation(m.group)
+    table, n = m.group.table, m.group.order
+    gens = [tuple(table[h]) for h in range(1, n)] + [p for p in stab if p != identity_perm(n)]
+    return PermutationGroup(n, tuple(gens), n * len(stab), lambda: (
+        tuple(row[x] for x in phi) for row in table for phi in stab))
+
+
+def uncached_babai_task(h, rotation, seeds=()):
+    """``_babai_task`` with the composed stabilizer and a new Aut(M) per map;
+    the caller routes the regular-subgroup search past its cache."""
+    component, _ = identity_component(CayleyMap(h, rotation))
+    stab = composed_stabilizer(component, seeds if component.group is h else ())
+    report = babai_is_ci_map(component, aut=uncached_automorphism_group(component, stab))
+    return (None if report.verdict else report), tuple(stab)
+
+
+def task_replies(task, h, batches):
+    """The replies, report as JSON, of a task on every swept map, in order."""
+    return [(None if failing is None else failing.to_json_dict(), stab)
+            for rotations, seeds in batches for rot in rotations
+            for failing, stab in [task(h, rot, seeds)]]
+
+
+BABAI_TASK_CASES = [
+    *[(make_cyclic(n), verify_connected_cim, (n - 1, "stabilizer"), None, 2 if n == 9 else 0)
+      for n in range(7, 16)],
+    (make_cyclic(16), verify_connected_cim, (8, "stabilizer"), None, 7),
+    (make_abelian([3, 3]), verify_connected_cim, (6, "exhaustive"), None, 24),
+    *[(h, cross_validate, (), seed, 6 if h.name == "Z2xZ4" else 0)
+      for h in order8_groups() for seed in (None, 0, 1, 2)],
+]
+
+
+@pytest.mark.parametrize("h, verify, args, seed, failing", BABAI_TASK_CASES, ids=[
+    (f"{h.name}/{args[0]}" if args else f"cross-validate-{h.name}")
+    + ("" if seed is None else f"-seed{seed}")
+    for h, _, args, seed, _ in BABAI_TASK_CASES])
+def test_babai_task_replies_equal_the_uncached_ones(h, verify, args, seed, failing, monkeypatch):
+    # Aut(M) shared by every map with one stabilizer, its regular subgroups
+    # searched once, and the stabilizer assembled from the seeds give every
+    # swept map the reply of a fresh build, search and composition: the
+    # report, witnesses included, and the stabilizer
+    if seed is not None:
+        h = relabelled(h, seed)[0]
+    batches = swept_batches(monkeypatch, verify, h, *args)
+    cached = task_replies(ci._babai_task, h, batches)
+    monkeypatch.setattr(ci, "regular_subgroups_isomorphic_to",
+                        lambda g, h: list(perms._regular_subgroups.__wrapped__(g, h)))
+    assert task_replies(uncached_babai_task, h, batches) == cached
+    assert len(cached) == sum(len(rotations) for rotations, _ in batches) > 0
+    assert sum(report is not None for report, _ in cached) == failing
+
+
+def test_stabilizer_sweep_builds_aut_and_searches_once_per_stabilizer(monkeypatch):
+    # the Z13 sweep meets 5 stabilizers over 640 maps: each Aut(M) is built,
+    # and its regular subgroups searched, once, while every map still gets
+    # its own babai_is_ci_map call and regular-subgroup call
+    mapiso._automorphism_group.cache_clear()
+    perms._regular_subgroups.cache_clear()
+    stabs, calls, built, searched = [], [], [], []
+    task, verdict, search = ci._babai_task, ci.babai_is_ci_map, ci.regular_subgroups_isomorphic_to
+    group, translations = mapiso.PermutationGroup, perms._translations
+    # building Aut(M) makes one PermutationGroup, and searching a group
+    # larger than |H| reads the cached translations once
+    monkeypatch.setattr(mapiso, "PermutationGroup", lambda *a: built.append(1) or group(*a))
+    monkeypatch.setattr(perms, "_translations", lambda h: searched.append(1) or translations(h))
+
+    def recorded_task(*args):
+        reply = task(*args)
+        stabs.append(reply[1])
+        return reply
+
+    monkeypatch.setattr(ci, "_babai_task", recorded_task)
+    monkeypatch.setattr(ci, "babai_is_ci_map",
+                        lambda *a, **kw: calls.append("babai") or verdict(*a, **kw))
+    monkeypatch.setattr(ci, "regular_subgroups_isomorphic_to",
+                        lambda g, h: calls.append("search") or search(g, h))
+    report = verify_connected_cim(make_cyclic(13), 12, strategy="stabilizer")
+    assert report.verdict and report.stats["maps_checked"] == len(stabs) == 640
+    assert calls == ["babai", "search"] * 640
+    assert len(set(stabs)) == len(built) == len(searched) == 5
+
+
+def test_automorphism_caches_are_bounded_by_their_constants():
+    assert (mapiso._automorphism_group.cache_info().maxsize
+            == mapiso.AUT_GROUP_CACHE_SIZE)
+    assert (perms._regular_subgroups.cache_info().maxsize
+            == perms.REGULAR_SUBGROUPS_CACHE_SIZE)
 
 
 def test_swept_identity_components_are_valid_and_in_canonical_phase(monkeypatch):

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -43,7 +44,7 @@ from cimlab.perms import (
     point_stabilizer,
     translate_table,
 )
-from conftest import negation_action, order8_groups, relabelled
+from conftest import composed_stabilizer, negation_action, order8_groups, relabelled
 
 
 def unit_map(z8):
@@ -327,6 +328,51 @@ def test_seeded_stabilizer_equals_the_propagated_one(monkeypatch):
     # alignments the seeds served, alignments still propagated, and the
     # skews that rotate some map's S
     assert (maps, served, propagated, rotating) == (30080, 30306, 41433, 31406)
+
+
+def assembly_cases():
+    """(group, rotations, seed tables): the rich maps of Z7-Z13 at full
+    valency with their group's checked skews, and the relabelled images of
+    the rich maps of Z9 and Z11 (seeds 1 and 2), where of the canonical
+    skews only the identity passes the check."""
+    for n in range(7, 14):
+        h = make_cyclic(n)
+        rich, skews = _rich_maps_cyclic(h, n - 1)
+        yield "canonical", h, [tuple(rot) for rot in rich], sorted(skews)
+    for n in (9, 11):
+        rich, skews = _rich_maps_cyclic(make_cyclic(n), n - 1)
+        for seed in (1, 2):
+            g, new = relabelled(make_cyclic(n), seed)
+            images = [tuple(new[x] for x in rot) for rot in rich]
+            rotations = [rot[i:] + rot[:i] for rot in images for i in [rot.index(min(rot))]]
+            checked = [psi for psi in sorted(skews) if is_skew_morphism(g, psi)]
+            assert checked == [tuple(range(n))]
+            yield "relabelled", g, rotations, checked
+
+
+def test_seed_assembled_stabilizer_equals_the_composed_one(monkeypatch):
+    # where the seeds realise every alignment of the stabilizer, it is the
+    # identity and the seeds, and no product is formed; elsewhere, as on a
+    # relabelled group seeded with the identity alone, the kept automorphisms
+    # are still composed and their powers listed. Both give the frozen
+    # composed list, and the unseeded one
+    composed = []
+    cyclic_subgroup = mapiso._cyclic_subgroup
+    monkeypatch.setattr(mapiso, "_cyclic_subgroup",
+                        lambda p: composed.append(p) or cyclic_subgroup(p))
+    paths = collections.Counter()
+    for kind, h, rotations, seeds in assembly_cases():
+        tables = tuple(map(translate_table, seeds))
+        for rot in rotations:
+            m = CayleyMap(h, rot)
+            composed.clear()
+            stab = stabilizer_automorphisms(m, tables)
+            paths[kind, "composed" if composed else "assembled"] += 1
+            assert stab == composed_stabilizer(m, tables) == stabilizer_automorphisms(m)
+    # four Z9 maps have a stabilizer of order 6 whose element of order 2 is
+    # not a skew-morphism, so no seed realises its alignment
+    assert paths == {("canonical", "assembled"): 9169, ("canonical", "composed"): 4,
+                     ("relabelled", "composed"): 1688}
 
 
 def frozen_seed_scan(rot, skews):

@@ -6,7 +6,9 @@ and a traced sweep must pass the benchmark's own consistency checks.
 ``ci.multiprocessing``. A refactor that deletes or renames one of them
 fails here instead of crashing a traced benchmark run. A refactor that
 changes how many ``babai_is_ci_map`` calls or regular-subgroup searches a
-sweep makes fails ``metrics.reconcile`` here instead of in a traced run.
+sweep makes fails ``metrics.reconcile`` here instead of in a traced run:
+the stabilizer sweep, the disconnected reduction, a sweep ended by a
+failing map, and the cross-validation sweep over a non-cyclic group.
 """
 
 import importlib
@@ -18,6 +20,7 @@ from pathlib import Path
 import pytest
 
 from cimlab import ci
+from cimlab.cli import parse_group_spec
 from cimlab.groups import make_cyclic
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -46,18 +49,23 @@ def test_every_traced_entry_point_resolves(monkeypatch):
     ("verify_connected_cim", 13, 12, "stabilizer", True),  # the stabilizer sweep
     ("verify_cim_group", 16, 5, "auto", True),  # and the disconnected reduction
     ("verify_cim_group", 9, 8, "auto", False),
+    # the oracles' sweep, through the point-coset search of a non-cyclic group
+    pytest.param("cross_validate", "abelian:2,2,2", None, None, True,
+                 id="cross_validate-abelian:2,2,2"),
 ])
 def test_traced_sweep_reconciles(monkeypatch, verify, n, max_valency, strategy, verdict):
     # one worker: every map is decided in this process, by _babai_task
     spans = load_perfbench("spans", monkeypatch)
     metrics = load_perfbench("metrics", monkeypatch)
-    h = make_cyclic(n)
+    h = make_cyclic(n) if isinstance(n, int) else parse_group_spec(n)
+    args, kwargs = ((), {}) if max_valency is None else ((max_valency,), {"strategy": strategy})
     with spans.tracing() as rec:
         t0 = time.perf_counter()
-        report = getattr(ci, verify)(h, max_valency, strategy=strategy)
+        report = getattr(ci, verify)(h, *args, **kwargs)
         wall_s = time.perf_counter() - t0
         trace = rec.export()
     assert report.verdict is verdict
     results = [report.to_json_dict()]
     assert metrics.reconcile(trace, results, wall_s) == []
-    assert trace["spans"]["ci.babai_is_ci_map"][0] >= report.stats["maps_checked"] > 0
+    checked = report.stats.get("maps_checked", report.stats.get("connected_checked"))
+    assert trace["spans"]["ci.babai_is_ci_map"][0] >= checked > 0
