@@ -448,15 +448,42 @@ def _sweep(h: FiniteGroup, rotations: Iterable[tuple[int, ...]], workers: int,
             batch = list(islice(rotations, 512 * workers))
 
 
+def _stabilizer_generator(rotation: Sequence[int], stab: Sequence[Perm]) -> Perm:
+    """The element of a connected map's stabilizer with the least nonzero
+    alignment, which generates the cyclic G_1; the identity when G_1 is
+    trivial. Alignment j sends rot[0] to rot[j]."""
+    k = len(rotation)
+    return min(stab, key=lambda phi: (rotation.index(phi[rotation[0]]) - 1) % k)
+
+
+def _stabilizer_listed(h: FiniteGroup, rotation: Sequence[int], stab: Sequence[Perm],
+                       skews: set) -> bool:
+    """Does ``skews`` hold every element of the stabilizer that a complete
+    skew-morphism list must hold?
+
+    G_1 is a core-free cyclic complement of the translations in Aut(M), so
+    each of its generators is a skew-morphism of h (Jajcay and Siran 2002),
+    and in particular the one of least nonzero alignment must be listed.
+    A power of a skew-morphism need not be one: over Z9 the map
+    (1, 2, 7, 5, 4, 8) has a stabilizer of order 6 whose element of order 2
+    fails ``is_skew_morphism``, so a complete list lacks it. Any other
+    missing element must fail that check too, so a list that lacks a
+    skew-morphism a larger stabilizer contains is still caught.
+    """
+    missing = [phi for phi in stab if phi not in skews]
+    return not missing or (_stabilizer_generator(rotation, stab) not in missing
+                           and not any(is_skew_morphism(h, phi) for phi in missing))
+
+
 def _first_failure(h: FiniteGroup, rotations: Iterable[tuple[int, ...]], workers: int,
                    skews: Optional[set] = None):
     """Sweep the maps until the first one that is not a CI-map.
 
     Returns the number of maps checked, then the failing map's rotation
     and report, both None when every map is a CI-map. Given ``skews``,
-    every stabilizer element must lie in it, and the members that pass
-    ``is_skew_morphism(h, psi)`` seed the sweep's stabilizer searches: an
-    alignment one of them realises is not propagated. Each seed is turned
+    each stabilizer must pass ``_stabilizer_listed``, and the members that
+    pass ``is_skew_morphism(h, psi)`` seed the sweep's stabilizer searches:
+    an alignment one of them realises is not tried. Each seed is turned
     into its translate table once per sweep, here. The stabilizers
     come out the same, so the check keeps its strength; an element missing
     from ``skews`` sits at an alignment no seed covers and is still found.
@@ -468,7 +495,7 @@ def _first_failure(h: FiniteGroup, rotations: Iterable[tuple[int, ...]], workers
         translate_table(psi) for psi in sorted(skews) if is_skew_morphism(h, psi))
     with closing(_sweep(h, rotations, workers, seeds)) as results:
         for checked, (rotation, (failing, stab)) in enumerate(results, 1):
-            if skews is not None and not skews.issuperset(stab):
+            if skews is not None and not _stabilizer_listed(h, rotation, stab, skews):
                 raise RuntimeError(
                     "map stabilizer element missing from the skew-morphism list; "
                     "stabilizer enumeration is incomplete"

@@ -12,12 +12,21 @@ g | k. For each prime p | k a walk down k/p, k/p^2, ... finds how many
 factors p the quotient k/g has; the product of the last automorphism
 found for each p generates the stabilizer, unless skew-morphism seeds
 already give one automorphism at every alignment in gZ_k, which then are
-the stabilizer. That takes at most one breadth-first propagation per
-prime factor of k counted with multiplicity, and exactly one per
-distinct prime of k when the stabilizer is trivial; no alignment is
-propagated twice, and none that a skew-morphism handed to
-``stabilizer_automorphisms`` as its translate table already realises is
-propagated at all. A propagation checks every dart once, which with n
+the stabilizer. The walk tries at most one alignment per prime factor of
+k counted with multiplicity, and exactly one per distinct prime of k
+when the stabilizer is trivial; no alignment is tried twice. An
+alignment that a skew-morphism handed to ``stabilizer_automorphisms`` as
+its translate table already realises is not tried at all, and one that
+is tried is either refuted by the triangle counts or propagated.
+
+The triangle counts are a property of the connection set alone. A map
+automorphism is an automorphism of the Cayley graph Cay(H, S); one that
+fixes e with alignment j sends s_i to s_(i+j), and a graph automorphism
+keeps the number of common neighbours of two adjacent vertices, which for
+e and s is c(s) = |S & sS|. So when the sequence c(s_0), ..., c(s_(k-1))
+read along the rotation changes under a turn by j, no automorphism has
+alignment j, and j is refuted without propagating it. c is computed once
+per connection set. A propagation checks every dart once, which with n
 distinct images is the definition.
 
 Aut(M) is the left translations times the identity-vertex stabilizer, so
@@ -39,7 +48,7 @@ from typing import Optional, Sequence
 
 from .errors import CapacityError, DisconnectedMapError
 from .groups import FiniteGroup, GroupIsomorphism, automorphisms, is_isomorphic
-from .maps import CayleyMap, identity_component, is_connected
+from .maps import CayleyMap, _generated_subgroup, identity_component, is_connected
 from .perms import (
     Perm,
     PermutationGroup,
@@ -50,6 +59,7 @@ from .perms import (
 
 BRUTE_FORCE_CAP = 10
 AUT_GROUP_CACHE_SIZE = 64
+CONNECTION_PROFILE_CACHE_SIZE = 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,6 +162,39 @@ def _prime_divisors(k: int) -> list[int]:
     return primes
 
 
+@functools.lru_cache(maxsize=CONNECTION_PROFILE_CACHE_SIZE)
+def _connection_profile(h: FiniteGroup, connection_set: tuple[int, ...]
+                        ) -> tuple[bool, Optional[bytes]]:
+    """Whether the sorted connection set S generates h, and a 256-byte
+    ``bytes.translate`` table sending each s in S to its triangle count
+    c(s) = |S & sS|, or None when c is constant on S and so refutes nothing
+    (every full-valency S, whose Cayley graph is complete). A group of
+    order above 256 has elements no translate table holds, so it gets None
+    too, and its maps propagate every alignment they try."""
+    connected = len(_generated_subgroup(h, connection_set)) == h.order
+    if h.order > 256:
+        return connected, None
+    in_s = set(connection_set)
+    table = h.table
+    counts = [sum(table[s][t] in in_s for t in connection_set) for s in connection_set]
+    if len(set(counts)) == 1:
+        return connected, None
+    images = bytearray(256)
+    for s, c in zip(connection_set, counts):
+        images[s] = c
+    return connected, bytes(images)
+
+
+def _extend(m: CayleyMap, j: int, triangles: Optional[bytes]) -> Optional[Perm]:
+    """The automorphism of connected m fixing the identity with alignment j,
+    or None. ``triangles`` is the triangle counts read along the rotation,
+    or None; when turning them by j changes them, j is refuted without
+    propagating it."""
+    if triangles is not None and triangles != triangles[j:] + triangles[:j]:
+        return None
+    return _propagate(m, m, 0, j)
+
+
 def _seed_alignments(m: CayleyMap, tables: Sequence[bytes]) -> dict[int, Perm]:
     """Each psi, given as its ``bytes.translate`` table, that sends rot[i]
     to rot[(i+j) % k] for every i, decoded and keyed by its alignment j != 0.
@@ -182,27 +225,41 @@ def stabilizer_automorphisms(m: CayleyMap, tables: Sequence[bytes] = ()) -> list
     The alignments that extend form a subgroup gZ_k of Z_k (k the
     valency), since composing two automorphisms that fix the identity
     adds their alignments; g divides k. For each prime p | k the walk
-    propagates j = k/p, k/p^2, ... while j extends and p divides j, and
-    keeps the last automorphism found: its alignment is k/p^e, where p^e
-    is the largest power of p dividing k/g. The product of the kept
-    automorphisms has alignment g times a number prime to k/g, so it
-    generates the stabilizer, whose k/g powers are returned. Every power
-    is a product of automorphisms `_propagate` found bijective with every
-    dart checked, and no alignment is propagated twice: a trivial
-    stabilizer takes one propagation per distinct prime of k, and any
-    stabilizer at most one per prime factor of k counted with multiplicity.
+    tries j = k/p, k/p^2, ... while j extends and p divides j, and keeps
+    the last automorphism found: its alignment is k/p^e, where p^e is the
+    largest power of p dividing k/g. The product of the kept automorphisms
+    has alignment g times a number prime to k/g, so it generates the
+    stabilizer, whose k/g powers are returned. Every power is a product of
+    automorphisms `_propagate` found bijective with every dart checked, and
+    no alignment is tried twice: a trivial stabilizer tries one alignment
+    per distinct prime of k, and any stabilizer at most one per prime
+    factor of k counted with multiplicity.
+
+    An alignment is tried by refuting it from the triangle counts or by
+    propagating it (``_extend``). An automorphism fixing the identity with
+    alignment j is an automorphism of the Cayley graph Cay(H, S) that
+    fixes e and sends s_i to s_(i+j), and a graph automorphism keeps the
+    number c(s) = |S & sS| of common neighbours of the adjacent e and s.
+    So when c read along the rotation is not fixed by a turn by j, no
+    automorphism has alignment j and ``_propagate`` would return None. One
+    cached lookup per connection set (``_connection_profile``) says
+    whether S generates the group, replacing ``is_connected``, and gives c
+    as a translate table, None when c is constant on S; a map then pays
+    nothing more, and a refuted alignment ends its prime's walk as a failed
+    propagation does. Only alignments at which no automorphism exists are
+    refuted, so the stabilizer is the one propagating every alignment gives.
 
     ``tables`` are skew-morphisms of m's group, in m's labels, each as its
     256-byte ``bytes.translate`` table (``perms.translate_table``), which
     the caller builds once per sweep; the caller vouches for them. One
     scan (``_seed_alignments``) keeps each psi that sends rot[i] to
     rot[(i+j) % k] for every i as the automorphism of alignment j, which
-    the walk then takes instead of propagating j. The scan packs the
-    rotation into ``bytes`` and applies each table to it in C; an element
-    of 256 or more raises ValueError rather than being truncated. That is
-    exact: the skew law gives psi(h s_i) = psi(h) psi^pi(h)(s_i) =
-    psi(h) s_(i + j pi(h)), so every Delta_h lies in S and intertwines rho,
-    which is ``_verify``'s definition, and psi is a bijection fixing 0. A
+    the walk then takes instead of trying j. The scan packs the rotation
+    into ``bytes`` and applies each table to it in C; an element of 256 or
+    more raises ValueError rather than being truncated. That is exact: the
+    skew law gives psi(h s_i) = psi(h) psi^pi(h)(s_i) = psi(h)
+    s_(i + j pi(h)), so every Delta_h lies in S and intertwines rho, which
+    is ``_verify``'s definition, and psi is a bijection fixing 0. A
     connected map has one automorphism per alignment, so psi is the one
     `_propagate` would find, and the returned list is the same with or
     without the skews.
@@ -212,20 +269,22 @@ def stabilizer_automorphisms(m: CayleyMap, tables: Sequence[bytes] = ()) -> list
     when they fill all k/g - 1 of them, the identity and the seeds are the
     whole stabilizer, one automorphism per alignment, and are returned
     without composing the kept automorphisms or taking their powers.
-    Alignments that do not extend are still propagated, whatever the seeds,
-    so g is the map's own, and an automorphism no seed realises is still
-    found by the powers.
+    Alignments that do not extend are still tried, refuted by the triangle
+    counts or propagated, whatever the seeds, so g is the map's own, and an
+    automorphism no seed realises is still found by the powers.
     """
-    if not is_connected(m):
+    connected, counts = _connection_profile(m.group, tuple(sorted(m.rotation)))
+    if not connected:
         raise DisconnectedMapError("map automorphisms need a connected map")
     k = m.valency
     known = _seed_alignments(m, tables)
+    triangles = None if counts is None else bytes(m.rotation).translate(counts)
     ident = tuple(range(m.group.order))
     g, kept = k, []
     for p in _prime_divisors(k):
         last = None
         j = k // p
-        while (found := known.get(j) or _propagate(m, m, 0, j)) is not None:
+        while (found := known.get(j) or _extend(m, j, triangles)) is not None:
             last, g = found, gcd(g, j)
             if j % p:
                 break

@@ -677,6 +677,47 @@ def test_stabilizer_strategy_detects_a_missing_skew_morphism(monkeypatch):
             verify_connected_cim(make_cyclic(7), 6, strategy="stabilizer")
 
 
+def test_least_alignment_generator_of_every_rich_stabilizer_is_listed(monkeypatch):
+    # the completeness check requires this element of each stabilizer to be
+    # a listed skew-morphism; on the complete list it is, for every class
+    # representative the stabilizer strategy sweeps, and it generates G_1
+    reps = nontrivial = unlisted = 0
+    for n, max_valency in [(n, n - 1) for n in range(7, 16)] + [(16, 8)]:
+        h = make_cyclic(n)
+        skews = set(cyclic_skew_morphisms(n))
+        for rot in swept_representatives(h, max_valency, monkeypatch):
+            stab = stabilizer_automorphisms(CayleyMap(h, rot))
+            generator = ci._stabilizer_generator(rot, stab)
+            assert generator in skews and sorted(perms._cyclic_subgroup(generator)) == stab
+            assert ci._stabilizer_listed(h, rot, stab, skews)
+            reps += 1
+            nontrivial += len(stab) > 1
+            unlisted += not skews.issuperset(stab)
+    # every representative is rich; one, the Z9 map below, has a stabilizer
+    # element that is not a skew-morphism, so the complete list lacks it
+    assert (reps, nontrivial, unlisted) == (13683, 13683, 1)
+
+
+def test_completeness_check_accepts_a_power_that_is_not_a_skew_morphism():
+    # over Z9 the stabilizer of (1, 2, 7, 5, 4, 8) has order 6, and its
+    # element of order 2 is not a skew-morphism, so the complete list lacks
+    # it; requiring every element refused that list
+    h, rot = make_cyclic(9), (1, 2, 7, 5, 4, 8)
+    skews = set(cyclic_skew_morphisms(9))
+    stab = stabilizer_automorphisms(CayleyMap(h, rot))
+    missing = [phi for phi in stab if phi not in skews]
+    assert len(stab) == 6 and missing == [(0, 5, 4, 6, 2, 1, 3, 8, 7)]
+    assert not is_skew_morphism(h, missing[0])
+    checked, failing_rot, report = ci._first_failure(h, [rot], 1, skews)
+    assert (checked, failing_rot, report.verdict) == (1, rot, False)
+    # dropping the generator of least alignment, or any other listed
+    # element, which is a skew-morphism, is still caught
+    assert ci._stabilizer_generator(rot, stab) in skews
+    for dropped in skews.intersection(stab):
+        with pytest.raises(RuntimeError, match="stabilizer enumeration is incomplete"):
+            ci._first_failure(h, [rot], 1, skews - {dropped})
+
+
 def stabilizer_outcome(h, max_valency, workers=1):
     """The stabilizer strategy's report as JSON, or the RuntimeError it raises."""
     try:
@@ -1004,6 +1045,8 @@ def test_stabilizer_sweep_builds_aut_and_searches_once_per_stabilizer(monkeypatc
 def test_automorphism_caches_are_bounded_by_their_constants():
     assert (mapiso._automorphism_group.cache_info().maxsize
             == mapiso.AUT_GROUP_CACHE_SIZE)
+    assert (mapiso._connection_profile.cache_info().maxsize
+            == mapiso.CONNECTION_PROFILE_CACHE_SIZE)
     assert (perms._regular_subgroups.cache_info().maxsize
             == perms.REGULAR_SUBGROUPS_CACHE_SIZE)
 

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from cimlab import mapiso
-from cimlab.ci import _rich_maps_cyclic
+from cimlab.ci import _rich_maps_cyclic, verify_connected_cim
 from cimlab.enumeration import cayley_classes, connection_sets, rotations_of
 from cimlab.errors import DisconnectedMapError
 from cimlab.groups import (
@@ -117,8 +117,7 @@ def test_automorphisms_match_every_alignment_propagated(h):
             continue
         for rot in rotations_of(s):
             m = make_map(h, rot)
-            k = m.valency
-            stab = sorted(p for j in range(k) if (p := _propagate(m, m, 0, j)) is not None)
+            stab = every_alignment_stabilizer(m)
             assert stabilizer_automorphisms(m) == stab
             # the relation defines an automorphism without the engine; the
             # identity preserves it, so a trivial stabilizer is skipped
@@ -160,15 +159,23 @@ def test_extending_alignments_are_the_multiples_of_the_least():
     assert any(len(prime_divisors(order)) >= 2 for order in orders)
 
 
-def propagations_per_map(monkeypatch):
-    """(valency, alignments propagated, stabilizer) for every connected map
-    of Z12 at valency <= 6 and of the five groups of order 8."""
-    calls = []
+def alignments_per_map(monkeypatch):
+    """(valency, alignments tried, alignments propagated, stabilizer) for
+    every connected map of Z12 at valency <= 6 and of the five groups of
+    order 8. A tried alignment is refuted by the triangle counts or
+    propagated."""
+    tried, propagated = [], []
+
+    def counting_extend(m, j, triangles):
+        tried.append(j)
+        return extend(m, j, triangles)
 
     def counting_propagate(m1, m2, v0, a0):
-        calls.append(a0)
+        propagated.append(a0)
         return _propagate(m1, m2, v0, a0)
 
+    extend = mapiso._extend
+    monkeypatch.setattr(mapiso, "_extend", counting_extend)
     monkeypatch.setattr(mapiso, "_propagate", counting_propagate)
     z12 = make_cyclic(12)
     groups = [(z12, 6)] + [(h, h.order - 1) for h in order8_groups()]
@@ -178,26 +185,30 @@ def propagations_per_map(monkeypatch):
                 continue
             for rot in rotations_of(s):
                 m = make_map(h, rot)
-                calls.clear()
+                tried.clear()
+                propagated.clear()
                 stab = stabilizer_automorphisms(m)
-                yield m.valency, list(calls), stab
+                yield m.valency, list(tried), list(propagated), stab
 
 
 def test_stabilizer_propagates_only_proper_divisors_of_the_valency(monkeypatch):
-    maps = 0
-    for k, calls, _ in propagations_per_map(monkeypatch):
-        assert all(0 < a < k and k % a == 0 for a in calls)
-        assert len(calls) <= sum(1 for d in range(1, k) if k % d == 0)
+    maps = refuted = 0
+    for k, tried, propagated, _ in alignments_per_map(monkeypatch):
+        assert all(0 < a < k and k % a == 0 for a in tried)
+        assert len(tried) <= sum(1 for d in range(1, k) if k % d == 0)
+        # every propagation is a tried alignment the triangle counts let through
+        assert set(propagated) <= set(tried) and len(propagated) == len(set(propagated))
+        refuted += len(tried) - len(propagated)
         maps += 1
-    assert maps > 1000
+    assert maps > 1000 and refuted > 1000
 
 
 def test_stabilizer_walks_prime_powers_without_repeats(monkeypatch):
     trivial = 0
-    for k, calls, stab in propagations_per_map(monkeypatch):
-        assert len(calls) == len(set(calls))
+    for k, tried, _, stab in alignments_per_map(monkeypatch):
+        assert len(tried) == len(set(tried))
         if len(stab) == 1:
-            assert sorted(calls) == sorted(k // p for p in prime_divisors(k))
+            assert sorted(tried) == sorted(k // p for p in prime_divisors(k))
             trivial += 1
     assert trivial > 1000
 
@@ -298,25 +309,34 @@ def seeded_corpus():
 
 def test_seeded_stabilizer_equals_the_propagated_one(monkeypatch):
     # a skew-morphism that rotates S by j is the automorphism of alignment
-    # j, so the walk takes it instead of propagating j; the list must come
-    # out the same, and each such skew must preserve the map's relation,
-    # which defines an automorphism without the propagation engine
-    calls = []
+    # j, so the walk takes it instead of trying j; the list must come out
+    # the same, and each such skew must preserve the map's relation, which
+    # defines an automorphism without the propagation engine. A tried
+    # alignment is refuted by the triangle counts or propagated
+    tried, propagated = [], []
+
+    def counting_extend(m, j, triangles):
+        tried.append(j)
+        return extend(m, j, triangles)
 
     def counting_propagate(m1, m2, v0, a0):
-        calls.append(a0)
+        propagated.append(a0)
         return _propagate(m1, m2, v0, a0)
 
+    extend = mapiso._extend
+    monkeypatch.setattr(mapiso, "_extend", counting_extend)
     monkeypatch.setattr(mapiso, "_propagate", counting_propagate)
-    maps = propagated = served = rotating = 0
+    maps = tries = served = rotating = refuted = 0
     for m, seeds, tables in seeded_corpus():
-        calls.clear()
+        tried.clear()
         plain = stabilizer_automorphisms(m)
-        unseeded = len(calls)
-        calls.clear()
+        unseeded = len(tried)
+        tried.clear()
+        propagated.clear()
         assert stabilizer_automorphisms(m, tables) == plain
-        propagated += len(calls)
-        served += unseeded - len(calls)
+        tries += len(tried)
+        served += unseeded - len(tried)
+        refuted += len(tried) - len(propagated)
         rot, relation = m.rotation, None
         turns = {rot[j:] + rot[:j] for j in range(1, len(rot))}
         for psi in seeds:
@@ -325,9 +345,10 @@ def test_seeded_stabilizer_equals_the_propagated_one(monkeypatch):
                 assert psi in plain and preserves_relation(relation, psi)
                 rotating += 1
         maps += 1
-    # alignments the seeds served, alignments still propagated, and the
-    # skews that rotate some map's S
-    assert (maps, served, propagated, rotating) == (30080, 30306, 41433, 31406)
+    # alignments the seeds served, alignments still tried, the skews that
+    # rotate some map's S, and the tried alignments the triangle counts
+    # refuted rather than propagated
+    assert (maps, served, tries, rotating, refuted) == (30080, 30306, 41433, 31406, 15938)
 
 
 def assembly_cases():
@@ -373,6 +394,94 @@ def test_seed_assembled_stabilizer_equals_the_composed_one(monkeypatch):
     # not a skew-morphism, so no seed realises its alignment
     assert paths == {("canonical", "assembled"): 9169, ("canonical", "composed"): 4,
                      ("relabelled", "composed"): 1688}
+
+
+def every_alignment_stabilizer(m):
+    """The identity-vertex stabilizer of a connected map with every
+    alignment propagated and nothing refuted or seeded: a frozen oracle for
+    the triangle-count sieve."""
+    return sorted(p for j in range(m.valency) if (p := _propagate(m, m, 0, j)) is not None)
+
+
+def sieve_cases():
+    """Every connected map of Z7-Z12 up to valency 6, of the five groups of
+    order 8 at full valency, of Z3^2 and Z2^4 up to valency 4, and of Z11
+    up to valency 6 relabelled with seeds 1 and 2."""
+    groups = ([(make_cyclic(n), 6) for n in range(7, 13)]
+              + [(h, h.order - 1) for h in order8_groups()]
+              + [(make_abelian([3, 3]), 4), (make_abelian([2, 2, 2, 2]), 4)]
+              + [(relabelled(make_cyclic(11), seed)[0], 6) for seed in (1, 2)])
+    for h, max_valency in groups:
+        for s in connection_sets(h, max_valency):
+            if len(closure_of(h, s)) == h.order:
+                for rot in rotations_of(s):
+                    yield make_map(h, rot)
+
+
+def test_sieved_stabilizer_equals_every_alignment_propagated():
+    maps = nontrivial = 0
+    for m in sieve_cases():
+        stab = stabilizer_automorphisms(m)
+        assert stab == every_alignment_stabilizer(m)
+        maps += 1
+        nontrivial += len(stab) > 1
+    assert (maps, nontrivial) == (19035, 6183)
+
+
+def test_triangle_counts_refute_only_alignments_that_do_not_extend():
+    # at every alignment, not only those the walk tries: a refuted one
+    # never extends, and one let through is propagated
+    maps = refuted = 0
+    for m in sieve_cases():
+        connected, table = mapiso._connection_profile(m.group, tuple(sorted(m.rotation)))
+        assert connected
+        triangles = None if table is None else bytes(m.rotation).translate(table)
+        for j in range(1, m.valency):
+            images = _propagate(m, m, 0, j)
+            assert mapiso._extend(m, j, triangles) == images
+            refuted += triangles is not None and triangles != triangles[j:] + triangles[:j]
+        maps += 1
+    assert (maps, refuted) == (19035, 33600)
+
+
+def test_full_valency_connection_sets_refute_nothing():
+    # the Cayley graph of a full-valency set is complete, so every s has
+    # n - 2 common neighbours with the identity and no table is built
+    for n in range(7, 14):
+        h = make_cyclic(n)
+        assert mapiso._connection_profile(h, tuple(range(1, n))) == (True, None)
+    # the set decides connectivity, and counts common neighbours: 1 shares
+    # 2 and 7 with the identity, 7 shares 1 and 6, and 2 and 6 share one each
+    z8 = make_cyclic(8)
+    assert mapiso._connection_profile(z8, (2, 6)) == (False, None)
+    connected, table = mapiso._connection_profile(z8, (1, 2, 6, 7))
+    assert connected and bytes((1, 2, 6, 7)).translate(table) == bytes((2, 1, 1, 2))
+
+
+def test_groups_beyond_a_translate_table_propagate_every_tried_alignment():
+    # the same set over Z300 has the same uneven counts, but its elements
+    # do not fit a 256-byte table, so nothing is refuted and the walk
+    # propagates as it did before the sieve
+    h = make_cyclic(300)
+    assert mapiso._connection_profile(h, (1, 2, 298, 299)) == (True, None)
+    for rot in [(1, 2, 298, 299), (1, 298, 299, 2), (1, 299, 2, 298)]:
+        m = make_map(h, rot)
+        assert stabilizer_automorphisms(m) == every_alignment_stabilizer(m)
+
+
+def test_exhaustive_z11_sweep_propagates_few_alignments(monkeypatch):
+    # 26,120 of the 26,465 maps have a trivial stabilizer; propagating one
+    # alignment per distinct prime of the valency took 27,925 propagations
+    calls = []
+
+    def counting_propagate(m1, m2, v0, a0):
+        calls.append(a0)
+        return _propagate(m1, m2, v0, a0)
+
+    monkeypatch.setattr(mapiso, "_propagate", counting_propagate)
+    report = verify_connected_cim(make_cyclic(11), 8, strategy="exhaustive")
+    assert report.verdict and report.stats["maps_checked"] == 26465
+    assert len(calls) <= 4000
 
 
 def frozen_seed_scan(rot, skews):
