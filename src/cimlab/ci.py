@@ -36,14 +36,10 @@ realises an alignment of. The exhaustive
 strategy gets the trivial-stabilizer shortcut from
 ``regular_subgroups_isomorphic_to``, which returns a group of order |H|
 without an isomorphism test exactly when its elements equal those of
-the left-regular copy of H. A second
-shortcut, for every H, reads Aut(M)'s generators and order alone: when
-the translations are normal in Aut(M) with index prime to |H|, they are
-the only regular subgroup of order |H|, and Aut(M)'s elements are never
-listed. Otherwise cyclic H is searched one |H|-cycle at a time, and
-other H by point cosets: from a subgroup K whose non-identity elements
-fix no point it adjoins only the elements sending 0 to the least point
-outside K's orbit of 0, refusing each closure at its first fixed point.
+the left-regular copy of H. Every larger Aut(M) is searched by point
+cosets: from a subgroup K whose non-identity elements fix no point it
+adjoins only the elements sending 0 to the least point outside K's
+orbit of 0, refusing each closure at its first fixed point.
 A regular subgroup has exactly one element sending 0 to each point, so
 it is reached by exactly one path. Each subgroup found keeps the
 generators the earlier breadth-first search gave it, which the
@@ -386,8 +382,9 @@ def _babai_task(
 ) -> tuple[Optional[CiReport], tuple[Perm, ...]]:
     """One map's verdict, decided through its identity component (a
     connected map is its own), and that component's identity-vertex
-    stabilizer, from a single stabilizer computation that Aut is built on;
-    Aut's elements are listed only if the verdict reads them. The sweeps
+    stabilizer, from a single stabilizer computation that Aut is built on.
+    Aut comes from a cache keyed by the stabilizer, so the maps that share
+    one share its listing and its regular-subgroup search. The sweeps
     pass only enumerated rotations, valid and in canonical phase, so none
     is validated again. ``seeds`` are the translate tables of checked
     skew-morphisms of h, handed to the stabilizer search only when the

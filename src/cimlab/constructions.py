@@ -318,7 +318,7 @@ def frobenius_map(
     return WitnessedMap(
         map=m,
         ambient=ambient,
-        rival=PermutationGroup.listed(n, rival_elems, _search_generators(rival_elems)),
+        rival=PermutationGroup(n, _search_generators(rival_elems), rival_elems),
         notes=(
             f"frobenius-style witness over {h.name}: rotation squares to "
             "conjugation by the complement generator"

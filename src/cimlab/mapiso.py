@@ -44,6 +44,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from math import gcd
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .errors import CapacityError, DisconnectedMapError
@@ -305,13 +306,14 @@ def map_automorphism_group(m: CayleyMap, stabilizer: Optional[Sequence[Perm]] = 
     With a trivial stabilizer that is the left-regular copy of the group.
     Otherwise the product H^ G_1 has order |H| |G_1|, since H^ is regular;
     its generators are the translations and the stabilizer, and its
-    elements are listed only when read. ``stabilizer`` is
-    ``stabilizer_automorphisms(m)`` when the caller already has it.
+    elements are the products, listed when the group is built.
+    ``stabilizer`` is ``stabilizer_automorphisms(m)`` when the caller
+    already has it.
 
     The group is a function of m's group and the stabilizer alone, so it
     is built once per such pair and shared (``_automorphism_group``): maps
-    with one stabilizer get the same object, elements listed at most once,
-    and ``regular_subgroups_isomorphic_to`` searches it at most once.
+    with one stabilizer get the same object, listed once, and
+    ``regular_subgroups_isomorphic_to`` searches it at most once.
     """
     stab = stabilizer_automorphisms(m) if stabilizer is None else stabilizer
     return _automorphism_group(m.group, tuple(stab))
@@ -320,14 +322,19 @@ def map_automorphism_group(m: CayleyMap, stabilizer: Optional[Sequence[Perm]] = 
 @functools.lru_cache(maxsize=AUT_GROUP_CACHE_SIZE)
 def _automorphism_group(h: FiniteGroup, stab: tuple[Perm, ...]) -> PermutationGroup:
     """H^ G_1 from the group and the stabilizer's elements; cached, and safe
-    to share because ``PermutationGroup`` is frozen."""
+    to share because ``PermutationGroup`` is frozen. Raises RuntimeError
+    unless the products are |H| |G_1| distinct permutations."""
     if len(stab) == 1:
         return left_regular_representation(h)
     table = h.table
     n = h.order
+    # itemgetter(*phi) reads a translation's row at phi's images: row after phi
+    after = [itemgetter(*phi) for phi in stab]
+    elements = {f(row) for row in table for f in after}
+    if len(elements) != n * len(stab):
+        raise RuntimeError(f"H^ G_1 has {len(elements)} distinct products, not {n * len(stab)}")
     gens = [tuple(table[x]) for x in range(1, n)] + [p for p in stab if p != tuple(range(n))]
-    return PermutationGroup(n, tuple(gens), n * len(stab), lambda: (
-        tuple(row[x] for x in phi) for row in table for phi in stab))
+    return PermutationGroup(n, tuple(gens), tuple(sorted(elements)))
 
 
 def map_isomorphisms(m1: CayleyMap, m2: CayleyMap) -> list[MapMorphism]:

@@ -2,20 +2,18 @@
 
 Permutations are image tuples: ``p[i]`` is the image of point ``i``.
 Composition is function composition, ``compose(p, q)(x) == p[q[x]]``.
-A group keeps its degree, generators and order as values and lists its
-sorted elements on first read; the sizes in play here (degree <= ~64,
-order <= ~20000) make that exact and fast enough. So a group whose order
-is known from its structure, such as the automorphism group of a map, can
-be handed over and searched from its generators without being listed.
+A group holds its degree, generators and sorted elements as values, and
+its order is the number of elements; the sizes in play here (degree <=
+~64, order <= ~20000) make listing every group exact and fast enough.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import lcm
 from operator import eq
-from typing import AbstractSet, Callable, Iterable, Optional, Sequence
+from typing import AbstractSet, Iterable, Optional, Sequence
 
 from .errors import CapacityError
 from .groups import FiniteGroup, is_isomorphic
@@ -93,30 +91,16 @@ def is_permutation(images: Sequence[int], degree: int) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class PermutationGroup:
-    """A permutation group: degree, generators and order are values.
-
-    ``listing`` returns the elements in any order; ``elements`` sorts them
-    on first read, checks that there are ``order`` of them, and keeps them.
-    """
+    """A permutation group: degree, generators and its distinct elements in
+    sorted order are values, and the order is the number of elements."""
 
     degree: int
     generators: tuple[Perm, ...]
-    order: int
-    listing: Callable[[], Iterable[Perm]]
+    elements: tuple[Perm, ...]
 
-    @classmethod
-    def listed(cls, degree: int, elements: tuple[Perm, ...],
-               generators: Iterable[Perm]) -> "PermutationGroup":
-        """A group whose distinct elements are already at hand."""
-        return cls(degree, tuple(generators), len(elements), lambda: elements)
-
-    @functools.cached_property
-    def elements(self) -> tuple[Perm, ...]:
-        """The elements in sorted order, listed on first read and kept."""
-        elems = tuple(sorted(self.listing()))
-        if len(elems) != self.order:
-            raise RuntimeError(f"listed {len(elems)} elements for a group of order {self.order}")
-        return elems
+    @property
+    def order(self) -> int:
+        return len(self.elements)
 
     @functools.cached_property
     def _element_set(self) -> frozenset[Perm]:
@@ -161,7 +145,7 @@ def closure(gens: Sequence[Perm], cap: int = DEFAULT_GROUP_CAP) -> PermutationGr
                     elems.add(q)
                     nxt.append(q)
         frontier = nxt
-    return PermutationGroup.listed(degree, tuple(sorted(elems)), gens)
+    return PermutationGroup(degree, tuple(gens), tuple(sorted(elems)))
 
 
 @functools.lru_cache(maxsize=REGULAR_REP_CACHE_SIZE)
@@ -172,31 +156,21 @@ def left_regular_representation(h: FiniteGroup) -> PermutationGroup:
     ``PermutationGroup`` is frozen. Row a of the table is the translation
     sending the identity to a, so the rows are already in sorted order.
     """
-    return PermutationGroup.listed(h.order, h.table, h.table[1:] or h.table)
+    return PermutationGroup(h.order, h.table[1:] or h.table, h.table)
 
 
 @functools.lru_cache(maxsize=REGULAR_REP_CACHE_SIZE)
 def _translations(h: FiniteGroup) -> PermutationGroup:
     """The left translations of h with the generators the search gives
-    them (``_search_generators``). Cached per group, beside
-    ``left_regular_representation``. The normal-translations shortcut
-    looks for these generators among g's, and the search returns this
-    copy whenever it finds the translations.
-
-    The search generators are one permutation, the least |h|-cycle,
-    exactly when h is cyclic: a translation by a has every cycle of
-    length o(a), so it is an |h|-cycle exactly when a generates h.
+    them (``_search_generators``); the search returns this copy whenever
+    it finds the translations. Cached per group, beside
+    ``left_regular_representation``, because finding those generators can
+    cost seconds (the elementary abelian group of order 64) and must not be
+    paid once per searched group. For cyclic h they are one permutation,
+    the least |h|-cycle.
     """
     hhat = left_regular_representation(h)
-    return PermutationGroup.listed(h.order, hhat.elements, _search_generators(hhat.elements))
-
-
-def _orbit_length_of_0(p: Perm) -> int:
-    j, length = p[0], 1
-    while j:
-        j = p[j]
-        length += 1
-    return length
+    return PermutationGroup(h.order, _search_generators(hhat.elements), hhat.elements)
 
 
 def orbit_of(g: PermutationGroup, point: int) -> frozenset[int]:
@@ -224,7 +198,7 @@ def is_regular(g: PermutationGroup) -> bool:
 
 def point_stabilizer(g: PermutationGroup, point: int) -> PermutationGroup:
     elems = tuple(p for p in g.elements if p[point] == point)
-    return PermutationGroup.listed(g.degree, elems, elems)
+    return PermutationGroup(g.degree, elems, elems)
 
 
 def is_cyclic_permgroup(g: PermutationGroup) -> bool:
@@ -259,26 +233,11 @@ def regular_subgroups_isomorphic_to(g: PermutationGroup, h: FiniteGroup) -> list
     A regular subgroup has order equal to the degree, and none of its
     non-identity elements fixes a point.
 
-    Let H^ be the left-regular copy of h with the generators the search
-    gives it (``_translations``). When each of those is one of g's
-    generators, every generator of g conjugates each of them into H^, and
-    |g|/n is prime to n, H^ is the only such subgroup and is returned
-    without listing g: H^ lies in g and is normal in it, and a normal
-    subgroup N of order n and index prime to n contains every subgroup R
-    of order n, because RN/N has order dividing both |R| = n and |g:N|.
-
-    Any other g is searched. For cyclic h, a cyclic group of degree n is
-    regular exactly when a generator is an n-cycle, that is, when the
-    orbit of point 0 under it has length n. The search walks g's elements
-    in sorted order, skips those that lie in a subgroup already found, and
-    builds <p> once for each n-cycle p left; p is then the least n-cycle
-    of <p> and its generator, as it is for H^.
-
-    Otherwise the search runs depth first over the semiregular subgroups
-    K of g, those whose non-identity elements fix no point. The orbit of 0
-    under such a K has |K| points, so |K| divides n. From K the search
-    adjoins only the elements that send 0 to a, the least point outside
-    that orbit. Each closure is grown coset by coset from the generators
+    A g of order n is its own only candidate. A larger g is searched depth
+    first over its semiregular subgroups K, those whose non-identity
+    elements fix no point. The orbit of 0 under such a K has |K| points,
+    so |K| divides n. From K the search adjoins only the elements that
+    send 0 to a, the least point outside that orbit. Each closure is grown coset by coset from the generators
     adjoined so far, and is abandoned at its first new element that fixes
     a point, or once it exceeds n elements; a closure of n elements is
     regular. A regular R has exactly one element sending 0 to each point,
@@ -292,7 +251,8 @@ def regular_subgroups_isomorphic_to(g: PermutationGroup, h: FiniteGroup) -> list
     generators that reached each subgroup. On its way to R it passes only
     through subgroups of R, whose non-identity elements are all
     candidates, so it gives R what the same search over R's own sorted
-    elements gives (``_search_generators``). When R is H^, it is
+    elements gives (``_search_generators``); a cyclic R gets its least
+    generator, an n-cycle. When R is H^, the left translations, it is
     isomorphic to h by Cayley's theorem, and is taken with those
     generators from the per-group cache.
 
@@ -325,41 +285,28 @@ def _regular_subgroups(g: PermutationGroup, h: FiniteGroup) -> tuple[Permutation
         return ()
 
     translations = _translations(h)
-    if (all(t in g.generators for t in translations.generators) and gcd(g.order // n, n) == 1
-            and _normalizes(g.generators, translations.generators, h.table)):
-        return (translations,)
-
     found = []
-    if len(translations.generators) == 1:
-        covered: set[Perm] = set()
-        for p in g.elements:
-            if p in covered or _orbit_length_of_0(p) != n:
+    sending_0_to: list[list[Perm]] = [[] for _ in range(n)]
+    for p in g.elements:
+        sending_0_to[p[0]].append(p)
+    stack: list[tuple[AbstractSet[Perm], tuple[Perm, ...]]] = [({identity_perm(n)}, ())]
+    while stack:
+        members, gens = stack.pop()
+        reached = {p[0] for p in members}
+        a = next(x for x in range(n) if x not in reached)
+        for p in sending_0_to[a]:
+            new_gens = gens + (p,)
+            grown = _grow_closure(members, new_gens, n)
+            if grown is None:
                 continue
-            sub = _cyclic_subgroup(p)
-            covered.update(sub)
-            found.append(PermutationGroup.listed(n, tuple(sorted(sub)), (p,)))
-    else:
-        sending_0_to: list[list[Perm]] = [[] for _ in range(n)]
-        for p in g.elements:
-            sending_0_to[p[0]].append(p)
-        stack: list[tuple[AbstractSet[Perm], tuple[Perm, ...]]] = [({identity_perm(n)}, ())]
-        while stack:
-            members, gens = stack.pop()
-            reached = {p[0] for p in members}
-            a = next(x for x in range(n) if x not in reached)
-            for p in sending_0_to[a]:
-                new_gens = gens + (p,)
-                grown = _grow_closure(members, new_gens, n)
-                if grown is None:
-                    continue
-                if len(grown) < n:
-                    stack.append((grown, new_gens))
-                    continue
-                elements = tuple(sorted(grown))
-                if elements == translations.elements:
-                    found.append(translations)
-                elif _perm_group_isomorphic(PermutationGroup.listed(n, elements, ()), h):
-                    found.append(PermutationGroup.listed(n, elements, _search_generators(elements)))
+            if len(grown) < n:
+                stack.append((grown, new_gens))
+                continue
+            elements = tuple(sorted(grown))
+            if elements == translations.elements:
+                found.append(translations)
+            elif _perm_group_isomorphic(PermutationGroup(n, (), elements), h):
+                found.append(PermutationGroup(n, _search_generators(elements), elements))
     found.sort(key=lambda sub: sub.elements)
     return tuple(found)
 
@@ -393,23 +340,6 @@ def _search_generators(elements: tuple[Perm, ...]) -> tuple[Perm, ...]:
                     nxt.append((grown, new_gens))
         frontier = nxt
     return elements
-
-
-def _normalizes(gens: Sequence[Perm], ts: Sequence[Perm], rows: Sequence[Perm]) -> bool:
-    """Whether every permutation in gens conjugates each of ts to one of the
-    left translations ``rows``, where row a is the translation sending 0
-    to a; for ts generating the translations, that is whether <gens>
-    normalizes them."""
-    for gamma in gens:
-        if rows[gamma[0]] == gamma:
-            continue  # a translation normalizes the translations
-        for t in ts:
-            conj = [0] * len(t)
-            for x, y in zip(gamma, t):
-                conj[x] = gamma[y]  # gamma t gamma^-1 sends gamma(x) to gamma(t(x))
-            if rows[conj[0]] != tuple(conj):
-                return False
-    return True
 
 
 def _cyclic_subgroup(p: Perm) -> list[Perm]:
@@ -490,5 +420,5 @@ def are_conjugate_subgroups(
 def conjugate_subgroup(sub: PermutationGroup, x: Perm) -> PermutationGroup:
     x_inv = inverse_perm(x)
     elems = tuple(sorted(tuple(x[p[y]] for y in x_inv) for p in sub.elements))
-    gens = (tuple(x[p[y]] for y in x_inv) for p in sub.generators)
-    return PermutationGroup.listed(sub.degree, elems, gens)
+    gens = tuple(tuple(x[p[y]] for y in x_inv) for p in sub.generators)
+    return PermutationGroup(sub.degree, gens, elems)

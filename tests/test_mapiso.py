@@ -99,12 +99,23 @@ def test_aut_requires_connected(z8):
         map_automorphism_group(make_map(z8, (2, 6)))
 
 
+def test_automorphism_group_refuses_products_that_repeat(z8):
+    # H^ G_1 must be |H| |G_1| distinct products: a stabilizer element listed
+    # twice, or a translation posing as one, repeats some
+    stab = tuple(stabilizer_automorphisms(make_map(z8, (1, 3, 5, 7))))
+    assert len(stab) == 4
+    with pytest.raises(RuntimeError, match="32 distinct products, not 40"):
+        mapiso._automorphism_group(z8, stab + stab[-1:])
+    with pytest.raises(RuntimeError, match="8 distinct products, not 16"):
+        mapiso._automorphism_group(z8, (tuple(range(8)), tuple((x + 1) % 8 for x in range(8))))
+
+
 def explicit_automorphism_group(m, stab):
     # Aut(M) = translations times the stabilizer, built element by element
     table, n = m.group.table, m.group.order
     elems = [tuple(table[h][x] for x in phi) for h in range(n) for phi in stab]
     gens = [tuple(table[h]) for h in range(1, n)] + [p for p in stab if p != tuple(range(n))]
-    return PermutationGroup.listed(n, tuple(sorted(set(elems))), gens)
+    return PermutationGroup(n, tuple(gens), tuple(sorted(set(elems))))
 
 
 @pytest.mark.parametrize("h", order8_groups() + [make_cyclic(9), make_cyclic(10)],

@@ -3,7 +3,7 @@ from math import gcd
 
 import pytest
 
-from cimlab import mapiso, perms
+from cimlab import ci, mapiso, perms
 from cimlab.errors import CapacityError
 from cimlab.groups import is_cyclic_group, make_abelian, make_cyclic, make_generalized_quaternion
 from cimlab.perms import (
@@ -91,7 +91,7 @@ def regular_subgroups_by_fpf_growth(g, h):
         for p in fpf:
             if perm_order(p) == n:
                 found.setdefault(closure([p]).elements, p)
-        return [perms.PermutationGroup.listed(n, key, (found[key],)) for key in sorted(found)]
+        return [perms.PermutationGroup(n, (found[key],), key) for key in sorted(found)]
 
     def grow(members, p):
         elems, frontier, gens = set(members) | {p}, [p], list(members) + [p]
@@ -127,7 +127,7 @@ def regular_subgroups_by_fpf_growth(g, h):
                     continue
                 seen.add(key)
                 if len(grown) == n:
-                    sub = perms.PermutationGroup.listed(n, tuple(sorted(grown)), gens + (p,))
+                    sub = perms.PermutationGroup(n, gens + (p,), tuple(sorted(grown)))
                     if perms._perm_group_isomorphic(sub, h):
                         results[sub.elements] = sub
                 else:
@@ -349,7 +349,7 @@ def test_cyclic_search_needs_an_n_cycle():
 
 def fresh_automorphism_group(m):
     """Aut(m) built anew, not taken from the cache that hands every map with
-    one stabilizer the same group, so that each map's group starts unlisted."""
+    one stabilizer the same group, so that each map's search runs afresh."""
     return mapiso._automorphism_group.__wrapped__(m.group, tuple(stabilizer_automorphisms(m)))
 
 
@@ -425,7 +425,7 @@ def regular_subgroups_breadth_first(g, h):
                 if len(grown) < n:
                     nxt.append((key, gens + (p,)))
                     continue
-                sub = perms.PermutationGroup.listed(n, tuple(sorted(grown)), gens + (p,))
+                sub = perms.PermutationGroup(n, gens + (p,), tuple(sorted(grown)))
                 if perms._perm_group_isomorphic(sub, h):
                     results[sub.elements] = sub.generators
         frontier = nxt
@@ -453,20 +453,16 @@ def normal_translations_of_coprime_index(g, h):
     ("abelian:3,3", 8, 228, 204),
 ], ids=["z2z6", "d6", "z3z4", "z2z2z2", "q8", "z3z3"])
 def test_search_matches_the_breadth_first_search(spec, max_valency, nontrivial, settled):
-    # the maps with a nontrivial stabilizer; where H^ is normal of index prime
-    # to |h|, the search returns it without listing Aut(M), and otherwise it
-    # lists Aut(M)
+    # the maps with a nontrivial stabilizer, and those among them where H^ is
+    # normal of index prime to |h|, which the search treats like the others
     h = parse_group_spec(spec)
     counts = [0, 0]
     for g in connected_map_automorphism_groups(h, max_valency):
         if g.order == h.order:
             continue
-        shortcut = normal_translations_of_coprime_index(g, h)
-        found = searched(g, h)
-        assert ("elements" not in vars(g)) == shortcut
         counts[0] += 1
-        counts[1] += shortcut
-        assert found == regular_subgroups_breadth_first(g, h)
+        counts[1] += normal_translations_of_coprime_index(g, h)
+        assert searched(g, h) == regular_subgroups_breadth_first(g, h)
     assert counts == [nontrivial, settled]
 
 
@@ -482,18 +478,6 @@ def test_search_finds_the_normal_klein_group_alone_in_sym4():
         ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))]
     assert found == [(left_regular_representation(v4).elements,
                       perms._translations(v4).generators)]
-
-
-def test_cyclic_search_builds_each_subgroup_once(monkeypatch):
-    built = []
-    cyclic_subgroup = perms._cyclic_subgroup
-    monkeypatch.setattr(perms, "_cyclic_subgroup",
-                        lambda p: built.append(p) or cyclic_subgroup(p))
-    z8 = make_cyclic(8)
-    g = map_automorphism_group(make_map(z8, (1, 3, 5, 7)))
-    regs = regular_subgroups_isomorphic_to(g, z8)
-    assert len(regs) >= 2
-    assert sorted(built) == sorted(r.generators[0] for r in regs)
 
 
 def right_regular_representation(h):
@@ -567,22 +551,7 @@ def test_element_set_is_built_once_and_lazily():
     assert eight_cycle() in g
 
 
-def test_elements_are_listed_once_and_lazily():
-    listings = []
-    g = perms.PermutationGroup(3, ((1, 2, 0),), 3,
-                               lambda: listings.append(1) or [(2, 0, 1), (0, 1, 2), (1, 2, 0)])
-    assert "elements" not in vars(g) and g.order == 3 and not listings
-    assert g.elements == ((0, 1, 2), (1, 2, 0), (2, 0, 1))
-    assert g.elements is g.elements and listings == [1]
-
-
-def test_a_listing_that_misses_the_order_is_refused():
-    g = perms.PermutationGroup(3, ((1, 2, 0),), 3, lambda: [(0, 1, 2), (1, 2, 0)])
-    with pytest.raises(RuntimeError, match="listed 2 elements for a group of order 3"):
-        g.elements
-
-
-# --------------------------------------------- cyclic search and its shortcut
+# ------------------------------------------ cyclic search against the walk
 
 def test_cycles_of_leads_each_cycle_with_its_minimum_in_ascending_order():
     # ci._full_cycle_roots relies on this order to phase its rotations
@@ -595,9 +564,10 @@ def test_cycles_of_leads_each_cycle_with_its_minimum_in_ascending_order():
 
 
 def cyclic_search_by_walk(g, n):
-    """The cyclic branch of ``regular_subgroups_isomorphic_to`` as it stood
-    before the normal-subgroup shortcut, as (elements, generators) pairs;
-    oracle for the shortcut."""
+    """The cyclic branch ``regular_subgroups_isomorphic_to`` had before the
+    search by point cosets took over cyclic h, as (elements, generators)
+    pairs: one cyclic group per n-cycle, in sorted order. Oracle for that
+    search on cyclic h."""
     covered, found = set(), []
     for p in g.elements:
         if p in covered:
@@ -619,10 +589,10 @@ def searched(g, h):
 
 
 @pytest.mark.parametrize("n, max_valency, classes", [(11, 10, 79), (13, 12, 640), (15, 12, 5350)])
-def test_normal_subgroup_shortcut_agrees_with_the_walk(n, max_valency, classes):
+def test_search_agrees_with_the_walk_on_rich_cyclic_maps(n, max_valency, classes):
     # every rich class representative here has H^ normal in Aut(M) with index
-    # prime to n, so the search leaves Aut(M) unlisted; listed afterwards, its
-    # elements are the sorted product of the translations and the stabilizer
+    # prime to n; Aut(M)'s elements are the sorted product of the translations
+    # and the stabilizer
     h = make_cyclic(n)
     rich, _ = _rich_maps_cyclic(h, max_valency)
     reps = [rot for rot, orbit in cayley_classes(h, rich, mirror=True) if min(orbit) == rot]
@@ -630,12 +600,31 @@ def test_normal_subgroup_shortcut_agrees_with_the_walk(n, max_valency, classes):
     for rot in reps:
         m = CayleyMap(h, tuple(rot))
         aut = fresh_automorphism_group(m)
-        found = searched(aut, h)
-        assert "elements" not in vars(aut)
-        assert found == cyclic_search_by_walk(aut, n)
+        assert searched(aut, h) == cyclic_search_by_walk(aut, n)
         stab = stabilizer_automorphisms(m)
         assert aut.elements == tuple(sorted(
             tuple(h.table[x][y] for y in phi) for x in range(n) for phi in stab))
+
+
+def test_search_agrees_with_the_walk_on_z16_rivals(monkeypatch):
+    # up to valency 8 the multipliers x -> ux seed the same 2,432 rich
+    # rotations as Z16's 20 skew-morphisms, whose list takes seconds to
+    # build; here H^ need not be normal, and some rivals are not conjugate
+    h = make_cyclic(16)
+    hhat = left_regular_representation(h)
+    monkeypatch.setattr(ci, "cyclic_skew_morphisms",
+                        lambda n: [mult_perm(n, u) for u in range(1, n, 2)])
+    rich, _ = _rich_maps_cyclic(h, 8)
+    reps = [rot for rot, orbit in cayley_classes(h, rich, mirror=True) if min(orbit) == rot]
+    assert (len(rich), len(reps)) == (2432, 320)
+    several = rivals = 0
+    for rot in reps:
+        aut = fresh_automorphism_group(CayleyMap(h, tuple(rot)))
+        regs = regular_subgroups_isomorphic_to(aut, h)
+        assert [(r.elements, r.generators) for r in regs] == cyclic_search_by_walk(aut, 16)
+        several += len(regs) > 1
+        rivals += any(are_conjugate_subgroups(aut, r, hhat) is None for r in regs)
+    assert (several, rivals) == (11, 7)
 
 
 def with_translations(h, *extra):
@@ -662,13 +651,12 @@ def test_search_walks_groups_the_shortcut_cannot_settle(n, build, count):
 
 
 def test_shortcut_settles_a_normal_translation_group_of_prime_index():
-    # AGL(1, 5) = H^ x| Z4: H^ is normal of index 4, prime to 5
+    # AGL(1, 5) = H^ x| Z4: H^ is normal of index 4, prime to 5, so it is the
+    # only regular subgroup of order 5
     z5 = make_cyclic(5)
     g = with_translations(z5, mult_perm(5, 2))
     assert g.order == 20
-    found = searched(g, z5)
-    assert "elements" not in vars(g)
-    assert found == cyclic_search_by_walk(g, 5) == [
+    assert searched(g, z5) == cyclic_search_by_walk(g, 5) == [
         (left_regular_representation(z5).elements, ((1, 2, 3, 4, 0),))]
 
 
