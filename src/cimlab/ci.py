@@ -32,20 +32,18 @@ per seed per sweep). Packing or tabling an element of
 caps |H| at 64, so no reachable input does. On a relabelled or
 product-labelled cyclic group most canonical skews fail the skew check
 and are not seeded, so a seed is always an automorphism of the map it
-realises an alignment of. The exhaustive
-strategy gets the trivial-stabilizer shortcut from
-``regular_subgroups_isomorphic_to``, which returns a group of order |H|
-without an isomorphism test exactly when its elements equal those of
-the left-regular copy of H. Every larger Aut(M) is searched by point
-cosets: from a subgroup K whose non-identity elements fix no point it
-adjoins only the elements sending 0 to the least point outside K's
-orbit of 0, refusing each closure at its first fixed point.
-A regular subgroup has exactly one element sending 0 to each point, so
-it is reached by exactly one path. Each subgroup found keeps the
-generators the earlier breadth-first search gave it, which the
-witnesses print, and the left translations skip the isomorphism test.
-Both strategies are cross-checked against each other by the
-test suite on every group small enough to run both.
+realises an alignment of. Every Aut(M)
+is searched by point cosets by ``regular_subgroups_isomorphic_to``: from
+a subgroup K whose non-identity elements fix no point it adjoins only the
+elements sending 0 to the least point outside K's orbit of 0, refusing
+each closure at its first fixed point. A regular subgroup has exactly
+one element sending 0 to each point, so it is reached by exactly one
+path. The left translations are handed back as the cached left-regular
+copy of H without an isomorphism test; a trivial stabilizer's Aut(M) is
+that copy, and its search finds only it. Each other subgroup found keeps
+the generators the earlier breadth-first search gave it, which the
+witnesses print. Both strategies are cross-checked against each other by
+the test suite on every group small enough to run both.
 
 Aut(M) is the left translations times the identity-vertex stabilizer G_1
 (Jajcay and Siran 2002), so Babai's verdict depends on a connected map
@@ -97,7 +95,7 @@ from .groups import (
 from .maps import (
     CayleyMap,
     _component_group,
-    _generated_subgroup,
+    _connection_profile,
     identity_component,
     is_connected,
     is_skew_morphism,
@@ -630,7 +628,7 @@ def verify_cim_group(
     report.method += "+disconnected-reduction"
     if report.verdict:
         disconnected = [(s, k) for s in connection_sets(h, max_valency)
-                        if len(k := _generated_subgroup(h, s)) != h.order]
+                        if len(k := _connection_profile(h, s)[0]) != h.order]
         if sum(factorial(len(s) - 1) for s, _ in disconnected) > DISCONNECTED_CAP:
             raise CapacityError("too many disconnected maps in range")
         subgroups: set[tuple[int, ...]] = set()  # the K whose conditions hold

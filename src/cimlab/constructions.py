@@ -67,7 +67,7 @@ class WitnessedMap:
         if not _perm_group_isomorphic(self.rival, self.map.group):
             raise ValueError("rival is not isomorphic to the map's group")
         hhat = left_regular_representation(self.map.group)
-        if self.rival.element_set() == hhat.element_set():
+        if self.rival.element_set == hhat.element_set:
             raise ValueError("rival equals the left-regular copy")
 
 

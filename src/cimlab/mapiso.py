@@ -26,8 +26,8 @@ keeps the number of common neighbours of two adjacent vertices, which for
 e and s is c(s) = |S & sS|. So when the sequence c(s_0), ..., c(s_(k-1))
 read along the rotation changes under a turn by j, no automorphism has
 alignment j, and j is refuted without propagating it. c is computed once
-per connection set. A propagation checks every dart once, which with n
-distinct images is the definition.
+per connection set (``maps._connection_profile``). A propagation checks
+every dart once, which with n distinct images is the definition.
 
 Aut(M) is the left translations times the identity-vertex stabilizer, so
 it depends on M only through its group and that stabilizer; it is built
@@ -49,7 +49,7 @@ from typing import Optional, Sequence
 
 from .errors import CapacityError, DisconnectedMapError
 from .groups import FiniteGroup, GroupIsomorphism, automorphisms, is_isomorphic
-from .maps import CayleyMap, _generated_subgroup, identity_component, is_connected
+from .maps import CayleyMap, _connection_profile, identity_component, is_connected
 from .perms import (
     Perm,
     PermutationGroup,
@@ -60,7 +60,6 @@ from .perms import (
 
 BRUTE_FORCE_CAP = 10
 AUT_GROUP_CACHE_SIZE = 64
-CONNECTION_PROFILE_CACHE_SIZE = 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,29 +162,6 @@ def _prime_divisors(k: int) -> list[int]:
     return primes
 
 
-@functools.lru_cache(maxsize=CONNECTION_PROFILE_CACHE_SIZE)
-def _connection_profile(h: FiniteGroup, connection_set: tuple[int, ...]
-                        ) -> tuple[bool, Optional[bytes]]:
-    """Whether the sorted connection set S generates h, and a 256-byte
-    ``bytes.translate`` table sending each s in S to its triangle count
-    c(s) = |S & sS|, or None when c is constant on S and so refutes nothing
-    (every full-valency S, whose Cayley graph is complete). A group of
-    order above 256 has elements no translate table holds, so it gets None
-    too, and its maps propagate every alignment they try."""
-    connected = len(_generated_subgroup(h, connection_set)) == h.order
-    if h.order > 256:
-        return connected, None
-    in_s = set(connection_set)
-    table = h.table
-    counts = [sum(table[s][t] in in_s for t in connection_set) for s in connection_set]
-    if len(set(counts)) == 1:
-        return connected, None
-    images = bytearray(256)
-    for s, c in zip(connection_set, counts):
-        images[s] = c
-    return connected, bytes(images)
-
-
 def _extend(m: CayleyMap, j: int, triangles: Optional[bytes]) -> Optional[Perm]:
     """The automorphism of connected m fixing the identity with alignment j,
     or None. ``triangles`` is the triangle counts read along the rotation,
@@ -243,9 +219,9 @@ def stabilizer_automorphisms(m: CayleyMap, tables: Sequence[bytes] = ()) -> list
     number c(s) = |S & sS| of common neighbours of the adjacent e and s.
     So when c read along the rotation is not fixed by a turn by j, no
     automorphism has alignment j and ``_propagate`` would return None. One
-    cached lookup per connection set (``_connection_profile``) says
-    whether S generates the group, replacing ``is_connected``, and gives c
-    as a translate table, None when c is constant on S; a map then pays
+    cached record per connection set (``maps._connection_profile``) gives
+    the members of <S>, all of the group exactly when m is connected, and
+    c as a translate table, None when c is constant on S; a map then pays
     nothing more, and a refuted alignment ends its prime's walk as a failed
     propagation does. Only alignments at which no automorphism exists are
     refuted, so the stabilizer is the one propagating every alignment gives.
@@ -274,8 +250,8 @@ def stabilizer_automorphisms(m: CayleyMap, tables: Sequence[bytes] = ()) -> list
     counts or propagated, whatever the seeds, so g is the map's own, and an
     automorphism no seed realises is still found by the powers.
     """
-    connected, counts = _connection_profile(m.group, tuple(sorted(m.rotation)))
-    if not connected:
+    members, counts = _connection_profile(m.group, tuple(sorted(m.rotation)))
+    if len(members) != m.group.order:
         raise DisconnectedMapError("map automorphisms need a connected map")
     k = m.valency
     known = _seed_alignments(m, tables)

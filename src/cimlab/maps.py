@@ -65,13 +65,31 @@ CONNECTION_CACHE_SIZE = 1024
 
 
 @functools.lru_cache(maxsize=CONNECTION_CACHE_SIZE)
-def _generated_subgroup(h: FiniteGroup, connection_set: tuple[int, ...]) -> tuple[int, ...]:
-    return closure_of(h, connection_set)
+def _connection_profile(h: FiniteGroup, connection_set: tuple[int, ...]
+                        ) -> tuple[tuple[int, ...], Optional[bytes]]:
+    """The one record per sorted connection set S: the sorted members of
+    K = <S>, and a 256-byte ``bytes.translate`` table sending each s in S
+    to its triangle count c(s) = |S & sS|, or None where it would refute
+    nothing: when K is not h (a disconnected map has no stabilizer walk),
+    when c is constant on S (every full-valency S, whose Cayley graph is
+    complete), or when |h| > 256 (no translate table holds its elements)."""
+    members = closure_of(h, connection_set)
+    if len(members) != h.order or h.order > 256:
+        return members, None
+    in_s = set(connection_set)
+    table = h.table
+    counts = [sum(table[s][t] in in_s for t in connection_set) for s in connection_set]
+    if len(set(counts)) == 1:
+        return members, None
+    images = bytearray(256)
+    for s, c in zip(connection_set, counts):
+        images[s] = c
+    return members, bytes(images)
 
 
 def connection_subgroup(m: CayleyMap) -> tuple[int, ...]:
     """Members of K = <S>, sorted; computed once per connection set."""
-    return _generated_subgroup(m.group, tuple(sorted(m.rotation)))
+    return _connection_profile(m.group, tuple(sorted(m.rotation)))[0]
 
 
 def is_connected(m: CayleyMap) -> bool:

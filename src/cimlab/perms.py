@@ -5,6 +5,8 @@ Composition is function composition, ``compose(p, q)(x) == p[q[x]]``.
 A group holds its degree, generators and sorted elements as values, and
 its order is the number of elements; the sizes in play here (degree <=
 ~64, order <= ~20000) make listing every group exact and fast enough.
+The left translations H^ of a group are held once, as the cached
+``left_regular_representation`` that the regular-subgroup search returns.
 """
 
 from __future__ import annotations
@@ -103,18 +105,15 @@ class PermutationGroup:
         return len(self.elements)
 
     @functools.cached_property
-    def _element_set(self) -> frozenset[Perm]:
-        return frozenset(self.elements)
-
     def element_set(self) -> frozenset[Perm]:
         """The elements as a frozenset, built on first use and kept."""
-        return self._element_set
+        return frozenset(self.elements)
 
     def __contains__(self, p: Perm) -> bool:
-        return p in self.element_set()
+        return p in self.element_set
 
     def is_subgroup_of(self, other: "PermutationGroup") -> bool:
-        return self.degree == other.degree and self.element_set() <= other.element_set()
+        return self.degree == other.degree and self.element_set <= other.element_set
 
     def __repr__(self) -> str:
         return f"PermutationGroup(degree={self.degree}, order={self.order})"
@@ -157,20 +156,6 @@ def left_regular_representation(h: FiniteGroup) -> PermutationGroup:
     sending the identity to a, so the rows are already in sorted order.
     """
     return PermutationGroup(h.order, h.table[1:] or h.table, h.table)
-
-
-@functools.lru_cache(maxsize=REGULAR_REP_CACHE_SIZE)
-def _translations(h: FiniteGroup) -> PermutationGroup:
-    """The left translations of h with the generators the search gives
-    them (``_search_generators``); the search returns this copy whenever
-    it finds the translations. Cached per group, beside
-    ``left_regular_representation``, because finding those generators can
-    cost seconds (the elementary abelian group of order 64) and must not be
-    paid once per searched group. For cyclic h they are one permutation,
-    the least |h|-cycle.
-    """
-    hhat = left_regular_representation(h)
-    return PermutationGroup(h.order, _search_generators(hhat.elements), hhat.elements)
 
 
 def orbit_of(g: PermutationGroup, point: int) -> frozenset[int]:
@@ -233,28 +218,31 @@ def regular_subgroups_isomorphic_to(g: PermutationGroup, h: FiniteGroup) -> list
     A regular subgroup has order equal to the degree, and none of its
     non-identity elements fixes a point.
 
-    A g of order n is its own only candidate. A larger g is searched depth
-    first over its semiregular subgroups K, those whose non-identity
-    elements fix no point. The orbit of 0 under such a K has |K| points,
-    so |K| divides n. From K the search adjoins only the elements that
-    send 0 to a, the least point outside that orbit. Each closure is grown coset by coset from the generators
-    adjoined so far, and is abandoned at its first new element that fixes
-    a point, or once it exceeds n elements; a closure of n elements is
-    regular. A regular R has exactly one element sending 0 to each point,
-    so from any K inside R exactly one step stays inside R: each R is
-    reached by exactly one path, and no subgroup needs to be remembered.
+    The search runs depth first over the semiregular subgroups K of g,
+    those whose non-identity elements fix no point, from the trivial
+    group. The orbit of 0 under such a K has |K| points, so |K| divides n.
+    From K the search adjoins only the elements that send 0 to a, the
+    least point outside that orbit. Each closure is grown coset by coset
+    from the generators adjoined so far, and is abandoned at its first new
+    element that fixes a point, or once it exceeds n elements; a closure of
+    n elements is regular. A regular R has exactly one element sending 0 to
+    each point, so from any K inside R exactly one step stays inside R:
+    each R is reached by exactly one path, and no subgroup needs to be
+    remembered.
 
-    Each R found gets the generators the breadth-first search this one
-    replaced gave it. That search adjoined every candidate, an element
-    whose own cyclic subgroup is semiregular with order dividing n, to
-    every subgroup found so far, level by level, and kept the first
-    generators that reached each subgroup. On its way to R it passes only
-    through subgroups of R, whose non-identity elements are all
-    candidates, so it gives R what the same search over R's own sorted
-    elements gives (``_search_generators``); a cyclic R gets its least
-    generator, an n-cycle. When R is H^, the left translations, it is
-    isomorphic to h by Cayley's theorem, and is taken with those
-    generators from the per-group cache.
+    An R with the elements of H^, the left translations, is isomorphic to
+    h by Cayley's theorem, and is returned as the cached
+    ``left_regular_representation(h)`` without an isomorphism test. The
+    automorphism group of a map with a trivial stabilizer is that same
+    object, so it gets back [g]. Every other R found gets the generators
+    the breadth-first search this one replaced gave it. That search
+    adjoined every candidate, an element whose own cyclic subgroup is
+    semiregular with order dividing n, to every subgroup found so far,
+    level by level, and kept the first generators that reached each
+    subgroup. On its way to R it passes only through subgroups of R, whose
+    non-identity elements are all candidates, so it gives R what the same
+    search over R's own sorted elements gives (``_search_generators``); a
+    cyclic R gets its least generator, an n-cycle.
 
     The search's answer is a function of g and h, so it runs once per pair
     (``_regular_subgroups``) and each call returns a fresh list of the
@@ -274,17 +262,7 @@ def _regular_subgroups(g: PermutationGroup, h: FiniteGroup) -> tuple[Permutation
     if g.order > DEFAULT_GROUP_CAP:
         raise CapacityError(f"regular subgroup search capped at {DEFAULT_GROUP_CAP}")
 
-    if g.order == n:
-        # g itself is the only candidate; the left-regular copy of h is
-        # regular and isomorphic to h by Cayley's theorem, so element
-        # equality with it settles both checks
-        if g.elements == left_regular_representation(h).elements:
-            return (g,)
-        if is_regular(g) and _perm_group_isomorphic(g, h):
-            return (g,)
-        return ()
-
-    translations = _translations(h)
+    hhat = left_regular_representation(h)
     found = []
     sending_0_to: list[list[Perm]] = [[] for _ in range(n)]
     for p in g.elements:
@@ -292,21 +270,20 @@ def _regular_subgroups(g: PermutationGroup, h: FiniteGroup) -> tuple[Permutation
     stack: list[tuple[AbstractSet[Perm], tuple[Perm, ...]]] = [({identity_perm(n)}, ())]
     while stack:
         members, gens = stack.pop()
+        if len(members) == n:
+            elements = tuple(sorted(members))
+            if elements == hhat.elements:
+                found.append(hhat)
+            elif _perm_group_isomorphic(PermutationGroup(n, (), elements), h):
+                found.append(PermutationGroup(n, _search_generators(elements), elements))
+            continue
         reached = {p[0] for p in members}
         a = next(x for x in range(n) if x not in reached)
         for p in sending_0_to[a]:
             new_gens = gens + (p,)
             grown = _grow_closure(members, new_gens, n)
-            if grown is None:
-                continue
-            if len(grown) < n:
+            if grown is not None:
                 stack.append((grown, new_gens))
-                continue
-            elements = tuple(sorted(grown))
-            if elements == translations.elements:
-                found.append(translations)
-            elif _perm_group_isomorphic(PermutationGroup(n, (), elements), h):
-                found.append(PermutationGroup(n, _search_generators(elements), elements))
     found.sort(key=lambda sub: sub.elements)
     return tuple(found)
 
@@ -403,7 +380,7 @@ def are_conjugate_subgroups(
     """Some x in g with x a x^-1 = b as element sets, or None."""
     if a.order != b.order:
         return None
-    b_set = b.element_set()
+    b_set = b.element_set
     a_elems = a.elements
     for x in g.elements:
         x_inv = inverse_perm(x)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from cimlab import ci, mapiso, perms
+from cimlab import ci, maps, mapiso, perms
 from cimlab.ci import (
     DEFINITIONAL_CAP,
     _rich_maps_cyclic,
@@ -1018,13 +1018,12 @@ def test_stabilizer_sweep_builds_aut_and_searches_once_per_stabilizer(monkeypatc
     # its own babai_is_ci_map call and regular-subgroup call
     mapiso._automorphism_group.cache_clear()
     perms._regular_subgroups.cache_clear()
-    stabs, calls, built, searched = [], [], [], []
+    stabs, calls, built = [], [], []
     task, verdict, search = ci._babai_task, ci.babai_is_ci_map, ci.regular_subgroups_isomorphic_to
-    group, translations = mapiso.PermutationGroup, perms._translations
-    # building Aut(M) makes one PermutationGroup, and searching a group
-    # larger than |H| reads the cached translations once
+    group = mapiso.PermutationGroup
+    # building Aut(M) makes one PermutationGroup, and each search is one
+    # miss of the per-group search cache
     monkeypatch.setattr(mapiso, "PermutationGroup", lambda *a: built.append(1) or group(*a))
-    monkeypatch.setattr(perms, "_translations", lambda h: searched.append(1) or translations(h))
 
     def recorded_task(*args):
         reply = task(*args)
@@ -1039,14 +1038,15 @@ def test_stabilizer_sweep_builds_aut_and_searches_once_per_stabilizer(monkeypatc
     report = verify_connected_cim(make_cyclic(13), 12, strategy="stabilizer")
     assert report.verdict and report.stats["maps_checked"] == len(stabs) == 640
     assert calls == ["babai", "search"] * 640
-    assert len(set(stabs)) == len(built) == len(searched) == 5
+    searched = perms._regular_subgroups.cache_info().misses
+    assert len(set(stabs)) == len(built) == searched == 5
 
 
 def test_automorphism_caches_are_bounded_by_their_constants():
     assert (mapiso._automorphism_group.cache_info().maxsize
             == mapiso.AUT_GROUP_CACHE_SIZE)
-    assert (mapiso._connection_profile.cache_info().maxsize
-            == mapiso.CONNECTION_PROFILE_CACHE_SIZE)
+    assert (maps._connection_profile.cache_info().maxsize
+            == maps.CONNECTION_CACHE_SIZE)
     assert (perms._regular_subgroups.cache_info().maxsize
             == perms.REGULAR_SUBGROUPS_CACHE_SIZE)
 

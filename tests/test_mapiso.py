@@ -18,6 +18,7 @@ from cimlab.groups import (
 )
 from cimlab.maps import (
     CayleyMap,
+    _connection_profile,
     is_connected,
     is_skew_morphism,
     isomorphism_code,
@@ -444,8 +445,8 @@ def test_triangle_counts_refute_only_alignments_that_do_not_extend():
     # never extends, and one let through is propagated
     maps = refuted = 0
     for m in sieve_cases():
-        connected, table = mapiso._connection_profile(m.group, tuple(sorted(m.rotation)))
-        assert connected
+        members, table = _connection_profile(m.group, tuple(sorted(m.rotation)))
+        assert len(members) == m.group.order
         triangles = None if table is None else bytes(m.rotation).translate(table)
         for j in range(1, m.valency):
             images = _propagate(m, m, 0, j)
@@ -460,13 +461,13 @@ def test_full_valency_connection_sets_refute_nothing():
     # n - 2 common neighbours with the identity and no table is built
     for n in range(7, 14):
         h = make_cyclic(n)
-        assert mapiso._connection_profile(h, tuple(range(1, n))) == (True, None)
+        assert _connection_profile(h, tuple(range(1, n))) == (tuple(range(n)), None)
     # the set decides connectivity, and counts common neighbours: 1 shares
     # 2 and 7 with the identity, 7 shares 1 and 6, and 2 and 6 share one each
     z8 = make_cyclic(8)
-    assert mapiso._connection_profile(z8, (2, 6)) == (False, None)
-    connected, table = mapiso._connection_profile(z8, (1, 2, 6, 7))
-    assert connected and bytes((1, 2, 6, 7)).translate(table) == bytes((2, 1, 1, 2))
+    assert _connection_profile(z8, (2, 6)) == ((0, 2, 4, 6), None)
+    members, table = _connection_profile(z8, (1, 2, 6, 7))
+    assert members == tuple(range(8)) and bytes((1, 2, 6, 7)).translate(table) == bytes((2, 1, 1, 2))
 
 
 def test_groups_beyond_a_translate_table_propagate_every_tried_alignment():
@@ -474,7 +475,7 @@ def test_groups_beyond_a_translate_table_propagate_every_tried_alignment():
     # do not fit a 256-byte table, so nothing is refuted and the walk
     # propagates as it did before the sieve
     h = make_cyclic(300)
-    assert mapiso._connection_profile(h, (1, 2, 298, 299)) == (True, None)
+    assert _connection_profile(h, (1, 2, 298, 299)) == (tuple(range(300)), None)
     for rot in [(1, 2, 298, 299), (1, 298, 299, 2), (1, 299, 2, 298)]:
         m = make_map(h, rot)
         assert stabilizer_automorphisms(m) == every_alignment_stabilizer(m)

@@ -159,7 +159,7 @@ def test_component_group_is_built_once_per_subgroup():
 
 def test_connection_subgroup_is_computed_once_per_map(monkeypatch, z8):
     # once per connection set: the cache is cleared, since earlier tests warm it
-    maps._generated_subgroup.cache_clear()
+    maps._connection_profile.cache_clear()
     calls = []
     closure_of = maps.closure_of
     monkeypatch.setattr(maps, "closure_of", lambda g, seed: calls.append(seed) or closure_of(g, seed))

@@ -77,13 +77,15 @@ def regular_subgroups_by_fpf_growth(g, h):
     n-cycle or not, so it agrees with the current search only on groups
     without such elements; the automorphism groups of maps tested below
     have none. Its non-cyclic branch closes each candidate under products
-    with every member before testing it.
+    with every member before testing it. H^ is reported as the cached
+    left-regular copy, generators and all.
     """
     n = h.order
     ident = identity_perm(n)
+    hhat = left_regular_representation(h)
     if g.order == n:
-        if g.elements == left_regular_representation(h).elements:
-            return [g]
+        if g.elements == hhat.elements:
+            return [hhat]
         return [g] if is_regular(g) and perms._perm_group_isomorphic(g, h) else []
     fpf = [p for p in g.elements if p != ident and all(p[i] != i for i in range(n))]
     if is_cyclic_group(h):
@@ -91,7 +93,8 @@ def regular_subgroups_by_fpf_growth(g, h):
         for p in fpf:
             if perm_order(p) == n:
                 found.setdefault(closure([p]).elements, p)
-        return [perms.PermutationGroup(n, (found[key],), key) for key in sorted(found)]
+        return [hhat if key == hhat.elements else perms.PermutationGroup(n, (found[key],), key)
+                for key in sorted(found)]
 
     def grow(members, p):
         elems, frontier, gens = set(members) | {p}, [p], list(members) + [p]
@@ -128,7 +131,9 @@ def regular_subgroups_by_fpf_growth(g, h):
                 seen.add(key)
                 if len(grown) == n:
                     sub = perms.PermutationGroup(n, gens + (p,), tuple(sorted(grown)))
-                    if perms._perm_group_isomorphic(sub, h):
+                    if sub.elements == hhat.elements:
+                        results[sub.elements] = hhat
+                    elif perms._perm_group_isomorphic(sub, h):
                         results[sub.elements] = sub
                 else:
                     nxt.append((key, gens + (p,)))
@@ -185,7 +190,7 @@ def test_left_regular_is_regular(q8=make_generalized_quaternion(8)):
 def test_left_regular_z8_contains_eight_cycle():
     z8 = make_cyclic(8)
     hhat = left_regular_representation(z8)
-    assert eight_cycle() in hhat.element_set()
+    assert eight_cycle() in hhat.element_set
 
 
 def test_q8_regular_rep_has_fpf_involution():
@@ -312,6 +317,14 @@ def test_regular_subgroups_of_regular_group():
     assert regs[0].elements == hhat.elements
 
 
+def test_the_trivial_group_is_its_own_regular_subgroup():
+    # the search starts from the trivial subgroup, which at degree 1 is
+    # already regular
+    z1 = make_cyclic(1)
+    hhat = left_regular_representation(z1)
+    assert regular_subgroups_isomorphic_to(hhat, z1) == [hhat]
+
+
 def test_regular_subgroups_elementary_contains_tau_family():
     z3sq = make_abelian([3, 3])
     hhat = left_regular_representation(z3sq)
@@ -381,8 +394,10 @@ def regular_subgroups_breadth_first(g, h):
     stood before the search by point cosets, as (elements, generators)
     pairs; oracle for that search. It adjoins every semiregular candidate
     to every subgroup found so far, level by level, and keeps the first
-    generators that reach each subgroup."""
+    generators that reach each subgroup. H^ is reported with the
+    generators of the cached left-regular copy."""
     n = h.order
+    hhat = left_regular_representation(h)
     ident = identity_perm(n)
     candidates = []
     for p in g.elements:
@@ -426,7 +441,9 @@ def regular_subgroups_breadth_first(g, h):
                     nxt.append((key, gens + (p,)))
                     continue
                 sub = perms.PermutationGroup(n, gens + (p,), tuple(sorted(grown)))
-                if perms._perm_group_isomorphic(sub, h):
+                if sub.elements == hhat.elements:
+                    results[sub.elements] = hhat.generators
+                elif perms._perm_group_isomorphic(sub, h):
                     results[sub.elements] = sub.generators
         frontier = nxt
     return sorted(results.items())
@@ -438,7 +455,7 @@ def normal_translations_of_coprime_index(g, h):
     has |g|/|h| prime to |h|: checked from g's generators and order alone."""
     n = h.order
     hhat = left_regular_representation(h)
-    ts = perms._translations(h).generators
+    ts = perms._search_generators(hhat.elements)
     return (set(ts) <= set(g.generators) and gcd(g.order // n, n) == 1
             and all(compose(compose(x, t), perms.inverse_perm(x)) in hhat
                     for x in g.generators for t in ts))
@@ -476,8 +493,8 @@ def test_search_finds_the_normal_klein_group_alone_in_sym4():
     assert found == regular_subgroups_breadth_first(g, v4)
     assert [elements for elements, _ in found] == [
         ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))]
-    assert found == [(left_regular_representation(v4).elements,
-                      perms._translations(v4).generators)]
+    hhat = left_regular_representation(v4)
+    assert found == [(hhat.elements, hhat.generators)]
 
 
 def right_regular_representation(h):
@@ -496,15 +513,47 @@ def test_left_regular_copy_skips_the_isomorphism_test(monkeypatch):
 
 
 def test_right_regular_q8_takes_the_isomorphism_test(monkeypatch):
+    # the search closes g's own elements and tests them once; the subgroup
+    # it returns is a new group with g's elements, not g itself
     q8 = make_generalized_quaternion(8)
     g = right_regular_representation(q8)
     assert is_regular(g) and g.elements != left_regular_representation(q8).elements
     calls = []
     as_table = perms.perm_group_as_finite_group
     monkeypatch.setattr(perms, "perm_group_as_finite_group",
-                        lambda sub: calls.append(sub) or as_table(sub))
-    assert regular_subgroups_isomorphic_to(g, q8) == [g]
-    assert calls == [g]
+                        lambda sub: calls.append(sub.elements) or as_table(sub))
+    [found] = regular_subgroups_isomorphic_to(g, q8)
+    assert found.elements == g.elements and found is not g
+    assert calls == [g.elements]
+
+
+def test_the_search_hands_back_the_cached_left_regular_copy(monkeypatch):
+    # H^ is held once: on freshly built groups the search derives no
+    # generators for H^, and each H^ it finds is the cached copy itself
+    derived = []
+    search_generators = perms._search_generators
+    monkeypatch.setattr(perms, "_search_generators",
+                        lambda elements: derived.append(elements) or search_generators(elements))
+
+    def cases():
+        for h in order8_groups():
+            yield from ((h, g) for g in connected_map_automorphism_groups(h, 7))
+        for n, max_valency in ((11, 10), (13, 12)):
+            h = make_cyclic(n)
+            rich, _ = _rich_maps_cyclic(h, max_valency)
+            for rot, orbit in cayley_classes(h, rich, mirror=True):
+                if min(orbit) == rot:
+                    yield h, fresh_automorphism_group(CayleyMap(h, tuple(rot)))
+
+    translations, searches = set(), 0
+    for h, g in cases():
+        hhat = left_regular_representation(h)
+        translations.add(hhat.elements)
+        [found] = [r for r in regular_subgroups_isomorphic_to(g, h) if r.elements == hhat.elements]
+        assert found is hhat
+        searches += g.order > h.order
+    assert searches > 0 and derived
+    assert not translations.intersection(derived)
 
 
 def test_table_of_a_non_regular_group_is_refused():
@@ -544,10 +593,10 @@ def test_left_regular_cache_is_bounded():
 
 def test_element_set_is_built_once_and_lazily():
     g = closure([eight_cycle()])
-    assert "_element_set" not in vars(g)
-    first = g.element_set()
+    assert "element_set" not in vars(g)
+    first = g.element_set
     assert first == frozenset(g.elements)
-    assert g.element_set() is first
+    assert g.element_set is first
     assert eight_cycle() in g
 
 
@@ -566,8 +615,10 @@ def test_cycles_of_leads_each_cycle_with_its_minimum_in_ascending_order():
 def cyclic_search_by_walk(g, n):
     """The cyclic branch ``regular_subgroups_isomorphic_to`` had before the
     search by point cosets took over cyclic h, as (elements, generators)
-    pairs: one cyclic group per n-cycle, in sorted order. Oracle for that
-    search on cyclic h."""
+    pairs: one cyclic group per n-cycle, in sorted order, H^ with the
+    generators of the cached left-regular copy. Oracle for that search on
+    cyclic h."""
+    hhat = left_regular_representation(make_cyclic(n))
     covered, found = set(), []
     for p in g.elements:
         if p in covered:
@@ -580,7 +631,7 @@ def cyclic_search_by_walk(g, n):
             continue
         sub = closure([p]).elements
         covered.update(sub)
-        found.append((sub, (p,)))
+        found.append((sub, hhat.generators if sub == hhat.elements else (p,)))
     return sorted(found)
 
 
@@ -656,38 +707,8 @@ def test_shortcut_settles_a_normal_translation_group_of_prime_index():
     z5 = make_cyclic(5)
     g = with_translations(z5, mult_perm(5, 2))
     assert g.order == 20
-    assert searched(g, z5) == cyclic_search_by_walk(g, 5) == [
-        (left_regular_representation(z5).elements, ((1, 2, 3, 4, 0),))]
-
-
-def test_cyclic_translations_decide_cyclicity_once_per_group():
-    # the cached translations carry their search generators for every group,
-    # and these are one least |h|-cycle exactly when h is cyclic
-    for h in order8_groups() + [make_cyclic(9), make_abelian([3, 3]), make_cyclic(1)]:
-        translations = perms._translations(h)
-        hhat = left_regular_representation(h)
-        assert translations.elements == hhat.elements
-        assert (len(translations.generators) == 1) == is_cyclic_group(h)
-        if is_cyclic_group(h):
-            assert translations.generators == (min(
-                p for p in translations.elements if len(perms.cycles_of(p)) == 1),)
-        if h.order > 1:
-            assert regular_subgroups_breadth_first(hhat, h) == [
-                (translations.elements, translations.generators)]
-    z8 = make_cyclic(8)
-    perms._translations.cache_clear()
-    for u in (3, 5, 7):
-        regular_subgroups_isomorphic_to(with_translations(z8, mult_perm(8, u)), z8)
-    info = perms._translations.cache_info()
-    assert (info.misses, info.hits) == (1, 2)
-
-
-def test_cyclic_translations_cache_is_bounded():
-    for n in range(1, 3 * perms.REGULAR_REP_CACHE_SIZE):
-        perms._translations(make_cyclic(n % 40 + 1))
-    info = perms._translations.cache_info()
-    assert info.maxsize == perms.REGULAR_REP_CACHE_SIZE
-    assert info.currsize <= perms.REGULAR_REP_CACHE_SIZE
+    hhat = left_regular_representation(z5)
+    assert searched(g, z5) == cyclic_search_by_walk(g, 5) == [(hhat.elements, hhat.generators)]
 
 
 # ---------------------------------------------------------------- conjugacy
