@@ -40,10 +40,11 @@ each closure at its first fixed point. A regular subgroup has exactly
 one element sending 0 to each point, so it is reached by exactly one
 path. The left translations are handed back as the cached left-regular
 copy of H without an isomorphism test; a trivial stabilizer's Aut(M) is
-that copy, and its search finds only it. Each other subgroup found keeps
-the generators the earlier breadth-first search gave it, which the
-witnesses print. Both strategies are cross-checked against each other by
-the test suite on every group small enough to run both.
+that copy, and its search finds only it. Each other subgroup found is
+generated by the lexicographically least of the shortest tuples of its
+sorted non-identity elements that generate it, which the witnesses print.
+Both strategies are cross-checked against each other by the test suite
+on every group small enough to run both.
 
 Aut(M) is the left translations times the identity-vertex stabilizer G_1
 (Jajcay and Siran 2002), so Babai's verdict depends on a connected map
@@ -84,7 +85,6 @@ from .enumeration import (
 from .errors import CapacityError, UnsupportedReductionError
 from .groups import (
     FiniteGroup,
-    Subgroup,
     all_subgroups,
     automorphisms,
     closure_of,
@@ -289,14 +289,15 @@ def definitional_is_ci_map(m: CayleyMap) -> CiReport:
     )
 
 
-def _rich_maps_cyclic(h: FiniteGroup, max_valency: int) -> tuple[list[bytes], set]:
-    """All connected maps over a cyclic group with a nontrivial stabilizer.
+def _rich_maps(h: FiniteGroup, skews: Sequence[Perm], max_valency: int) -> list[bytes]:
+    """The connected maps over h whose stabilizer is generated by a member
+    of ``skews``, the identity aside.
 
     Every stabilizer is generated by a skew-morphism psi with S a union
     of psi-orbits of length o(psi) and the rotation a full-cycle root of
-    psi restricted to S. Returns the rotations, each in canonical phase,
-    sorted and without duplicates, plus the skew set for the runtime
-    completeness check.
+    psi restricted to S, so given every skew-morphism of h these are all
+    the connected maps with a nontrivial stabilizer. Returns the
+    rotations, each in canonical phase, sorted and without duplicates.
 
     A rotation is packed as ``bytes``, one element per byte, which takes
     far less memory than a tuple of ints. ``automorphisms`` caps |H| at
@@ -308,8 +309,6 @@ def _rich_maps_cyclic(h: FiniteGroup, max_valency: int) -> tuple[list[bytes], se
     set of every rich rotation and no second list is built.
     """
     n = h.order
-    skews = cyclic_skew_morphisms(n)
-    skew_set = set(skews)
     ident = identity_perm(n)
     rich: list[bytes] = []
     for psi in skews:
@@ -339,12 +338,12 @@ def _rich_maps_cyclic(h: FiniteGroup, max_valency: int) -> tuple[list[bytes], se
             rich[kept] = rot
             kept += 1
     del rich[kept:]
-    return rich, skew_set
+    return rich
 
 
 def _full_cycle_roots(orbits: Sequence[tuple[int, ...]], d: int) -> Iterator[bytes]:
     """All full cycles rho on the union with rho^c equal to the orbit
-    permutation, each packed as ``bytes`` (see ``_rich_maps_cyclic``).
+    permutation, each packed as ``bytes`` (see ``_rich_maps``).
 
     Threads the c orbits in every order and relative offset behind the
     first. Each orbit is a cycle of psi, so turning a later orbit o steps
@@ -443,35 +442,25 @@ def _sweep(h: FiniteGroup, rotations: Iterable[tuple[int, ...]], workers: int,
             batch = list(islice(rotations, 512 * workers))
 
 
-def _stabilizer_generator(rotation: Sequence[int], stab: Sequence[Perm]) -> Perm:
-    """The element of a connected map's stabilizer with the least nonzero
-    alignment, which generates the cyclic G_1; the identity when G_1 is
-    trivial. Alignment j sends rot[0] to rot[j]."""
-    k = len(rotation)
-    return min(stab, key=lambda phi: (rotation.index(phi[rotation[0]]) - 1) % k)
-
-
-def _stabilizer_listed(h: FiniteGroup, rotation: Sequence[int], stab: Sequence[Perm],
-                       skews: set) -> bool:
-    """Does ``skews`` hold every element of the stabilizer that a complete
-    skew-morphism list must hold?
+def _stabilizer_listed(h: FiniteGroup, stab: Sequence[Perm], skews: frozenset[Perm]) -> bool:
+    """Does ``skews`` hold every element of the stabilizer G_1 that a
+    complete skew-morphism list must hold?
 
     G_1 is a core-free cyclic complement of the translations in Aut(M), so
-    each of its generators is a skew-morphism of h (Jajcay and Siran 2002),
-    and in particular the one of least nonzero alignment must be listed.
-    A power of a skew-morphism need not be one: over Z9 the map
+    each of its generators is a skew-morphism of h (Jajcay and Siran 2002)
+    and must be listed; an element generates G_1 exactly when its order is
+    |G_1|. A power of a skew-morphism need not be one: over Z9 the map
     (1, 2, 7, 5, 4, 8) has a stabilizer of order 6 whose element of order 2
     fails ``is_skew_morphism``, so a complete list lacks it. Any other
     missing element must fail that check too, so a list that lacks a
     skew-morphism a larger stabilizer contains is still caught.
     """
-    missing = [phi for phi in stab if phi not in skews]
-    return not missing or (_stabilizer_generator(rotation, stab) not in missing
-                           and not any(is_skew_morphism(h, phi) for phi in missing))
+    return all(perm_order(phi) < len(stab) and not is_skew_morphism(h, phi)
+               for phi in stab if phi not in skews)
 
 
 def _first_failure(h: FiniteGroup, rotations: Iterable[tuple[int, ...]], workers: int,
-                   skews: Optional[set] = None):
+                   skews: Optional[Sequence[Perm]] = None):
     """Sweep the maps until the first one that is not a CI-map.
 
     Returns the number of maps checked, then the failing map's rotation
@@ -486,11 +475,11 @@ def _first_failure(h: FiniteGroup, rotations: Iterable[tuple[int, ...]], workers
     far enumeration read ahead depends on the batching, so it must stay out.
     """
     checked = 0
-    seeds = () if skews is None else tuple(
-        translate_table(psi) for psi in sorted(skews) if is_skew_morphism(h, psi))
+    listed = frozenset(skews or ())
+    seeds = tuple(translate_table(psi) for psi in sorted(listed) if is_skew_morphism(h, psi))
     with closing(_sweep(h, rotations, workers, seeds)) as results:
         for checked, (rotation, (failing, stab)) in enumerate(results, 1):
-            if skews is not None and not _stabilizer_listed(h, rotation, stab, skews):
+            if skews is not None and not _stabilizer_listed(h, stab, listed):
                 raise RuntimeError(
                     "map stabilizer element missing from the skew-morphism list; "
                     "stabilizer enumeration is incomplete"
@@ -528,7 +517,8 @@ def verify_connected_cim(
     elif strategy == "stabilizer":
         if not is_cyclic_group(h):
             raise CapacityError("stabilizer strategy is implemented for cyclic groups only")
-        rich, skews = _rich_maps_cyclic(h, max_valency)
+        skews = cyclic_skew_morphisms(h.order)
+        rich = _rich_maps(h, skews, max_valency)
         # Aut(H) and mirror reversal both preserve CI verdicts; an orbit whose
         # least member is not rich has no representative
         reps = [rot for rot, orbit in cayley_classes(h, rich, mirror=True)
@@ -581,27 +571,27 @@ def _group_report(
     )
 
 
-def _check_reduction_conditions(h: FiniteGroup, k: Subgroup, k_group: FiniteGroup) -> bool:
-    """Equal-order subgroups conjugate to k under Aut(h), and every
-    automorphism of k (as ``k_group``, member rank i as element i) extends
-    to h; exactly what the disconnected-case reduction consumes.
+def _check_reduction_conditions(h: FiniteGroup, members: tuple[int, ...]) -> bool:
+    """Equal-order subgroups conjugate to K, the subgroup with these sorted
+    members, under Aut(h), and every automorphism of K (as
+    ``_component_group``, member rank i as element i) extends to h;
+    exactly what the disconnected-case reduction consumes.
 
-    One pass over Aut(h) counts both. The images of k are subgroups of its
+    One pass over Aut(h) counts both. The images of K are subgroups of its
     order, so they are all of them exactly when they number as many. The
-    automorphisms that fix k restrict to automorphisms of k, so every one
-    extends exactly when the distinct restrictions number |Aut(k)|.
+    automorphisms that fix K restrict to automorphisms of K, so every one
+    extends exactly when the distinct restrictions number |Aut(K)|.
     """
-    ms = k.members
-    k_set = frozenset(ms)
-    rank = {x: r for r, x in enumerate(ms)}
+    k_set = frozenset(members)
+    rank = {x: r for r, x in enumerate(members)}
     images, restrictions = set(), set()
     for a in automorphisms(h):
-        image = frozenset(a.images[x] for x in ms)
+        image = frozenset(a.images[x] for x in members)
         images.add(image)
         if image == k_set:
-            restrictions.add(tuple(rank[a.images[x]] for x in ms))
-    return (len(images) == sum(other.order == k.order for other in all_subgroups(h))
-            and len(restrictions) == len(automorphisms(k_group)))
+            restrictions.add(tuple(rank[a.images[x]] for x in members))
+    return (len(images) == sum(other.order == len(members) for other in all_subgroups(h))
+            and len(restrictions) == len(automorphisms(_component_group(h, members))))
 
 
 def verify_cim_group(
@@ -636,8 +626,7 @@ def verify_cim_group(
         swept = []
         for s, members in disconnected:
             if members not in subgroups:
-                if not _check_reduction_conditions(h, Subgroup(h, members),
-                                                   _component_group(h, members)):
+                if not _check_reduction_conditions(h, members):
                     refused = members
                     break
                 subgroups.add(members)
@@ -667,7 +656,12 @@ def revalidate_map_report(report_dict: dict, h: FiniteGroup) -> None:
     """Re-verify every embedded witness of a reloaded map report.
 
     ``h`` is the group the report's subject refers to; raises ValueError
-    on the first witness that fails to check out.
+    on the first witness that fails to check out, or whose kind is not one
+    of the four a map report carries. A rival, whether a
+    ``rival-regular-subgroup`` or a ``non-conjugate-regular-subgroup``, must
+    be a regular subgroup of Aut(M), isomorphic to h, without the elements
+    of the left translations; the second kind must also not be conjugate
+    to them.
     """
     rotation = report_dict["subject"].get("rotation")
     m = make_map(h, rotation) if rotation is not None else None
@@ -675,26 +669,33 @@ def revalidate_map_report(report_dict: dict, h: FiniteGroup) -> None:
     if m is not None and is_connected(m):
         aut = map_automorphism_group(m)
     hhat = left_regular_representation(h)
+    rivals = ("rival-regular-subgroup", "non-conjugate-regular-subgroup")
     for w in report_dict["witnesses"]:
         kind = w.get("kind")
-        if kind in ("non-conjugate-regular-subgroup", "conjugator") and aut is None:
+        if kind in rivals + ("conjugator",) and aut is None:
             raise ValueError(f"{kind} witness on a map that is not connected")
-        if kind == "non-conjugate-regular-subgroup":
-            sub = closure([tuple(p) for p in w["generators"]])
+        if kind in rivals:
+            # generators outside Aut(M) are refused first, so no closure
+            # outgrows Aut(M) and hits the closure cap
+            gens = [tuple(p) for p in w["generators"]]
+            if not all(p in aut for p in gens):
+                raise ValueError("stored rival subgroup is not inside Aut(M)")
+            sub = closure(gens)
             if sub.order != w["order"] or not is_regular(sub):
                 raise ValueError("stored rival subgroup is not regular")
-            if not sub.is_subgroup_of(aut):
-                raise ValueError("stored rival subgroup is not inside Aut(M)")
             if not _perm_group_isomorphic(sub, h):
                 raise ValueError("stored rival subgroup is not isomorphic to the group")
-            if are_conjugate_subgroups(aut, sub, hhat) is not None:
+            if sub.elements == hhat.elements:
+                raise ValueError("stored rival subgroup is the left translations")
+            if (kind == "non-conjugate-regular-subgroup"
+                    and are_conjugate_subgroups(aut, sub, hhat) is not None):
                 raise ValueError("stored rival subgroup is conjugate after all")
         elif kind == "conjugator":
-            sub = closure([tuple(p) for p in w["subgroup"]])
+            gens = [tuple(p) for p in w["subgroup"]]
             conj = tuple(w["element"])
-            if conj not in aut or not sub.is_subgroup_of(aut):
+            if conj not in aut or not all(p in aut for p in gens):
                 raise ValueError("stored conjugator or its subgroup is not inside Aut(M)")
-            if conjugate_subgroup(sub, conj).elements != hhat.elements:
+            if conjugate_subgroup(closure(gens), conj).elements != hhat.elements:
                 raise ValueError("stored conjugator does not map the subgroup onto the translations")
         elif kind == "isomorphic-non-cayley-isomorphic-map":
             m1 = make_map(h, w["map"])
@@ -703,6 +704,8 @@ def revalidate_map_report(report_dict: dict, h: FiniteGroup) -> None:
                 raise ValueError("stored witness pair is not isomorphic")
             if are_cayley_isomorphic(m1, m2) is not None:
                 raise ValueError("stored witness pair is Cayley isomorphic")
+        else:
+            raise ValueError(f"unknown witness kind {kind!r}")
 
 
 def cross_validate(h: FiniteGroup, workers: int = 1) -> CiReport:

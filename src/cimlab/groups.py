@@ -397,15 +397,13 @@ def is_isomorphic(g1: FiniteGroup, g2: FiniteGroup) -> Optional[GroupIsomorphism
 
 
 @functools.lru_cache(maxsize=AUT_CACHE_SIZE)
-def _automorphisms_of(g: FiniteGroup) -> tuple[GroupIsomorphism, ...]:
-    return tuple(GroupIsomorphism(g, g, f) for f in sorted(_isomorphisms_iter(g, g)))
-
-
-def automorphisms(g: FiniteGroup) -> list[GroupIsomorphism]:
-    """All automorphisms of g, sorted by image tuple. Cached per group object."""
+def automorphisms(g: FiniteGroup) -> tuple[GroupIsomorphism, ...]:
+    """All automorphisms of g, sorted by image tuple. Cached per group
+    object; the tuple is shared, so no caller can change the cached value.
+    An order over the cap raises, and nothing is cached for it."""
     if g.order > DEFAULT_ORDER_CAP:
         raise CapacityError(f"automorphism enumeration capped at order {DEFAULT_ORDER_CAP}")
-    return list(_automorphisms_of(g))
+    return tuple(GroupIsomorphism(g, g, f) for f in sorted(_isomorphisms_iter(g, g)))
 
 
 def is_in_class_m(h: FiniteGroup) -> Optional[str]:

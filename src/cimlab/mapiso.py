@@ -102,8 +102,8 @@ def _verify(m1: CayleyMap, m2: CayleyMap, images) -> bool:
     return True
 
 
-def _propagate(m1: CayleyMap, m2: CayleyMap, v0: int, a0: int) -> Optional[tuple[int, ...]]:
-    """Extend phi(e) = v0, Delta_e(rot1[i]) = rot2[(a0+i) % k] over a connected m1.
+def _propagate(m1: CayleyMap, m2: CayleyMap, a0: int) -> Optional[tuple[int, ...]]:
+    """Extend phi(e) = e, Delta_e(rot1[i]) = rot2[(a0+i) % k] over a connected m1.
 
     m2 has m1's order and valency. Popping each vertex h once, it checks
     all k darts, phi(h rot1[i]) = phi(h) rot2[(a_h+i) % k]: Delta_h(s) is in
@@ -117,7 +117,7 @@ def _propagate(m1: CayleyMap, m2: CayleyMap, v0: int, a0: int) -> Optional[tuple
     back2 = back1 if m2 is m1 else _inverse_positions(m2)
     mul1, mul2 = m1.group.table, m2.group.table
     images, align = [-1] * n, [0] * n
-    images[0], align[0] = v0, a0
+    images[0], align[0] = 0, a0
     queue = [0]
     while queue:
         h = queue.pop()
@@ -169,7 +169,7 @@ def _extend(m: CayleyMap, j: int, triangles: Optional[bytes]) -> Optional[Perm]:
     propagating it."""
     if triangles is not None and triangles != triangles[j:] + triangles[:j]:
         return None
-    return _propagate(m, m, 0, j)
+    return _propagate(m, m, j)
 
 
 def _seed_alignments(m: CayleyMap, tables: Sequence[bytes]) -> dict[int, Perm]:
@@ -321,7 +321,7 @@ def map_isomorphisms(m1: CayleyMap, m2: CayleyMap) -> list[MapMorphism]:
         return []
     base = []
     for a0 in range(m2.valency):
-        images = _propagate(m1, m2, 0, a0)
+        images = _propagate(m1, m2, a0)
         if images is not None:
             base.append(images)
     table2 = m2.group.table
@@ -347,7 +347,7 @@ def map_iso_exists(m1: CayleyMap, m2: CayleyMap) -> Optional[tuple[int, ...]]:
     if len(k1) != len(k2):
         return None
     for a0 in range(c2.valency):
-        psi = _propagate(c1, c2, 0, a0)
+        psi = _propagate(c1, c2, a0)
         if psi is not None:
             break
     else:

@@ -119,8 +119,9 @@ class PermutationGroup:
         return f"PermutationGroup(degree={self.degree}, order={self.order})"
 
 
-def closure(gens: Sequence[Perm], cap: int = DEFAULT_GROUP_CAP) -> PermutationGroup:
-    """Full element enumeration of <gens> by breadth-first products."""
+def closure(gens: Sequence[Perm]) -> PermutationGroup:
+    """Full element enumeration of <gens> by breadth-first products, refused
+    past ``DEFAULT_GROUP_CAP`` elements."""
     gens = [tuple(g) for g in gens]
     if not gens:
         raise ValueError("need at least one permutation")
@@ -139,8 +140,8 @@ def closure(gens: Sequence[Perm], cap: int = DEFAULT_GROUP_CAP) -> PermutationGr
             for g in gens:
                 q = tuple(p[x] for x in g)
                 if q not in elems:
-                    if len(elems) >= cap:
-                        raise CapacityError(f"closure exceeds cap {cap}")
+                    if len(elems) >= DEFAULT_GROUP_CAP:
+                        raise CapacityError(f"closure exceeds cap {DEFAULT_GROUP_CAP}")
                     elems.add(q)
                     nxt.append(q)
         frontier = nxt
@@ -212,7 +213,9 @@ def is_block(g: PermutationGroup, delta: Iterable[int]) -> bool:
     return True
 
 
-def regular_subgroups_isomorphic_to(g: PermutationGroup, h: FiniteGroup) -> list[PermutationGroup]:
+@functools.lru_cache(maxsize=REGULAR_SUBGROUPS_CACHE_SIZE)
+def regular_subgroups_isomorphic_to(g: PermutationGroup, h: FiniteGroup
+                                    ) -> tuple[PermutationGroup, ...]:
     """All regular subgroups of g isomorphic to h, sorted canonically.
 
     A regular subgroup has order equal to the degree, and none of its
@@ -234,28 +237,17 @@ def regular_subgroups_isomorphic_to(g: PermutationGroup, h: FiniteGroup) -> list
     h by Cayley's theorem, and is returned as the cached
     ``left_regular_representation(h)`` without an isomorphism test. The
     automorphism group of a map with a trivial stabilizer is that same
-    object, so it gets back [g]. Every other R found gets the generators
-    the breadth-first search this one replaced gave it. That search
-    adjoined every candidate, an element whose own cyclic subgroup is
-    semiregular with order dividing n, to every subgroup found so far,
-    level by level, and kept the first generators that reached each
-    subgroup. On its way to R it passes only through subgroups of R, whose
-    non-identity elements are all candidates, so it gives R what the same
-    search over R's own sorted elements gives (``_search_generators``); a
+    object, so it gets back (g,). Every other R found is generated by the
+    lexicographically least of the shortest tuples of R's sorted
+    non-identity elements that generate R (``_search_generators``); a
     cyclic R gets its least generator, an n-cycle.
 
-    The search's answer is a function of g and h, so it runs once per pair
-    (``_regular_subgroups``) and each call returns a fresh list of the
-    shared subgroups. Groups compare by identity, so the search is reused
-    exactly when the same g comes back, as ``map_automorphism_group`` hands
-    every map with one stabilizer the same Aut(M).
+    The answer is a function of g and h, so it is cached per pair and the
+    tuple of shared subgroups is handed to every caller. Groups compare by
+    identity, so the search is reused exactly when the same g comes back,
+    as ``map_automorphism_group`` hands every map with one stabilizer the
+    same Aut(M).
     """
-    return list(_regular_subgroups(g, h))
-
-
-@functools.lru_cache(maxsize=REGULAR_SUBGROUPS_CACHE_SIZE)
-def _regular_subgroups(g: PermutationGroup, h: FiniteGroup) -> tuple[PermutationGroup, ...]:
-    """The search behind ``regular_subgroups_isomorphic_to``, cached per (g, h)."""
     n = h.order
     if g.degree != n:
         raise ValueError("degree must equal |h|")
@@ -281,7 +273,7 @@ def _regular_subgroups(g: PermutationGroup, h: FiniteGroup) -> tuple[Permutation
         a = next(x for x in range(n) if x not in reached)
         for p in sending_0_to[a]:
             new_gens = gens + (p,)
-            grown = _grow_closure(members, new_gens, n)
+            grown = _grow_closure(members, new_gens)
             if grown is not None:
                 stack.append((grown, new_gens))
     found.sort(key=lambda sub: sub.elements)
@@ -289,14 +281,19 @@ def _regular_subgroups(g: PermutationGroup, h: FiniteGroup) -> tuple[Permutation
 
 
 def _search_generators(elements: tuple[Perm, ...]) -> tuple[Perm, ...]:
-    """The generators a breadth-first search over a group's sorted elements
-    gives the group: level by level, adjoin each non-identity element in
-    turn to each subgroup reached at the level before, keep the first
-    generators that reach each subgroup, and stop at the first that reach
-    the whole group. A cyclic group gets its least generator. The trivial
-    group, which no element reaches, is generated by its identity. The
-    closures refuse elements with a fixed point, so the group must be
-    semiregular; every group searched here is regular.
+    """The lexicographically least of the shortest tuples of a group's
+    sorted non-identity elements that generate it. A cyclic group gets its
+    least generator; the trivial group, which no element reaches, is
+    generated by its identity.
+
+    The search runs breadth first: level by level, it adjoins each
+    non-identity element in turn to each subgroup reached at the level
+    before, keeps the first generators that reach each subgroup, and stops
+    at the first that reach the whole group. Each level is walked in
+    lexicographic order, and every prefix of a shortest generating tuple
+    first reaches its subgroup at its own length, so the first tuple found
+    is the least. The closures refuse elements with a fixed point, so the
+    group must be semiregular; every group searched here is regular.
     """
     ident, rest = elements[0], elements[1:]
     start = frozenset({ident})
@@ -309,7 +306,7 @@ def _search_generators(elements: tuple[Perm, ...]) -> tuple[Perm, ...]:
                 if p in members:
                     continue
                 new_gens = gens + (p,)
-                grown = frozenset(_grow_closure(members, new_gens, len(elements)))
+                grown = frozenset(_grow_closure(members, new_gens))
                 if len(grown) == len(elements):
                     return new_gens
                 if grown not in seen:
@@ -328,15 +325,15 @@ def _cyclic_subgroup(p: Perm) -> list[Perm]:
     return out
 
 
-def _grow_closure(members: AbstractSet[Perm], gens: tuple[Perm, ...], limit: int
-                  ) -> Optional[set[Perm]]:
+def _grow_closure(members: AbstractSet[Perm], gens: tuple[Perm, ...]) -> Optional[set[Perm]]:
     """<gens> as a set, where members is the group generated by gens[:-1]
     and its non-identity elements fix no point.
 
     The closure is grown one right coset of members at a time from the
     generators (Dimino's algorithm). Returns None at the first new element
-    that fixes a point, or once the closure would exceed limit elements.
-    A closure returned is semiregular, so its order divides the degree.
+    that fixes a point, or once the closure would exceed the degree in
+    elements. A closure returned is semiregular, so its order divides the
+    degree.
     """
     elems = set(members)
     pending = [gens[-1]]
@@ -345,7 +342,7 @@ def _grow_closure(members: AbstractSet[Perm], gens: tuple[Perm, ...], limit: int
         r = pending.pop()
         if r in elems:
             continue
-        if len(elems) + len(members) > limit:
+        if len(elems) + len(members) > len(points):
             return None
         for m in members:
             c = tuple(map(m.__getitem__, r))

@@ -100,13 +100,10 @@ def _leaf_count_estimate(n: int, q: int) -> int:
     return out
 
 
-def cyclic_skew_morphisms(n: int) -> list[Perm]:
-    """All skew-morphisms of Z_n (identity included), sorted."""
-    return list(_cyclic_skews(n))
-
-
 @functools.lru_cache(maxsize=SKEW_CACHE_SIZE)
-def _cyclic_skews(n: int) -> tuple[Perm, ...]:
+def cyclic_skew_morphisms(n: int) -> tuple[Perm, ...]:
+    """All skew-morphisms of Z_n (identity included), sorted. Cached per
+    order; the tuple is shared, so no caller can change the cached value."""
     h = make_cyclic(n)
     results: set[Perm] = {tuple(range(n))}
     periods = _proper_divisors(n)

@@ -75,7 +75,7 @@ def composed_stabilizer(m, tables=()):
     generator = identity_perm(m.group.order)
     for p in _prime_divisors(k):
         kept, j = None, k // p
-        while (found := known.get(j) or _propagate(m, m, 0, j)) is not None:
+        while (found := known.get(j) or _propagate(m, m, j)) is not None:
             kept = found
             if j % p:
                 break

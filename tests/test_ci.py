@@ -10,7 +10,7 @@ import pytest
 from cimlab import ci, maps, mapiso, perms
 from cimlab.ci import (
     DEFINITIONAL_CAP,
-    _rich_maps_cyclic,
+    _rich_maps,
     _valency_classes,
     babai_is_ci_map,
     cross_validate,
@@ -191,7 +191,7 @@ def test_class_key_is_the_rotation_of_one_member(spec, z8, q8, d4):
 @pytest.mark.parametrize("n", [7, 9, 11])
 def test_class_key_up_to_mirror_is_the_rotation_of_one_rich_map(n):
     h = make_cyclic(n)
-    rich, _ = _rich_maps_cyclic(h, n - 1)
+    rich = _rich_maps(h, cyclic_skew_morphisms(n), n - 1)
     assert_one_member_per_class_is_its_key(
         [make_map(h, rot) for rot in rich],
         lambda m: min(cayley_class_key(m), cayley_class_key(m.mirror())))
@@ -205,7 +205,7 @@ def test_class_key_up_to_mirror_is_the_rotation_of_one_rich_map(n):
 ])
 def test_orbit_walk_selects_the_per_map_key_representatives(n, seed, counts, monkeypatch):
     h = benchmark_relabel(make_cyclic(n), seed)
-    rich, _ = _rich_maps_cyclic(h, n - 1)
+    rich = _rich_maps(h, cyclic_skew_morphisms(n), n - 1)
     per_map = [m.rotation for m in (make_map(h, rot) for rot in rich)
                if cayley_class_key(m) == m.rotation <= cayley_class_key(m.mirror())]
     reps = swept_representatives(h, n - 1, monkeypatch)
@@ -216,7 +216,7 @@ def test_orbit_walk_selects_the_per_map_key_representatives(n, seed, counts, mon
 @pytest.mark.parametrize("n", range(7, 14))
 def test_rich_maps_are_closed_and_orbit_sizes_sum_to_maps_rich(n, monkeypatch):
     h = make_cyclic(n)
-    rich, _ = _rich_maps_cyclic(h, n - 1)
+    rich = _rich_maps(h, cyclic_skew_morphisms(n), n - 1)
     rotations = set(map(tuple, rich))
     orbits = [dihedral_orbit(h, rep) for rep in swept_representatives(h, n - 1, monkeypatch)]
     # distinct orbits are disjoint, so orbits inside the rich set whose sizes
@@ -526,7 +526,7 @@ def test_stabilizer_strategy_finds_all_rich_maps():
 
     for n, maxval in ((5, 4), (6, 5), (8, 7), (9, 8), (10, 9), (11, 8), (12, 8)):
         h = make_cyclic(n)
-        rich = [tuple(rot) for rot in _rich_maps_cyclic(h, maxval)[0]]
+        rich = [tuple(rot) for rot in _rich_maps(h, cyclic_skew_morphisms(h.order), maxval)]
         expected = set()
         for m in all_maps(h, maxval):
             if is_connected(m) and len(stabilizer_automorphisms(m)) > 1:
@@ -545,7 +545,7 @@ def full_cycle_roots_as_tuples(orbits, d):
 
 
 def rich_maps_as_tuples(h, max_valency):
-    """The sorted rotations of ``ci._rich_maps_cyclic`` as it stood while
+    """The sorted rotations of ``ci._rich_maps`` over the skew list as it stood while
     it gathered tuples in a set; oracle for the packed rotations."""
     n = h.order
     ident = identity_perm(n)
@@ -575,7 +575,7 @@ def rich_maps_as_tuples(h, max_valency):
                          [(n, n - 1) for n in range(5, 16)] + [(15, 10), (16, 8)])
 def test_packed_rich_rotations_are_the_sorted_tuples(n, max_valency):
     h = make_cyclic(n)
-    rich, _ = _rich_maps_cyclic(h, max_valency)
+    rich = _rich_maps(h, cyclic_skew_morphisms(h.order), max_valency)
     assert all(type(rot) is bytes for rot in rich)
     decoded = [tuple(rot) for rot in rich]
     assert decoded == rich_maps_as_tuples(h, max_valency)
@@ -677,25 +677,37 @@ def test_stabilizer_strategy_detects_a_missing_skew_morphism(monkeypatch):
             verify_connected_cim(make_cyclic(7), 6, strategy="stabilizer")
 
 
+def least_alignment_generator(rotation, stab):
+    """The element of a connected map's stabilizer with the least nonzero
+    alignment, which generates the cyclic G_1; the identity when G_1 is
+    trivial. Alignment j sends rot[0] to rot[j]."""
+    k = len(rotation)
+    return min(stab, key=lambda phi: (rotation.index(phi[rotation[0]]) - 1) % k)
+
+
 def test_least_alignment_generator_of_every_rich_stabilizer_is_listed(monkeypatch):
-    # the completeness check requires this element of each stabilizer to be
-    # a listed skew-morphism; on the complete list it is, for every class
-    # representative the stabilizer strategy sweeps, and it generates G_1
+    # the completeness check requires each element of order |G_1| to be a
+    # listed skew-morphism; on the complete list it is, for every class
+    # representative the stabilizer strategy sweeps, and the one of least
+    # alignment generates G_1
     reps = nontrivial = unlisted = 0
+    generators = set()
     for n, max_valency in [(n, n - 1) for n in range(7, 16)] + [(16, 8)]:
         h = make_cyclic(n)
         skews = set(cyclic_skew_morphisms(n))
         for rot in swept_representatives(h, max_valency, monkeypatch):
             stab = stabilizer_automorphisms(CayleyMap(h, rot))
-            generator = ci._stabilizer_generator(rot, stab)
+            generator = least_alignment_generator(rot, stab)
             assert generator in skews and sorted(perms._cyclic_subgroup(generator)) == stab
-            assert ci._stabilizer_listed(h, rot, stab, skews)
+            assert ci._stabilizer_listed(h, stab, skews)
+            generators.update((n, phi) for phi in stab if perm_order(phi) == len(stab))
             reps += 1
             nontrivial += len(stab) > 1
             unlisted += not skews.issuperset(stab)
+    assert all(phi in cyclic_skew_morphisms(n) for n, phi in generators)
     # every representative is rich; one, the Z9 map below, has a stabilizer
     # element that is not a skew-morphism, so the complete list lacks it
-    assert (reps, nontrivial, unlisted) == (13683, 13683, 1)
+    assert (reps, nontrivial, unlisted, len(generators)) == (13683, 13683, 1, 83)
 
 
 def test_completeness_check_accepts_a_power_that_is_not_a_skew_morphism():
@@ -712,7 +724,7 @@ def test_completeness_check_accepts_a_power_that_is_not_a_skew_morphism():
     assert (checked, failing_rot, report.verdict) == (1, rot, False)
     # dropping the generator of least alignment, or any other listed
     # element, which is a skew-morphism, is still caught
-    assert ci._stabilizer_generator(rot, stab) in skews
+    assert least_alignment_generator(rot, stab) in skews
     for dropped in skews.intersection(stab):
         with pytest.raises(RuntimeError, match="stabilizer enumeration is incomplete"):
             ci._first_failure(h, [rot], 1, skews - {dropped})
@@ -831,7 +843,7 @@ def test_refused_reduction_ends_the_sweep_before_its_first_set(monkeypatch):
     # {2, 4, 6} over K = <2>; refuse <2>
     real = ci._check_reduction_conditions
     monkeypatch.setattr(ci, "_check_reduction_conditions",
-                        lambda h, k, k_group: k.members != (0, 2, 4, 6) and real(h, k, k_group))
+                        lambda h, members: members != (0, 2, 4, 6) and real(h, members))
     with pytest.raises(UnsupportedReductionError, match=r"generate \(0, 2, 4, 6\)"):
         verify_cim_group(make_cyclic(8), 7)
     # no map over the refused K is swept, so its failing component goes unseen
@@ -884,7 +896,7 @@ def test_counted_reduction_conditions_equal_the_nested_searches():
         for k in all_subgroups(h):
             if 1 < k.order < h.order:
                 k_group = k.as_group()
-                holds = ci._check_reduction_conditions(h, k, k_group)
+                holds = ci._check_reduction_conditions(h, k.members)
                 assert holds is nested_reduction_conditions(h, k, k_group), (h.name, k.members)
                 subgroups += 1
                 refused += not holds
@@ -1006,7 +1018,7 @@ def test_babai_task_replies_equal_the_uncached_ones(h, verify, args, seed, faili
     batches = swept_batches(monkeypatch, verify, h, *args)
     cached = task_replies(ci._babai_task, h, batches)
     monkeypatch.setattr(ci, "regular_subgroups_isomorphic_to",
-                        lambda g, h: list(perms._regular_subgroups.__wrapped__(g, h)))
+                        perms.regular_subgroups_isomorphic_to.__wrapped__)
     assert task_replies(uncached_babai_task, h, batches) == cached
     assert len(cached) == sum(len(rotations) for rotations, _ in batches) > 0
     assert sum(report is not None for report, _ in cached) == failing
@@ -1017,7 +1029,7 @@ def test_stabilizer_sweep_builds_aut_and_searches_once_per_stabilizer(monkeypatc
     # and its regular subgroups searched, once, while every map still gets
     # its own babai_is_ci_map call and regular-subgroup call
     mapiso._automorphism_group.cache_clear()
-    perms._regular_subgroups.cache_clear()
+    perms.regular_subgroups_isomorphic_to.cache_clear()
     stabs, calls, built = [], [], []
     task, verdict, search = ci._babai_task, ci.babai_is_ci_map, ci.regular_subgroups_isomorphic_to
     group = mapiso.PermutationGroup
@@ -1038,7 +1050,7 @@ def test_stabilizer_sweep_builds_aut_and_searches_once_per_stabilizer(monkeypatc
     report = verify_connected_cim(make_cyclic(13), 12, strategy="stabilizer")
     assert report.verdict and report.stats["maps_checked"] == len(stabs) == 640
     assert calls == ["babai", "search"] * 640
-    searched = perms._regular_subgroups.cache_info().misses
+    searched = perms.regular_subgroups_isomorphic_to.cache_info().misses
     assert len(set(stabs)) == len(built) == searched == 5
 
 
@@ -1047,7 +1059,7 @@ def test_automorphism_caches_are_bounded_by_their_constants():
             == mapiso.AUT_GROUP_CACHE_SIZE)
     assert (maps._connection_profile.cache_info().maxsize
             == maps.CONNECTION_CACHE_SIZE)
-    assert (perms._regular_subgroups.cache_info().maxsize
+    assert (perms.regular_subgroups_isomorphic_to.cache_info().maxsize
             == perms.REGULAR_SUBGROUPS_CACHE_SIZE)
 
 

@@ -483,20 +483,58 @@ def test_revalidation_rejects_a_rival_outside_aut(capsys):
         revalidate_map_report(report, make_cyclic(8))
 
 
+def test_revalidation_checks_a_counterexample_rival(capsys):
+    # every counterexample report carries its rival; the translations, a
+    # regular Z9 outside Aut(M), or generators of Sym(9), far past the
+    # closure cap, stored in its place is refused
+    from cimlab.ci import revalidate_map_report
+
+    rc, data = run_json(capsys, ["counterexample", "--family", "odd-square",
+                                 "--p", "3", "--kind", "cyclic"])
+    assert rc == 1
+    report = data["reports"][0]
+    z9 = make_cyclic(9)
+    revalidate_map_report(report, z9)
+    rival = report["witnesses"][0]
+    assert rival["kind"] == "rival-regular-subgroup"
+    nine_cycle = [2, 3, 1, 4, 5, 6, 7, 8, 0]  # 0 -> 2 -> 1 -> 3 -> ... -> 8 -> 0
+    for generators, reason in [([list(range(1, 9)) + [0]], "left translations"),
+                               ([nine_cycle], "Aut\\(M\\)"),
+                               ([nine_cycle, [1, 0, 2, 3, 4, 5, 6, 7, 8]], "Aut\\(M\\)")]:
+        rival["generators"] = generators
+        with pytest.raises(ValueError, match=reason):
+            revalidate_map_report(report, z9)
+
+
+def test_revalidation_refuses_an_unknown_witness_kind(capsys):
+    from cimlab.ci import revalidate_map_report
+
+    rc, data = run_json(capsys, ["is-ci-map", "--map", "z8:1,3,5,7"])
+    assert rc == 0
+    report = data["reports"][0]
+    report["witnesses"].append({"kind": "rival", "generators": [list(range(8))]})
+    with pytest.raises(ValueError, match="unknown witness kind 'rival'"):
+        revalidate_map_report(report, make_cyclic(8))
+
+
 def test_revalidation_rejects_a_conjugator_outside_aut(capsys):
-    # x conjugates x^-1 Hhat x onto Hhat, but neither lies in Aut(M)
+    # x conjugates x^-1 Hhat x onto Hhat, but neither lies in Aut(M); nor
+    # does a subgroup generating Sym(8), past the closure cap
     from cimlab.ci import revalidate_map_report
     from cimlab.perms import conjugate_subgroup, inverse_perm, left_regular_representation
 
     rc, data = run_json(capsys, ["is-ci-map", "--map", "z8:1,3,5,7"])
     assert rc == 0
     report = data["reports"][0]
+    stored = report["witnesses"]
     x = (0, 2, 1, 3, 4, 5, 6, 7)
     sub = conjugate_subgroup(left_regular_representation(make_cyclic(8)), inverse_perm(x))
-    report["witnesses"].append({"kind": "conjugator", "element": list(x),
-                                "subgroup": [list(p) for p in sub.generators]})
-    with pytest.raises(ValueError, match="Aut\\(M\\)"):
-        revalidate_map_report(report, make_cyclic(8))
+    sym8 = [(1, 2, 3, 4, 5, 6, 7, 0), (1, 0, 2, 3, 4, 5, 6, 7)]
+    for element, gens in [(x, sub.generators), (tuple(range(8)), sym8)]:
+        report["witnesses"] = stored + [{"kind": "conjugator", "element": list(element),
+                                         "subgroup": [list(p) for p in gens]}]
+        with pytest.raises(ValueError, match="Aut\\(M\\)"):
+            revalidate_map_report(report, make_cyclic(8))
 
 
 def test_revalidation_rejects_a_conjugator_on_a_disconnected_map():

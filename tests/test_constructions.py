@@ -236,7 +236,7 @@ def _frozen_small_generating_set(elems, degree):
     for p in sorted(elems):
         if p not in have:
             gens.append(p)
-            have = set(closure(gens, cap=len(elems) + 1).elements)
+            have = set(closure(gens).elements)
             if len(have) == len(elems):
                 break
     return tuple(gens) if gens else (identity_perm(degree),)

@@ -282,17 +282,16 @@ def test_automorphisms_validate(z9):
 def test_automorphism_cache_is_bounded():
     for _ in range(200):
         automorphisms(make_cyclic(5))
-    info = groups._automorphisms_of.cache_info()
+    info = groups.automorphisms.cache_info()
     assert info.maxsize == groups.AUT_CACHE_SIZE
     assert info.currsize <= groups.AUT_CACHE_SIZE
 
 
-def test_automorphisms_returns_a_fresh_list(z9):
+def test_automorphisms_returns_the_cached_tuple(z9):
+    # a tuple, so no caller can change the value every later caller reads
     first = automorphisms(z9)
-    expected = [a.images for a in first]
-    first.pop()
-    first.reverse()
-    assert [a.images for a in automorphisms(z9)] == expected
+    assert isinstance(first, tuple)
+    assert automorphisms(z9) is first
 
 
 # ----------------------------------------------------------- isomorphism

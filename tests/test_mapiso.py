@@ -5,7 +5,7 @@ import random
 import pytest
 
 from cimlab import mapiso
-from cimlab.ci import _rich_maps_cyclic, verify_connected_cim
+from cimlab.ci import _rich_maps, verify_connected_cim
 from cimlab.enumeration import cayley_classes, connection_sets, rotations_of
 from cimlab.errors import DisconnectedMapError
 from cimlab.groups import (
@@ -45,6 +45,7 @@ from cimlab.perms import (
     point_stabilizer,
     translate_table,
 )
+from cimlab.skew import cyclic_skew_morphisms
 from conftest import composed_stabilizer, negation_action, order8_groups, relabelled
 
 
@@ -149,7 +150,7 @@ def test_extending_alignments_are_the_multiples_of_the_least():
     # the rich class representatives of Z13: 640 maps of valency up to 12,
     # whose least extending alignment runs from 1 to 6
     h = make_cyclic(13)
-    rich, _ = _rich_maps_cyclic(h, 12)
+    rich = _rich_maps(h, cyclic_skew_morphisms(13), 12)
     reps = [make_map(h, tuple(rot))
             for rot, orbit in cayley_classes(h, rich, mirror=True) if min(orbit) == rot]
     assert len(reps) == 640
@@ -157,7 +158,7 @@ def test_extending_alignments_are_the_multiples_of_the_least():
     orders = set()
     for m in reps:
         k = m.valency
-        found = {j: p for j in range(k) if (p := _propagate(m, m, 0, j)) is not None}
+        found = {j: p for j in range(k) if (p := _propagate(m, m, j)) is not None}
         g = min((j for j in found if j), default=k)
         least.add(g)
         orders.add(len(found))
@@ -182,9 +183,9 @@ def alignments_per_map(monkeypatch):
         tried.append(j)
         return extend(m, j, triangles)
 
-    def counting_propagate(m1, m2, v0, a0):
+    def counting_propagate(m1, m2, a0):
         propagated.append(a0)
-        return _propagate(m1, m2, v0, a0)
+        return _propagate(m1, m2, a0)
 
     extend = mapiso._extend
     monkeypatch.setattr(mapiso, "_extend", counting_extend)
@@ -294,7 +295,7 @@ def test_one_pass_extension_equals_the_two_pass_check():
                     for a in range(k):
                         darts = propagated_darts(m, target, 0, a)
                         verified = darts is not None and mapiso._verify(m, target, darts)
-                        images = _propagate(m, target, 0, a)
+                        images = _propagate(m, target, a)
                         assert images == (darts if verified else None)
                         propagations += 1
                         extensions += images is not None
@@ -308,7 +309,8 @@ def seeded_corpus():
     representatives of Z15 and every rich map of Z16 up to valency 8."""
     for n, max_valency in [(n, n - 1) for n in range(7, 16)] + [(16, 8)]:
         h = make_cyclic(n)
-        rich, skews = _rich_maps_cyclic(h, max_valency)
+        skews = cyclic_skew_morphisms(n)
+        rich = _rich_maps(h, skews, max_valency)
         if n == 15:
             rich = [rot for rot, orbit in cayley_classes(h, rich, mirror=True)
                     if min(orbit) == rot]
@@ -331,9 +333,9 @@ def test_seeded_stabilizer_equals_the_propagated_one(monkeypatch):
         tried.append(j)
         return extend(m, j, triangles)
 
-    def counting_propagate(m1, m2, v0, a0):
+    def counting_propagate(m1, m2, a0):
         propagated.append(a0)
-        return _propagate(m1, m2, v0, a0)
+        return _propagate(m1, m2, a0)
 
     extend = mapiso._extend
     monkeypatch.setattr(mapiso, "_extend", counting_extend)
@@ -370,10 +372,12 @@ def assembly_cases():
     skews only the identity passes the check."""
     for n in range(7, 14):
         h = make_cyclic(n)
-        rich, skews = _rich_maps_cyclic(h, n - 1)
+        skews = cyclic_skew_morphisms(n)
+        rich = _rich_maps(h, skews, n - 1)
         yield "canonical", h, [tuple(rot) for rot in rich], sorted(skews)
     for n in (9, 11):
-        rich, skews = _rich_maps_cyclic(make_cyclic(n), n - 1)
+        skews = cyclic_skew_morphisms(n)
+        rich = _rich_maps(make_cyclic(n), skews, n - 1)
         for seed in (1, 2):
             g, new = relabelled(make_cyclic(n), seed)
             images = [tuple(new[x] for x in rot) for rot in rich]
@@ -412,7 +416,7 @@ def every_alignment_stabilizer(m):
     """The identity-vertex stabilizer of a connected map with every
     alignment propagated and nothing refuted or seeded: a frozen oracle for
     the triangle-count sieve."""
-    return sorted(p for j in range(m.valency) if (p := _propagate(m, m, 0, j)) is not None)
+    return sorted(p for j in range(m.valency) if (p := _propagate(m, m, j)) is not None)
 
 
 def sieve_cases():
@@ -449,7 +453,7 @@ def test_triangle_counts_refute_only_alignments_that_do_not_extend():
         assert len(members) == m.group.order
         triangles = None if table is None else bytes(m.rotation).translate(table)
         for j in range(1, m.valency):
-            images = _propagate(m, m, 0, j)
+            images = _propagate(m, m, j)
             assert mapiso._extend(m, j, triangles) == images
             refuted += triangles is not None and triangles != triangles[j:] + triangles[:j]
         maps += 1
@@ -486,9 +490,9 @@ def test_exhaustive_z11_sweep_propagates_few_alignments(monkeypatch):
     # alignment per distinct prime of the valency took 27,925 propagations
     calls = []
 
-    def counting_propagate(m1, m2, v0, a0):
+    def counting_propagate(m1, m2, a0):
         calls.append(a0)
-        return _propagate(m1, m2, v0, a0)
+        return _propagate(m1, m2, a0)
 
     monkeypatch.setattr(mapiso, "_propagate", counting_propagate)
     report = verify_connected_cim(make_cyclic(11), 8, strategy="exhaustive")
@@ -516,13 +520,14 @@ def seed_scan_cases():
     relabelled images of the canonical rich maps."""
     for n in range(9, 16):
         h = make_cyclic(n)
-        rich, skews = _rich_maps_cyclic(h, n - 1)
+        skews = cyclic_skew_morphisms(n)
+        rich = _rich_maps(h, skews, n - 1)
         if n == 15:
             rich = [rot for rot, orbit in cayley_classes(h, rich, mirror=True)
                     if min(orbit) == rot]
         yield h, [tuple(rot) for rot in rich], sorted(skews)
     for n in (9, 11):
-        rich, _ = _rich_maps_cyclic(make_cyclic(n), n - 1)
+        rich = _rich_maps(make_cyclic(n), cyclic_skew_morphisms(n), n - 1)
         for seed in (0, 1, 2):
             g, new = relabelled(make_cyclic(n), seed)
             images = [tuple(new[x] for x in rot) for rot in rich]
@@ -548,8 +553,8 @@ def test_extension_onto_a_disconnected_map_is_one_to_one(z8):
     # of <2>, so only the count of distinct images turns these down
     cycle, two_cycles = make_map(z8, (1, 7)), make_map(z8, (2, 6))
     for a in (0, 1):
-        assert _propagate(cycle, two_cycles, 0, a) is None
-    assert _propagate(cycle, cycle, 0, 0) == tuple(range(8))
+        assert _propagate(cycle, two_cycles, a) is None
+    assert _propagate(cycle, cycle, 0) == tuple(range(8))
 
 
 def test_translations_always_automorphisms(z8, k4):

@@ -10,6 +10,13 @@ is still dead. A method is used only through an attribute access. The
 check matches by name alone: a local that shares a function's name hides
 the function, and an attribute of any object that shares a method's name
 hides the method.
+
+Every parameter default of those functions and methods is also overridden
+by some package call: a call of that name that passes the parameter by
+keyword, reaches it positionally, or unpacks ``*args`` or ``**kwargs``.
+A default no call overrides is a knob nobody turns; the ones kept on
+purpose are listed in ``ALLOWED_DEFAULTS``. Calls inside the definition's
+own body do not count, and the match is by name alone, as above.
 """
 
 import ast
@@ -37,6 +44,18 @@ ALLOWED = {
     "apply_group_automorphism": "the tests carry maps along Aut(H) with it",
 }
 
+# parameter defaults kept on purpose, though no package call overrides them
+ALLOWED_DEFAULTS = {
+    "verify_cim_group.strategy": "the CLI passes it through a variable naming either verify function",
+    "verify_cim_group.workers": "the CLI passes it through a variable naming either verify function",
+    "run.argv": "the console entry point reads sys.argv through it; the tests pass their own",
+}
+
+
+def _package_trees() -> dict:
+    return {path.name: ast.parse(path.read_text())
+            for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
+
 
 def _names(node: ast.AST) -> Counter:
     out: Counter = Counter()
@@ -55,8 +74,7 @@ def _attributes(node: ast.AST) -> Counter:
 
 
 def unreferenced_definitions() -> list[str]:
-    trees = {path.name: ast.parse(path.read_text())
-             for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
+    trees = _package_trees()
     used: Counter = Counter()
     attributes: Counter = Counter()
     for tree in trees.values():
@@ -85,3 +103,75 @@ def test_every_definition_is_referenced():
 def test_every_allowed_name_is_still_unreferenced():
     dead = {d.split(":")[1] for d in unreferenced_definitions()}
     assert set(ALLOWED) <= dead
+
+
+def _defaulted_parameters(node: ast.FunctionDef, is_method: bool):
+    """(position as a call passes it, or None for keyword-only; name) of
+    each parameter with a default; a method's self takes no position."""
+    args = node.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    for i in range(first, len(positional)):
+        yield i - is_method, positional[i].arg
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield None, arg.arg
+
+
+def _overrides(call: ast.Call, position, name: str) -> bool:
+    return (any(k.arg in (name, None) for k in call.keywords)
+            or (position is not None and (len(call.args) > position or any(
+                isinstance(a, ast.Starred) for a in call.args))))
+
+
+def unturned_defaults(trees: dict) -> list[str]:
+    """``module:function.parameter`` for each top-level function's or
+    method's parameter default that no call elsewhere in ``trees`` overrides."""
+    calls: dict = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    definitions = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                definitions.append((module, node, False))
+            elif isinstance(node, ast.ClassDef):
+                definitions += [(module, method, True) for method in node.body
+                                if isinstance(method, ast.FunctionDef)]
+    unturned = []
+    for module, node, is_method in definitions:
+        own = {id(sub) for sub in ast.walk(node)}
+        callers = [call for call in calls.get(node.name, ()) if id(call) not in own]
+        for position, name in _defaulted_parameters(node, is_method):
+            if not any(_overrides(call, position, name) for call in callers):
+                unturned.append(f"{module}:{node.name}.{name}")
+    return unturned
+
+
+def test_every_parameter_default_is_overridden():
+    unturned = [d for d in unturned_defaults(_package_trees())
+                if d.split(":")[1] not in ALLOWED_DEFAULTS]
+    assert unturned == []
+
+
+def test_every_allowed_default_is_still_unturned():
+    unturned = {d.split(":")[1] for d in unturned_defaults(_package_trees())}
+    assert set(ALLOWED_DEFAULTS) <= unturned
+
+
+def test_the_default_guard_sees_each_way_to_override():
+    header = "def f(a, b=1, *, c=2):\n    return f(a)\nclass K:\n    def m(self, d=3): pass\n"
+    cases = {
+        "": ["f.b", "f.c", "m.d"],
+        "f(0, 1)\n": ["f.c", "m.d"],
+        "f(0, b=1, c=2)\nK().m(4)\n": [],
+        "f(*xs)\nk.m(**kw)\n": ["f.c"],
+        "g(0, 1, c=2)\n": ["f.b", "f.c", "m.d"],
+    }
+    for body, expected in cases.items():
+        found = unturned_defaults({"x.py": ast.parse(header + body)})
+        assert found == [f"x.py:{name}" for name in expected], body

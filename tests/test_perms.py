@@ -3,9 +3,15 @@ from math import gcd
 
 import pytest
 
-from cimlab import ci, mapiso, perms
+from cimlab import mapiso, perms
 from cimlab.errors import CapacityError
-from cimlab.groups import is_cyclic_group, make_abelian, make_cyclic, make_generalized_quaternion
+from cimlab.groups import (
+    is_cyclic_group,
+    make_abelian,
+    make_cyclic,
+    make_generalized_quaternion,
+    make_semidirect,
+)
 from cimlab.perms import (
     are_conjugate_subgroups,
     closure,
@@ -23,12 +29,13 @@ from cimlab.perms import (
     point_stabilizer,
     regular_subgroups_isomorphic_to,
 )
-from cimlab.ci import _rich_maps_cyclic
+from cimlab.ci import _rich_maps
 from cimlab.cli import parse_group_spec
 from cimlab.enumeration import cayley_classes, connection_sets, rotations_of
 from cimlab.mapiso import map_automorphism_group, stabilizer_automorphisms
 from cimlab.maps import CayleyMap, is_connected, make_map
-from conftest import order8_groups
+from cimlab.skew import cyclic_skew_morphisms
+from conftest import negation_action, order8_groups
 
 
 def eight_cycle():
@@ -167,9 +174,11 @@ def test_closure_z16_with_mult9():
     assert g.order == 32
 
 
-def test_closure_cap():
-    with pytest.raises(CapacityError):
-        closure([eight_cycle(), mult_perm(8, 3)], cap=10)
+def test_closure_cap(monkeypatch):
+    # the cap is read when closure runs, so lowering it refuses a group of 16
+    monkeypatch.setattr(perms, "DEFAULT_GROUP_CAP", 10)
+    with pytest.raises(CapacityError, match="exceeds cap 10"):
+        closure([eight_cycle(), mult_perm(8, 3)])
 
 
 def test_closure_rejects_a_non_permutation():
@@ -322,7 +331,7 @@ def test_the_trivial_group_is_its_own_regular_subgroup():
     # already regular
     z1 = make_cyclic(1)
     hhat = left_regular_representation(z1)
-    assert regular_subgroups_isomorphic_to(hhat, z1) == [hhat]
+    assert regular_subgroups_isomorphic_to(hhat, z1) == (hhat,)
 
 
 def test_regular_subgroups_elementary_contains_tau_family():
@@ -347,7 +356,7 @@ def test_regular_subgroups_wrong_type_absent():
     q8 = make_generalized_quaternion(8)
     k4sq = make_abelian([2, 4])
     hhat = left_regular_representation(q8)
-    assert regular_subgroups_isomorphic_to(hhat, k4sq) == []
+    assert regular_subgroups_isomorphic_to(hhat, k4sq) == ()
 
 
 def test_cyclic_search_needs_an_n_cycle():
@@ -357,7 +366,7 @@ def test_cyclic_search_needs_an_n_cycle():
     b = (0, 1, 2, 3, 5, 6, 4, 7, 8, 9, 10, 11)
     g = closure([a, b])
     assert g.order == 36
-    assert regular_subgroups_isomorphic_to(g, make_cyclic(12)) == []
+    assert regular_subgroups_isomorphic_to(g, make_cyclic(12)) == ()
 
 
 def fresh_automorphism_group(m):
@@ -509,7 +518,7 @@ def test_left_regular_copy_skips_the_isomorphism_test(monkeypatch):
     monkeypatch.setattr(perms, "is_isomorphic", refuse)
     for h in order8_groups() + [make_cyclic(9), make_abelian([3, 3])]:
         g = left_regular_representation(h)
-        assert regular_subgroups_isomorphic_to(g, h) == [g]
+        assert regular_subgroups_isomorphic_to(g, h) == (g,)
 
 
 def test_right_regular_q8_takes_the_isomorphism_test(monkeypatch):
@@ -540,7 +549,7 @@ def test_the_search_hands_back_the_cached_left_regular_copy(monkeypatch):
             yield from ((h, g) for g in connected_map_automorphism_groups(h, 7))
         for n, max_valency in ((11, 10), (13, 12)):
             h = make_cyclic(n)
-            rich, _ = _rich_maps_cyclic(h, max_valency)
+            rich = _rich_maps(h, cyclic_skew_morphisms(n), max_valency)
             for rot, orbit in cayley_classes(h, rich, mirror=True):
                 if min(orbit) == rot:
                     yield h, fresh_automorphism_group(CayleyMap(h, tuple(rot)))
@@ -554,6 +563,44 @@ def test_the_search_hands_back_the_cached_left_regular_copy(monkeypatch):
         searches += g.order > h.order
     assert searches > 0 and derived
     assert not translations.intersection(derived)
+
+
+def least_shortest_generating_tuple(elements):
+    """The first tuple of a group's sorted non-identity elements, by length
+    and then lexicographically, whose closure is the whole group; the
+    identity alone for the trivial group. A shortest generating tuple has
+    distinct entries, and sorting them generates the same group by a tuple
+    no greater, so only increasing tuples are tried."""
+    rest = elements[1:]
+    for length in range(1, len(rest) + 1):
+        for gens in itertools.combinations(rest, length):
+            if closure(gens).order == len(elements):
+                return gens
+    return elements
+
+
+def test_search_generators_are_the_least_shortest_generating_tuple():
+    # every regular subgroup met by the connected maps of these groups up to
+    # valency 7, and H^ of three groups of order 16; each subgroup other
+    # than H^ prints the generators the search gives it
+    z3 = make_cyclic(3)
+    printed = {}
+    for h in [make_cyclic(6), *order8_groups(), make_cyclic(9), make_abelian([3, 3]),
+              make_abelian([2, 6]), make_semidirect(z3, 2, negation_action(z3))]:
+        hhat = left_regular_representation(h)
+        for s in connection_sets(h, 7):
+            for rotation in rotations_of(s):
+                m = make_map(h, rotation)
+                if is_connected(m):
+                    for r in regular_subgroups_isomorphic_to(map_automorphism_group(m), h):
+                        printed[r.elements] = None if r is hhat else r.generators
+    for h in [make_abelian([2, 2, 2, 2]), make_abelian([2, 2, 4]), make_generalized_quaternion(16)]:
+        printed[left_regular_representation(h).elements] = None
+    for elements, generators in printed.items():
+        least = least_shortest_generating_tuple(elements)
+        assert perms._search_generators(elements) == least
+        assert generators in (None, least)
+    assert (len(printed), sum(g is not None for g in printed.values())) == (59, 46)
 
 
 def test_table_of_a_non_regular_group_is_refused():
@@ -578,9 +625,9 @@ def test_left_regular_copy_of_another_group_is_not_taken():
     # the shortcut compares with the copy of h itself, not with any left-regular group
     z8 = make_cyclic(8)
     for other in order8_groups()[1:]:
-        assert regular_subgroups_isomorphic_to(left_regular_representation(other), z8) == []
+        assert regular_subgroups_isomorphic_to(left_regular_representation(other), z8) == ()
     assert regular_subgroups_isomorphic_to(
-        left_regular_representation(z8), make_abelian([2, 2, 2])) == []
+        left_regular_representation(z8), make_abelian([2, 2, 2])) == ()
 
 
 def test_left_regular_cache_is_bounded():
@@ -645,7 +692,7 @@ def test_search_agrees_with_the_walk_on_rich_cyclic_maps(n, max_valency, classes
     # prime to n; Aut(M)'s elements are the sorted product of the translations
     # and the stabilizer
     h = make_cyclic(n)
-    rich, _ = _rich_maps_cyclic(h, max_valency)
+    rich = _rich_maps(h, cyclic_skew_morphisms(n), max_valency)
     reps = [rot for rot, orbit in cayley_classes(h, rich, mirror=True) if min(orbit) == rot]
     assert len(reps) == classes
     for rot in reps:
@@ -657,15 +704,13 @@ def test_search_agrees_with_the_walk_on_rich_cyclic_maps(n, max_valency, classes
             tuple(h.table[x][y] for y in phi) for x in range(n) for phi in stab))
 
 
-def test_search_agrees_with_the_walk_on_z16_rivals(monkeypatch):
+def test_search_agrees_with_the_walk_on_z16_rivals():
     # up to valency 8 the multipliers x -> ux seed the same 2,432 rich
     # rotations as Z16's 20 skew-morphisms, whose list takes seconds to
     # build; here H^ need not be normal, and some rivals are not conjugate
     h = make_cyclic(16)
     hhat = left_regular_representation(h)
-    monkeypatch.setattr(ci, "cyclic_skew_morphisms",
-                        lambda n: [mult_perm(n, u) for u in range(1, n, 2)])
-    rich, _ = _rich_maps_cyclic(h, 8)
+    rich = _rich_maps(h, [mult_perm(16, u) for u in range(1, 16, 2)], 8)
     reps = [rot for rot, orbit in cayley_classes(h, rich, mirror=True) if min(orbit) == rot]
     assert (len(rich), len(reps)) == (2432, 320)
     several = rivals = 0

@@ -13,7 +13,7 @@ from cimlab.skew import brute_force_skew_morphisms, cyclic_skew_morphisms
 @pytest.mark.parametrize("n", range(3, 10))
 def test_fast_enumeration_matches_bruteforce(n):
     h = make_cyclic(n)
-    assert cyclic_skew_morphisms(n) == brute_force_skew_morphisms(h)
+    assert list(cyclic_skew_morphisms(n)) == brute_force_skew_morphisms(h)
 
 
 @pytest.mark.parametrize("n", range(3, 10))
@@ -54,12 +54,12 @@ def test_known_counts():
 def test_leaf_budget_is_honoured_after_a_cached_call(monkeypatch):
     assert len(cyclic_skew_morphisms(12)) == 8
     monkeypatch.setattr(skew, "DEFAULT_LEAF_BUDGET", 1)
-    skew._cyclic_skews.cache_clear()
+    skew.cyclic_skew_morphisms.cache_clear()
     try:
         with pytest.raises(CapacityError, match="more than 1 leaves"):
             cyclic_skew_morphisms(12)
     finally:
-        skew._cyclic_skews.cache_clear()
+        skew.cyclic_skew_morphisms.cache_clear()
 
 
 def test_refusal_comes_before_any_search(monkeypatch):
@@ -68,18 +68,19 @@ def test_refusal_comes_before_any_search(monkeypatch):
         raise AssertionError(f"searched period {q} before refusing")
 
     monkeypatch.setattr(skew, "_increment_vectors", no_search)
-    skew._cyclic_skews.cache_clear()
+    skew.cyclic_skew_morphisms.cache_clear()
     try:
         with pytest.raises(CapacityError, match="at period 14"):
             cyclic_skew_morphisms(28)
     finally:
-        skew._cyclic_skews.cache_clear()
+        skew.cyclic_skew_morphisms.cache_clear()
 
 
-def test_skew_list_is_a_fresh_list():
+def test_skew_list_is_the_cached_tuple():
+    # a tuple, so no caller can change the value every later caller reads
     first = cyclic_skew_morphisms(9)
-    first.clear()
-    assert len(cyclic_skew_morphisms(9)) == 10
+    assert isinstance(first, tuple)
+    assert cyclic_skew_morphisms(9) is first
 
 
 def test_bruteforce_cap():
@@ -144,6 +145,6 @@ def test_orbit_prefilter_keeps_the_unfiltered_list(monkeypatch):
     for n in range(1, 16):
         expected, count = unfiltered_cyclic_skews(n)
         # past the cache, so every candidate is searched again
-        assert list(skew._cyclic_skews.__wrapped__(n)) == expected, n
+        assert list(skew.cyclic_skew_morphisms.__wrapped__(n)) == expected, n
         unfiltered += count
     assert (len(checked), unfiltered) == (8452, 54937)
