@@ -82,7 +82,7 @@ from .enumeration import (
     rotations_of,
     total_map_count,
 )
-from .errors import CapacityError, UnsupportedReductionError
+from .errors import CapacityError, MapValidationError, UnsupportedReductionError
 from .groups import (
     FiniteGroup,
     all_subgroups,
@@ -652,19 +652,36 @@ def verify_cim_group(
     return report
 
 
+WITNESS_FIELDS = {  # the fields each kind of map-report witness carries
+    "rival-regular-subgroup": ("generators", "order"),
+    "non-conjugate-regular-subgroup": ("generators", "order"),
+    "conjugator": ("element", "subgroup"),
+    "isomorphic-non-cayley-isomorphic-map": ("map", "other"),
+}
+
+
+def _stored_map(h: FiniteGroup, rotation) -> CayleyMap:
+    """``make_map`` on a stored rotation, raising ValueError if it is not a map."""
+    try:
+        return make_map(h, rotation)
+    except MapValidationError as exc:
+        raise ValueError(f"stored rotation {rotation} is not a map: {exc}") from exc
+
+
 def revalidate_map_report(report_dict: dict, h: FiniteGroup) -> None:
     """Re-verify every embedded witness of a reloaded map report.
 
     ``h`` is the group the report's subject refers to; raises ValueError
-    on the first witness that fails to check out, or whose kind is not one
-    of the four a map report carries. A rival, whether a
+    on a stored rotation that is not a map, and on the first witness that
+    fails to check out, lacks a field its kind needs, or whose kind is not
+    one of the four in ``WITNESS_FIELDS``. A rival, whether a
     ``rival-regular-subgroup`` or a ``non-conjugate-regular-subgroup``, must
     be a regular subgroup of Aut(M), isomorphic to h, without the elements
     of the left translations; the second kind must also not be conjugate
     to them.
     """
     rotation = report_dict["subject"].get("rotation")
-    m = make_map(h, rotation) if rotation is not None else None
+    m = _stored_map(h, rotation) if rotation is not None else None
     aut = None
     if m is not None and is_connected(m):
         aut = map_automorphism_group(m)
@@ -672,7 +689,11 @@ def revalidate_map_report(report_dict: dict, h: FiniteGroup) -> None:
     rivals = ("rival-regular-subgroup", "non-conjugate-regular-subgroup")
     for w in report_dict["witnesses"]:
         kind = w.get("kind")
-        if kind in rivals + ("conjugator",) and aut is None:
+        if kind not in WITNESS_FIELDS:
+            raise ValueError(f"unknown witness kind {kind!r}")
+        if missing := [f for f in WITNESS_FIELDS[kind] if f not in w]:
+            raise ValueError(f"{kind} witness lacks {', '.join(missing)}")
+        if kind != "isomorphic-non-cayley-isomorphic-map" and aut is None:
             raise ValueError(f"{kind} witness on a map that is not connected")
         if kind in rivals:
             # generators outside Aut(M) are refused first, so no closure
@@ -697,15 +718,12 @@ def revalidate_map_report(report_dict: dict, h: FiniteGroup) -> None:
                 raise ValueError("stored conjugator or its subgroup is not inside Aut(M)")
             if conjugate_subgroup(closure(gens), conj).elements != hhat.elements:
                 raise ValueError("stored conjugator does not map the subgroup onto the translations")
-        elif kind == "isomorphic-non-cayley-isomorphic-map":
-            m1 = make_map(h, w["map"])
-            m2 = make_map(h, w["other"])
+        else:
+            m1, m2 = _stored_map(h, w["map"]), _stored_map(h, w["other"])
             if map_iso_exists(m1, m2) is None:
                 raise ValueError("stored witness pair is not isomorphic")
             if are_cayley_isomorphic(m1, m2) is not None:
                 raise ValueError("stored witness pair is Cayley isomorphic")
-        else:
-            raise ValueError(f"unknown witness kind {kind!r}")
 
 
 def cross_validate(h: FiniteGroup, workers: int = 1) -> CiReport:

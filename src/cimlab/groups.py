@@ -185,6 +185,17 @@ def make_generalized_quaternion(order: int) -> FiniteGroup:
     return from_table(tbl, f"Q{order}")
 
 
+def cyclic_powers(p: Sequence[int]) -> list[tuple[int, ...]]:
+    """The powers of the permutation p of 0..len(p)-1, identity first, one
+    per element of the cyclic group <p>."""
+    powers = [tuple(range(len(p)))]
+    q = tuple(p)
+    while q != powers[0]:
+        powers.append(q)
+        q = tuple(q[x] for x in p)
+    return powers
+
+
 def action_powers(k_group: FiniteGroup, c_order: int, action: GroupIsomorphism
                   ) -> list[tuple[int, ...]]:
     """The powers of ``action``, identity first, once ``make_semidirect``'s
@@ -195,11 +206,7 @@ def action_powers(k_group: FiniteGroup, c_order: int, action: GroupIsomorphism
     if action.source is not k_group or action.target is not k_group:
         raise InvalidActionError("action must be an automorphism of k_group")
     action.validate()
-    powers = [tuple(range(k_group.order))]
-    cur = action.images
-    while cur != powers[0]:
-        powers.append(cur)
-        cur = tuple(cur[x] for x in action.images)
+    powers = cyclic_powers(action.images)
     if c_order % len(powers):
         raise InvalidActionError(
             f"action order {len(powers)} does not divide complement order {c_order}"
@@ -327,8 +334,10 @@ def _hom_on_generated(
 ) -> Optional[dict[int, int]]:
     """Partial map on <gens> forced by gens -> imgs, or None if inconsistent.
 
-    The result is guaranteed to be an injective homomorphism on the
-    subgroup generated so far.
+    The result is an injective homomorphism on the subgroup generated so
+    far: the breadth-first pass checks phi(x s) = phi(x) phi(s) on every
+    edge (x, s) of <gens>, s a generator, and each y in <gens> is a word in
+    the generators, so induction on its length gives phi(x y) = phi(x) phi(y).
     """
     phi = {0: 0}
     frontier = [0]
@@ -348,11 +357,6 @@ def _hom_on_generated(
         frontier = nxt
     if len(set(phi.values())) != len(phi):
         return None
-    for a in phi:
-        fa = phi[a]
-        for b in phi:
-            if phi[g.table[a][b]] != h.table[fa][phi[b]]:
-                return None
     return phi
 
 

@@ -7,17 +7,16 @@ full cycle determines its intertwiners from a single value. So there
 are at most |S| candidates fixing a vertex, one per alignment.
 
 The automorphisms fixing a vertex compose by adding their alignments
-mod k = |S|, so the alignments that extend form a subgroup gZ_k with
-g | k. For each prime p | k a walk down k/p, k/p^2, ... finds how many
-factors p the quotient k/g has; the product of the last automorphism
-found for each p generates the stabilizer, unless skew-morphism seeds
-already give one automorphism at every alignment in gZ_k, which then are
-the stabilizer. The walk tries at most one alignment per prime factor of
-k counted with multiplicity, and exactly one per distinct prime of k
-when the stabilizer is trivial; no alignment is tried twice. An
-alignment that a skew-morphism handed to ``stabilizer_automorphisms`` as
-its translate table already realises is not tried at all, and one that
-is tried is either refuted by the triangle counts or propagated.
+mod k = |S|, so the alignments that extend form a subgroup g*Z_k with
+g* | k, generated by the automorphism of alignment g*. The walk starts
+at g = k and, for each prime p | k, divides g by p while p divides g and
+alignment g/p extends; it ends at g = g* and lists the powers of the
+automorphism found there, unless skew-morphism seeds already fill g*Z_k.
+It tries Omega(k/g*) + omega(g*) alignments, none twice, so one per
+distinct prime of k when the stabilizer is trivial. An alignment that a
+skew-morphism handed to ``stabilizer_automorphisms`` as its translate
+table already realises is not tried at all, and one that is tried is
+either refuted by the triangle counts or propagated.
 
 The triangle counts are a property of the connection set alone. A map
 automorphism is an automorphism of the Cayley graph Cay(H, S); one that
@@ -43,20 +42,13 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from math import gcd
 from operator import itemgetter
 from typing import Optional, Sequence
 
 from .errors import CapacityError, DisconnectedMapError
-from .groups import FiniteGroup, GroupIsomorphism, automorphisms, is_isomorphic
+from .groups import FiniteGroup, GroupIsomorphism, automorphisms, cyclic_powers, is_isomorphic
 from .maps import CayleyMap, _connection_profile, identity_component, is_connected
-from .perms import (
-    Perm,
-    PermutationGroup,
-    _cyclic_subgroup,
-    compose,
-    left_regular_representation,
-)
+from .perms import Perm, PermutationGroup, left_regular_representation
 
 BRUTE_FORCE_CAP = 10
 AUT_GROUP_CACHE_SIZE = 64
@@ -199,18 +191,17 @@ def _seed_alignments(m: CayleyMap, tables: Sequence[bytes]) -> dict[int, Perm]:
 def stabilizer_automorphisms(m: CayleyMap, tables: Sequence[bytes] = ()) -> list[Perm]:
     """All automorphisms fixing the identity vertex, for a connected map, sorted.
 
-    The alignments that extend form a subgroup gZ_k of Z_k (k the
+    The alignments that extend form a subgroup g*Z_k of Z_k (k the
     valency), since composing two automorphisms that fix the identity
-    adds their alignments; g divides k. For each prime p | k the walk
-    tries j = k/p, k/p^2, ... while j extends and p divides j, and keeps
-    the last automorphism found: its alignment is k/p^e, where p^e is the
-    largest power of p dividing k/g. The product of the kept automorphisms
-    has alignment g times a number prime to k/g, so it generates the
-    stabilizer, whose k/g powers are returned. Every power is a product of
-    automorphisms `_propagate` found bijective with every dart checked, and
-    no alignment is tried twice: a trivial stabilizer tries one alignment
-    per distinct prime of k, and any stabilizer at most one per prime
-    factor of k counted with multiplicity.
+    adds their alignments; g* divides k, and the automorphism of
+    alignment g* generates the stabilizer. The walk starts at g = k and,
+    for each prime p | k, sets g = g/p while p divides g and alignment g/p
+    extends, keeping the automorphism found. Alignment g/p extends exactly
+    when g* divides it, so g* | g at every step, p divides g and g* equally
+    often once p stops, and the walk ends at g = g*; the k/g powers of the
+    automorphism kept there, the identity for a trivial stabilizer, are
+    returned. It tries Omega(k/g) + omega(g) alignments, none twice: one
+    per distinct prime of k for a trivial stabilizer.
 
     An alignment is tried by refuting it from the triangle counts or by
     propagating it (``_extend``). An automorphism fixing the identity with
@@ -241,14 +232,13 @@ def stabilizer_automorphisms(m: CayleyMap, tables: Sequence[bytes] = ()) -> list
     `_propagate` would find, and the returned list is the same with or
     without the skews.
 
-    The walk also keeps g, the gcd of k and every alignment that extended.
-    A seed's alignment extends, so the seeds sit at nonzero multiples of g;
-    when they fill all k/g - 1 of them, the identity and the seeds are the
-    whole stabilizer, one automorphism per alignment, and are returned
-    without composing the kept automorphisms or taking their powers.
-    Alignments that do not extend are still tried, refuted by the triangle
-    counts or propagated, whatever the seeds, so g is the map's own, and an
-    automorphism no seed realises is still found by the powers.
+    A seed's alignment extends, so the seeds sit at nonzero multiples of
+    the final g; when they fill all k/g - 1 of them, the identity and the
+    seeds are the whole stabilizer, one automorphism per alignment, and are
+    returned without taking powers. Alignments that do not extend are
+    still tried, refuted by the triangle counts or propagated, whatever the
+    seeds, so g is the map's own, and an automorphism no seed realises is
+    still found by the powers.
     """
     members, counts = _connection_profile(m.group, tuple(sorted(m.rotation)))
     if len(members) != m.group.order:
@@ -257,22 +247,16 @@ def stabilizer_automorphisms(m: CayleyMap, tables: Sequence[bytes] = ()) -> list
     known = _seed_alignments(m, tables)
     triangles = None if counts is None else bytes(m.rotation).translate(counts)
     ident = tuple(range(m.group.order))
-    g, kept = k, []
+    g, generator = k, ident
     for p in _prime_divisors(k):
-        last = None
-        j = k // p
-        while (found := known.get(j) or _extend(m, j, triangles)) is not None:
-            last, g = found, gcd(g, j)
-            if j % p:
-                break
-            j //= p
-        if last is not None:
-            kept.append(last)
+        while g % p == 0 and (
+                found := known.get(g // p) or _extend(m, g // p, triangles)) is not None:
+            g, generator = g // p, found
     if len(known) == k // g - 1:
         # the seeds hold every nonzero multiple of g, each the one automorphism
         # of its alignment
         return sorted([ident, *known.values()])
-    return sorted(_cyclic_subgroup(functools.reduce(compose, kept, ident)))
+    return sorted(cyclic_powers(generator))
 
 
 def map_automorphism_group(m: CayleyMap, stabilizer: Optional[Sequence[Perm]] = None
@@ -314,22 +298,15 @@ def _automorphism_group(h: FiniteGroup, stab: tuple[Perm, ...]) -> PermutationGr
 
 
 def map_isomorphisms(m1: CayleyMap, m2: CayleyMap) -> list[MapMorphism]:
-    """All isomorphisms between two connected maps, sorted by image tuple."""
+    """All isomorphisms between two connected maps, sorted by image tuple:
+    a phi for each a in Aut(M2), phi any one of them (``map_iso_exists``)."""
     if not is_connected(m1) or not is_connected(m2):
         raise DisconnectedMapError("map isomorphism search needs connected maps")
-    if m1.group.order != m2.group.order or m1.valency != m2.valency:
+    phi = map_iso_exists(m1, m2)
+    if phi is None:
         return []
-    base = []
-    for a0 in range(m2.valency):
-        images = _propagate(m1, m2, a0)
-        if images is not None:
-            base.append(images)
-    table2 = m2.group.table
-    n = m2.group.order
-    all_images = sorted(
-        tuple(table2[h][x] for x in phi) for h in range(n) for phi in base
-    )
-    return [MapMorphism(m1, m2, f) for f in all_images]
+    images = sorted(tuple(a[x] for x in phi) for a in map_automorphism_group(m2).elements)
+    return [MapMorphism(m1, m2, f) for f in images]
 
 
 def map_iso_exists(m1: CayleyMap, m2: CayleyMap) -> Optional[tuple[int, ...]]:

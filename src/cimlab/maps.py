@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import MapValidationError
-from .groups import FiniteGroup, GroupIsomorphism, Subgroup, closure_of
-from .perms import Perm, perm_order
+from .groups import FiniteGroup, GroupIsomorphism, Subgroup, closure_of, cyclic_powers
+from .perms import Perm, is_permutation
 
 
 @dataclass(frozen=True)
@@ -175,16 +175,14 @@ def is_skew_morphism(h: FiniteGroup, phi: Perm) -> bool:
 def skew_power_function(h: FiniteGroup, phi: Perm) -> Optional[tuple[int, ...]]:
     """The power function of a skew-morphism (values in 0..order-1), or None.
 
-    phi must fix the identity; the power p(g) is searched over
-    0..order(phi)-1 for each g independently.
+    phi must be a permutation of h's elements fixing the identity, else
+    the answer is None; the power p(g) is searched over 0..order(phi)-1
+    for each g independently.
     """
     n = h.order
-    if len(phi) != n or phi[0] != 0:
+    if not is_permutation(phi, n) or phi[0] != 0:
         return None
-    d = perm_order(phi)
-    powers = [tuple(range(n))]
-    for _ in range(d - 1):
-        powers.append(tuple(phi[x] for x in powers[-1]))
+    powers = cyclic_powers(phi)
     tbl = h.table
     out = []
     for g in range(n):

@@ -316,15 +316,6 @@ def _search_generators(elements: tuple[Perm, ...]) -> tuple[Perm, ...]:
     return elements
 
 
-def _cyclic_subgroup(p: Perm) -> list[Perm]:
-    out = [identity_perm(len(p))]
-    q = p
-    while q != out[0]:
-        out.append(q)
-        q = compose(q, p)
-    return out
-
-
 def _grow_closure(members: AbstractSet[Perm], gens: tuple[Perm, ...]) -> Optional[set[Perm]]:
     """<gens> as a set, where members is the group generated by gens[:-1]
     and its non-identity elements fix no point.

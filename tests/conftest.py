@@ -4,6 +4,7 @@ import pytest
 
 from cimlab.groups import (
     GroupIsomorphism,
+    cyclic_powers,
     from_table,
     make_abelian,
     make_cyclic,
@@ -11,7 +12,7 @@ from cimlab.groups import (
     make_semidirect,
 )
 from cimlab.mapiso import _prime_divisors, _propagate, _seed_alignments
-from cimlab.perms import _cyclic_subgroup, compose, identity_perm
+from cimlab.perms import compose, identity_perm
 
 
 def negation_action(g):
@@ -82,7 +83,7 @@ def composed_stabilizer(m, tables=()):
             j //= p
         if kept is not None:
             generator = compose(generator, kept)
-    return sorted(_cyclic_subgroup(generator))
+    return sorted(cyclic_powers(generator))
 
 
 def two_step_formula(n):

@@ -537,6 +537,45 @@ def test_revalidation_rejects_a_conjugator_outside_aut(capsys):
             revalidate_map_report(report, make_cyclic(8))
 
 
+def test_revalidation_refuses_a_stored_rotation_that_is_not_a_map(capsys):
+    # a repeated element, in the witness pair or in the subject, raises
+    # ValueError like every other witness that does not check out
+    from cimlab.ci import revalidate_map_report
+
+    rc, data = run_json(capsys, ["is-ci-map", "--map", "z9:1,5,7,8,4,2"])
+    assert rc == 1
+    report = data["reports"][0]
+    z9 = make_cyclic(9)
+    pair = next(w for w in report["witnesses"]
+                if w["kind"] == "isomorphic-non-cayley-isomorphic-map")
+    pair["other"] = [1, 1, 7, 5, 4, 8]
+    with pytest.raises(ValueError, match="is not a map"):
+        revalidate_map_report(report, z9)
+    report["subject"]["rotation"] = [1, 1, 7, 5, 4, 8]
+    with pytest.raises(ValueError, match="is not a map"):
+        revalidate_map_report(report, z9)
+
+
+def test_revalidation_refuses_a_witness_that_lacks_a_field(capsys):
+    # each field each kind needs, dropped from a stored witness of that kind
+    from cimlab.ci import WITNESS_FIELDS, revalidate_map_report
+
+    stored = {}
+    for h, spec in [(make_cyclic(9), "z9:1,5,7,8,4,2"), (make_cyclic(8), "z8:1,3,5,7")]:
+        run(["is-ci-map", "--map", spec])
+        report = json.loads(capsys.readouterr().out)["reports"][0]
+        stored.update((w["kind"], (h, report, w)) for w in report["witnesses"])
+    stored["rival-regular-subgroup"] = stored["non-conjugate-regular-subgroup"]
+    assert set(stored) == set(WITNESS_FIELDS)
+    for kind, fields in WITNESS_FIELDS.items():
+        h, report, witness = stored[kind]
+        for field in fields:
+            lacking = dict(witness, kind=kind)
+            del lacking[field]
+            with pytest.raises(ValueError, match=f"{kind} witness lacks {field}"):
+                revalidate_map_report(dict(report, witnesses=[lacking]), h)
+
+
 def test_revalidation_rejects_a_conjugator_on_a_disconnected_map():
     from cimlab.ci import revalidate_map_report
     from cimlab.perms import left_regular_representation

@@ -279,6 +279,36 @@ def test_automorphisms_validate(z9):
         a.validate()
 
 
+def bijection_scan_isomorphisms(g, h):
+    """Every bijection g -> h fixing 0 that ``GroupIsomorphism.validate``
+    accepts, in image order: an oracle for the isomorphism search that
+    shares none of its code."""
+    out = []
+    for rest in itertools.permutations(range(1, g.order)):
+        try:
+            GroupIsomorphism(g, h, (0, *rest)).validate()
+        except ValueError:
+            continue
+        out.append((0, *rest))
+    return out
+
+
+def test_isomorphisms_equal_a_scan_of_every_bijection(k4, s3, q8, d4):
+    # every group of order <= 8 the suite builds: its automorphisms, and its
+    # isomorphisms onto each other such group of its order
+    gs = [make_cyclic(n) for n in range(1, 9)] + [k4, s3, q8, d4] + [
+        make_abelian(orders) for orders in ([2, 4], [2, 2, 2])]
+    counts = []
+    for g in gs:
+        scan = bijection_scan_isomorphisms(g, g)
+        assert [a.images for a in automorphisms(g)] == scan
+        counts.append(len(scan))
+        for h in gs:
+            if h.order == g.order and h is not g:
+                assert list(groups._isomorphisms_iter(g, h)) == bijection_scan_isomorphisms(g, h)
+    assert counts == [1, 1, 2, 2, 4, 2, 6, 4, 6, 6, 24, 8, 8, 168]
+
+
 def test_automorphism_cache_is_bounded():
     for _ in range(200):
         automorphisms(make_cyclic(5))

@@ -6,6 +6,7 @@ import pytest
 
 from cimlab import mapiso
 from cimlab.ci import _rich_maps, verify_connected_cim
+from cimlab.constructions import quaternion16_witness
 from cimlab.enumeration import cayley_classes, connection_sets, rotations_of
 from cimlab.errors import DisconnectedMapError
 from cimlab.groups import (
@@ -168,7 +169,7 @@ def test_extending_alignments_are_the_multiples_of_the_least():
         relation = ternary_relation(m)
         assert all(preserves_relation(relation, p) for p in stab)
     assert least == {1, 2, 3, 4, 5, 6}
-    # a stabilizer order with two primes makes the walk compose two automorphisms
+    # a stabilizer order with two primes makes the walk step down two primes
     assert any(len(prime_divisors(order)) >= 2 for order in orders)
 
 
@@ -224,6 +225,51 @@ def test_stabilizer_walks_prime_powers_without_repeats(monkeypatch):
             assert sorted(tried) == sorted(k // p for p in prime_divisors(k))
             trivial += 1
     assert trivial > 1000
+
+
+def prime_factor_count(n):
+    """Omega(n): the prime factors of n counted with multiplicity."""
+    count, p = 0, 2
+    while n > 1:
+        while n % p == 0:
+            n, count = n // p, count + 1
+        p += 1
+    return count
+
+
+def unseeded_walk_corpus():
+    """The rich class representatives of Z7-Z13 at full valency, the
+    connected maps of the five groups of order 8 up to valency 7, and those
+    of Z11 up to valency 6."""
+    for n in range(7, 14):
+        h = make_cyclic(n)
+        rich = _rich_maps(h, cyclic_skew_morphisms(n), n - 1)
+        for rot, orbit in cayley_classes(h, rich, mirror=True):
+            if min(orbit) == rot:
+                yield CayleyMap(h, tuple(rot))
+    for h, max_valency in [(h, 7) for h in order8_groups()] + [(make_cyclic(11), 6)]:
+        for s in connection_sets(h, max_valency):
+            if len(closure_of(h, s)) == h.order:
+                yield from (CayleyMap(h, rot) for rot in rotations_of(s))
+
+
+def test_unseeded_walk_tries_omega_of_the_quotient_plus_omega_of_g(monkeypatch):
+    # with g = k/|G_1| the least alignment that extends, the walk steps down
+    # once per prime factor of k/g and stops once at each prime of g
+    tried = []
+    extend = mapiso._extend
+    monkeypatch.setattr(mapiso, "_extend", lambda m, j, triangles: tried.append(j)
+                        or extend(m, j, triangles))
+    orders = collections.Counter()
+    for m in unseeded_walk_corpus():
+        tried.clear()
+        stab = stabilizer_automorphisms(m)
+        k = m.valency
+        g = k // len(stab)
+        assert len(tried) == prime_factor_count(k // g) + len(prime_divisors(g))
+        orders[len(stab) > 1, len(prime_divisors(g)) > 0] += 1
+    # trivial stabilizers, G_1 of every alignment, and proper ones between
+    assert orders == {(False, True): 7796, (True, False): 209, (True, True): 1402}
 
 
 def propagated_darts(m1, m2, v0, a0):
@@ -389,14 +435,14 @@ def assembly_cases():
 
 def test_seed_assembled_stabilizer_equals_the_composed_one(monkeypatch):
     # where the seeds realise every alignment of the stabilizer, it is the
-    # identity and the seeds, and no product is formed; elsewhere, as on a
-    # relabelled group seeded with the identity alone, the kept automorphisms
-    # are still composed and their powers listed. Both give the frozen
+    # identity and the seeds, and no powers are taken; elsewhere, as on a
+    # relabelled group seeded with the identity alone, the powers of the
+    # automorphism of least alignment are listed. Both give the frozen
     # composed list, and the unseeded one
     composed = []
-    cyclic_subgroup = mapiso._cyclic_subgroup
-    monkeypatch.setattr(mapiso, "_cyclic_subgroup",
-                        lambda p: composed.append(p) or cyclic_subgroup(p))
+    powers = mapiso.cyclic_powers
+    monkeypatch.setattr(mapiso, "cyclic_powers",
+                        lambda p: composed.append(p) or powers(p))
     paths = collections.Counter()
     for kind, h, rotations, seeds in assembly_cases():
         tables = tuple(map(translate_table, seeds))
@@ -645,6 +691,39 @@ def test_composition_of_isomorphisms(z8):
         for b in isos21[:5]:
             composed = tuple(b.images[x] for x in a.images)
             assert composed in all11
+
+
+def frozen_map_isomorphisms(m1, m2):
+    """``map_isomorphisms``' image tuples as they stood while it ran its own
+    loop: every alignment at the identity propagated, and each isomorphism
+    found followed by every left translation of m2's group. The oracle for
+    Aut(M2) after one isomorphism."""
+    if m1.group.order != m2.group.order or m1.valency != m2.valency:
+        return []
+    base = [phi for a0 in range(m2.valency) if (phi := _propagate(m1, m2, a0)) is not None]
+    table2 = m2.group.table
+    return sorted(tuple(table2[h][x] for x in phi) for h in range(m2.group.order) for phi in base)
+
+
+def test_isomorphisms_are_aut_after_one_isomorphism():
+    # the Q16 witness pair, and each connected map of valency <= 4 over the
+    # five groups of order 8, paired with the first map of its valency
+    q = quaternion16_witness()
+    pairs = [(q.map_quaternion, q.map_cyclic)]
+    for h in order8_groups():
+        first = {}
+        for s in connection_sets(h, 4):
+            if len(closure_of(h, s)) == h.order:
+                for rot in rotations_of(s):
+                    m = CayleyMap(h, rot)
+                    pairs.append((m, first.setdefault(m.valency, m)))
+    found = collections.Counter()
+    for m1, m2 in pairs:
+        isos = map_isomorphisms(m1, m2)
+        assert [f.images for f in isos] == frozen_map_isomorphisms(m1, m2)
+        found[bool(isos)] += 1
+    assert found == {True: 283, False: 194}
+    assert len(map_isomorphisms(*pairs[0])) == 32
 
 
 def test_morphism_validation_rejects_scramble(z8):

@@ -308,6 +308,14 @@ def test_skew_by_exhaustive_power_search(z8):
     assert not is_skew_morphism(z8, bad)
 
 
+def test_a_map_that_is_not_a_permutation_is_not_skew():
+    # x -> 2x is an endomorphism of Z4, so the skew law holds with power 1
+    # everywhere, but it is not a bijection, so it is no skew-morphism
+    z4 = make_cyclic(4)
+    assert skew_power_function(z4, (0, 2, 0, 2)) is None
+    assert not is_skew_morphism(z4, (0, 0, 0, 0))
+
+
 def test_random_non_multiplicative_permutation_not_skew(z8):
     rng = random.Random(7)
     found_false = 0

@@ -11,6 +11,10 @@ check matches by name alone: a local that shares a function's name hides
 the function, and an attribute of any object that shares a method's name
 hides the method.
 
+Every name a module's top-level import binds is read in that module;
+``__init__`` re-exports and ``from __future__ import annotations`` are
+left out.
+
 Every parameter default of those functions and methods is also overridden
 by some package call: a call of that name that passes the parameter by
 keyword, reaches it positionally, or unpacks ``*args`` or ``**kwargs``.
@@ -103,6 +107,31 @@ def test_every_definition_is_referenced():
 def test_every_allowed_name_is_still_unreferenced():
     dead = {d.split(":")[1] for d in unreferenced_definitions()}
     assert set(ALLOWED) <= dead
+
+
+def unread_imports(trees: dict) -> list[str]:
+    """``module:name`` for each name a top-level import in ``trees`` binds
+    that its module never reads."""
+    unread = []
+    for module, tree in trees.items():
+        read = {sub.id for sub in ast.walk(tree)
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+        for node in tree.body:
+            if isinstance(node, ast.Import) or (
+                    isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+                unread += [f"{module}:{bound}" for alias in node.names
+                           if (bound := alias.asname or alias.name.split(".")[0]) not in read]
+    return unread
+
+
+def test_every_import_is_read():
+    assert unread_imports(_package_trees()) == []
+
+
+def test_the_import_guard_sees_each_kind_of_import():
+    source = ("from __future__ import annotations\nimport a.b\nimport c as d\n"
+              "from e import f, g as h\nfrom .i import j\nx = a.b(j)\nf = 1\n")
+    assert unread_imports({"x.py": ast.parse(source)}) == ["x.py:d", "x.py:f", "x.py:h"]
 
 
 def _defaulted_parameters(node: ast.FunctionDef, is_method: bool):
